@@ -179,38 +179,13 @@ func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]
 	return rs, nil
 }
 
-// SketchShard computes the partial sketch of one column shard on the
-// server: S·A[:, j0:j1] shipped as a MsgShardRequest, answered with the
-// shard's columns of the full sketch. It shares Sketch's retry loop and
-// error taxonomy — the coordinator's fan-out is built on it, with its own
-// peer-failover layer on top of this client's per-peer retries.
-func (c *Client) SketchShard(ctx context.Context, req *wire.ShardRequest) (*wire.ShardResponse, error) {
-	if req == nil || req.A == nil {
-		return nil, core.ErrNilMatrix
-	}
-	body, err := wire.EncodeShardRequestFrame(req)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeShardResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// SketchShardBatch issues several column shards of one sketch as a single
-// MsgShardBatchRequest — the coordinator's per-peer fan-out frame — and
-// returns the index-aligned shard responses. Retry semantics mirror
-// SketchBatch: the batch is reissued as a whole only while every item's
-// failure is retryable; per-item outcomes land in the returned slice.
+// SketchShardBatch issues column shards of one sketch as a single
+// MsgShardBatchRequest — the coordinator's only shard frame, one per peer
+// and request (a lone shard is a batch of one) — and returns the
+// index-aligned shard responses. It shares Sketch's error taxonomy; retry
+// semantics mirror SketchBatch: the batch is reissued as a whole only
+// while every item's failure is retryable, and per-item outcomes land in
+// the returned slice.
 func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest) ([]wire.ShardResponse, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -330,9 +305,8 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return 0, nil, &transportError{err: fmt.Errorf("http %d: %w", hres.StatusCode, err)}
 	}
 	switch t {
-	case wire.MsgSketchResponse, wire.MsgBatchResponse, wire.MsgShardResponse,
-		wire.MsgShardBatchResponse, wire.MsgMatrixInfo, wire.MsgSolveResponse,
-		wire.MsgJobStatus:
+	case wire.MsgSketchResponse, wire.MsgBatchResponse, wire.MsgShardBatchResponse,
+		wire.MsgMatrixInfo, wire.MsgSolveResponse, wire.MsgJobStatus:
 	default:
 		return 0, nil, fmt.Errorf("%w: unexpected response frame type %v", wire.ErrMalformed, t)
 	}
@@ -363,13 +337,11 @@ func statusPeek(t wire.MsgType, payload []byte) error {
 		}
 		return info.Err()
 	}
-	if t == wire.MsgSketchResponse || t == wire.MsgShardResponse {
+	if t == wire.MsgSketchResponse {
 		st, err := wire.PeekStatus(payload)
 		if err != nil || !st.Retryable() {
 			return err
 		}
-		// A retryable status carries no matrix — both response layouts share
-		// the status+detail error form, so one decoder covers them.
 		resp, err := wire.DecodeResponse(payload)
 		if err != nil {
 			return err

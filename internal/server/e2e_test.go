@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -335,6 +337,49 @@ func TestE2EInvalidInputStatuses(t *testing.T) {
 	bad := &sparse.CSC{M: 5, N: 2, ColPtr: []int{0, 9, 1}, RowIdx: []int{0}, Val: []float64{1}}
 	if _, _, err := c.Sketch(context.Background(), bad, 8, core.Options{}); !errors.Is(err, wire.ErrMalformed) {
 		t.Errorf("broken CSC err = %v, want Is(wire.ErrMalformed)", err)
+	}
+}
+
+// TestE2ERetiredShardFrameRejected posts a frame of retired message type 7
+// (the single-shard request that the shard batch frame replaced) with its
+// old payload layout. The server must refuse it loudly — HTTP 400 with a
+// StatusMalformed response frame — so an old coordinator fails instead of
+// being misparsed.
+func TestE2ERetiredShardFrameRejected(t *testing.T) {
+	base, _, srv := startServer(t, service.Config{}, Config{})
+	a := sparse.RandomUniform(50, 10, 0.1, 1)
+	payload := wire.AppendShardRequest(nil, &wire.ShardRequest{
+		NTotal: a.N, SketchRequest: wire.SketchRequest{D: 4, A: a},
+	})
+	frame, err := wire.AppendFrame(nil, wire.MsgType(7), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Post(base+"/v1/sketch", "application/x-sketchsp-wire", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("HTTP status = %d, want 400", res.StatusCode)
+	}
+	typ, rp, _, err := wire.SplitFrame(body, 0)
+	if err != nil || typ != wire.MsgSketchResponse {
+		t.Fatalf("response frame: typ=%v err=%v", typ, err)
+	}
+	resp, err := wire.DecodeResponse(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wire.StatusMalformed {
+		t.Fatalf("status = %v, want StatusMalformed", resp.Status)
+	}
+	if st := srv.Stats().Server; st.Requests != 0 || st.BadRequests != 1 {
+		t.Fatalf("server counted requests=%d bad=%d, want 0 and 1", st.Requests, st.BadRequests)
 	}
 }
 

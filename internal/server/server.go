@@ -126,10 +126,9 @@ type Server struct {
 // decoded request (whose CSC slices are reused across requests), and the
 // response encode buffer. Single-request hot path only — batches allocate.
 type reqScratch struct {
-	body  []byte
-	req   wire.SketchRequest
-	shreq wire.ShardRequest
-	out   []byte
+	body []byte
+	req  wire.SketchRequest
+	out  []byte
 }
 
 // New returns a Server fronting the local plan-cache service svc.
@@ -317,8 +316,6 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 		s.serveSingle(ctx, w, sc, payload, dsp)
 	case wire.MsgBatchRequest:
 		s.serveBatch(ctx, w, payload, dsp)
-	case wire.MsgShardRequest:
-		s.serveShard(ctx, w, sc, payload, dsp)
 	case wire.MsgShardBatchRequest:
 		s.serveShardBatch(ctx, w, payload, dsp)
 	case wire.MsgSketchRef:
@@ -386,104 +383,27 @@ func (s *Server) serveSingle(ctx context.Context, w http.ResponseWriter, sc *req
 	esp.End()
 }
 
-// serveShard handles one MsgShardRequest payload: the shard's CSC runs
-// through the same backend as a single request — a worker needs no special
-// mode, any sketchd answers shard requests — and the response echoes the
-// shard's placement J0 so the coordinator's merge is robust to reordering.
-func (s *Server) serveShard(ctx context.Context, w http.ResponseWriter, sc *reqScratch, payload []byte, dsp obs.Span) {
-	s.met.requests.Inc()
-	err := wire.DecodeShardRequestInto(&sc.shreq, payload)
+// serveShardBatch handles one MsgShardBatchRequest payload: the column
+// shards of one sketch that the coordinator routed here, a lone shard as a
+// batch of one. A worker needs no special mode — any sketchd answers shard
+// batches. The items run through the same backend SketchBatch path as a
+// plain batch — grouped by plan key, so same-matrix shards resolve the
+// cache once — and each response echoes its shard's J0 for the
+// coordinator's placement check. A frame that fails the strict decode
+// (corrupt envelope or item, mixed matrices, overlapping column ranges) is
+// rejected whole with StatusMalformed, which the coordinator fails fast.
+func (s *Server) serveShardBatch(ctx context.Context, w http.ResponseWriter, payload []byte, dsp obs.Span) {
+	reqs, err := wire.DecodeShardBatchRequest(payload)
 	dsp.End()
 	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgShardResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	req := &sc.shreq
-	if err := s.checkSketchSize(req.D, req.A.N); err != nil {
-		s.writeError(w, wire.MsgShardResponse, wire.StatusBadOptions, err.Error())
-		return
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	partial, st, err := s.backend.Sketch(ctx, req.A, req.D, req.Opts)
-	xsp.End()
-	var resp wire.ShardResponse
-	if err != nil {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		resp = wire.ShardResponse{Status: wire.StatusOf(err), Detail: err.Error()}
-	} else {
-		resp = wire.ShardResponse{Status: wire.StatusOK, J0: req.J0, Stats: st, Partial: partial}
-	}
-	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgShardResponse, wire.AppendShardResponse(nil, &resp))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgShardResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
-		return
-	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
-	esp.End()
-}
-
-// serveShardBatch handles one MsgShardBatchRequest payload: several column
-// shards of one sketch, batched by the coordinator because they all route
-// here. The items run through the same backend SketchBatch path as a plain
-// batch — grouped by plan key, so same-matrix shards resolve the cache once
-// — and each response echoes its shard's J0 for the coordinator's placement
-// check.
-//
-// Decoding is deliberately per-item, not the strict whole-batch decoder: a
-// batch-level StatusMalformed is what a pre-batch server answers for the
-// unknown frame type, and the coordinator demotes it to failover — so it
-// must mean "this peer cannot read the frame", never "one item was bad".
-// An item that fails to decode gets its own StatusMalformed response
-// (fail-fast at the coordinator, like the single-shard path) and is never
-// executed, so it cannot contribute coverage. Only envelope corruption and
-// cross-item placement violations — one matrix, sorted pairwise-disjoint
-// column ranges, which a real coordinator never produces — are rejected at
-// batch level.
-func (s *Server) serveShardBatch(ctx context.Context, w http.ResponseWriter, payload []byte, dsp obs.Span) {
-	items, err := wire.SplitBatchPayload(payload)
-	if err == nil && len(items) == 0 {
-		err = fmt.Errorf("%w: empty shard batch", wire.ErrMalformed)
-	}
-	if err != nil {
-		dsp.End()
 		s.met.badRequests.Inc()
 		s.writeError(w, wire.MsgShardBatchResponse, wire.StatusMalformed, err.Error())
 		return
 	}
-	reqs := make([]wire.ShardRequest, len(items))
-	itemErr := make([]error, len(items))
-	nTotal, nextJ0 := -1, 0
-	for i, item := range items {
-		if derr := wire.DecodeShardRequestInto(&reqs[i], item); derr != nil {
-			itemErr[i] = derr
-			continue
-		}
-		if nTotal == -1 {
-			nTotal = reqs[i].NTotal
-		}
-		if reqs[i].NTotal != nTotal || reqs[i].J0 < nextJ0 {
-			dsp.End()
-			s.met.badRequests.Inc()
-			s.writeError(w, wire.MsgShardBatchResponse, wire.StatusMalformed,
-				fmt.Sprintf("shard batch item %d: placement overlaps or mixes matrices", i))
-			return
-		}
-		nextJ0 = reqs[i].J0 + reqs[i].A.N
-	}
-	dsp.End()
 	s.met.requests.Add(int64(len(reqs)))
 	sreqs := make([]service.Request, len(reqs))
 	oversize := make([]bool, len(reqs))
 	for i := range reqs {
-		if itemErr[i] != nil {
-			continue
-		}
 		if err := s.checkSketchSize(reqs[i].D, reqs[i].A.N); err != nil {
 			oversize[i] = true
 			continue
@@ -496,8 +416,6 @@ func (s *Server) serveShardBatch(ctx context.Context, w http.ResponseWriter, pay
 	out := make([]wire.ShardResponse, len(reqs))
 	for i := range out {
 		switch {
-		case itemErr[i] != nil:
-			out[i] = wire.ShardResponse{Status: wire.StatusMalformed, Detail: itemErr[i].Error()}
 		case oversize[i]:
 			out[i] = wire.ShardResponse{Status: wire.StatusBadOptions,
 				Detail: fmt.Sprintf("sketch %dx%d exceeds MaxSketchBytes %d", reqs[i].D, reqs[i].A.N, s.cfg.MaxSketchBytes)}
@@ -607,8 +525,7 @@ func (s *Server) checkSketchSize(d, n int) error {
 // writeError emits a non-OK response frame of the given kind. Batch-shaped
 // failures that happen before per-item decoding (malformed bytes, bad
 // deadline header) come back as a single-element batch response so the
-// client's decoder matches what it sent. The shard error form is
-// byte-identical to the single form, so MsgShardResponse needs no branch.
+// client's decoder matches what it sent.
 func (s *Server) writeError(w http.ResponseWriter, typ wire.MsgType, st wire.Status, detail string) {
 	resp := wire.SketchResponse{Status: st, Detail: detail}
 	var payload []byte

@@ -2,32 +2,22 @@ package shard
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"sketchsp/internal/core"
 	"sketchsp/internal/wire"
 )
 
-// Per-peer batch fan-out: shards of one request whose primary candidate is
-// the same peer ride a single MsgShardBatchRequest frame instead of one
-// HTTP call each, collapsing N-shards-on-K-peers from N round trips to K.
-// The batch is a transport optimisation only — each shard still resolves
-// independently through runShard, so hedging and failover treat a
-// batch-borne shard exactly like a direct one: a batch-level failure (or a
-// per-item error) sends just the affected shards to their backup peers as
-// ordinary single-shard RPCs.
-//
-// One asymmetry is deliberate: a batch-level StatusMalformed is demoted
-// from fail-fast to failover. On a single-shard RPC, StatusMalformed means
-// our request is bad and no peer can cure it; on a whole batch frame it is
-// also what a pre-batch worker answers for the unknown message type, so
-// the coordinator falls back to single-shard RPCs against the next
-// candidate rather than failing the request. Per-item statuses inside a
-// decoded batch response keep the normal taxonomy — a worker that speaks
-// batch and says StatusInvalidMatrix means it.
+// Per-peer batch fan-out: every inline shard attempt is a
+// MsgShardBatchRequest frame. The primary attempts of one request's shards
+// that route to the same peer ride a single frame, collapsing
+// N-shards-on-K-peers from N round trips to K; a peer with one shard gets a
+// batch of one. The batch is a transport envelope only — each shard still
+// resolves independently through runShard, so a batch-level failure (or a
+// per-item error) sends just the affected shards to their backup peers,
+// each hedge or failover as its own batch of one. Statuses keep one taxonomy
+// at both levels: a batch-level StatusMalformed means the request is bad
+// and fails fast, like a malformed item.
 
 // batchCall is one in-flight batch RPC shared by the runShard goroutines
 // of its member shards. resps is index-aligned with the request slice and
@@ -42,62 +32,34 @@ type batchCall struct {
 	cancel  context.CancelFunc
 }
 
-// launchBatch issues one batch frame for shards to p. Metrics for the
-// frame — one peer request, one batch, len(shards) subrequests, the wire
-// bytes and the batch-size observation — are counted here exactly once;
-// runShard counts nothing for a batch-borne primary attempt.
-func (c *Coordinator) launchBatch(ctx context.Context, p *peer, shards []*Shard, nTotal, d int, opts core.Options) *batchCall {
-	reqs := make([]wire.ShardRequest, len(shards))
-	for i, sh := range shards {
-		reqs[i] = wire.ShardRequest{
-			J0:     sh.J0,
-			NTotal: nTotal,
-			SketchRequest: wire.SketchRequest{
-				D:    d,
-				Opts: opts,
-				A:    sh.A,
-			},
-		}
-	}
+// launchBatch issues one batch frame for reqs to p. Metrics for the frame
+// — one peer request, len(reqs) subrequests, the wire bytes and the
+// batch-size observation — are counted here exactly once; runShard counts
+// only hedges and failovers for a batch-borne attempt.
+func (c *Coordinator) launchBatch(ctx context.Context, p *peer, reqs []wire.ShardRequest) *batchCall {
 	bctx, cancel := context.WithCancel(ctx)
 	bc := &batchCall{p: p, done: make(chan struct{}), cancel: cancel}
-	bc.pending.Store(int32(len(shards)))
-	c.met.batches.Inc()
-	c.met.batchSize.ObserveValue(int64(len(shards)))
-	c.met.subrequests.Add(int64(len(shards)))
+	bc.pending.Store(int32(len(reqs)))
+	c.met.batchSize.ObserveValue(int64(len(reqs)))
+	c.met.subrequests.Add(int64(len(reqs)))
 	p.met.requests.Inc()
 	p.met.bytes.Add(int64(wire.ShardBatchRequestWireSize(reqs)))
 	go func() {
 		defer close(bc.done)
 		start := time.Now()
-		resps, err := p.cli.SketchShardBatch(bctx, reqs)
-		if err != nil {
-			var se *wire.StatusError
-			if errors.As(err, &se) && se.Code == wire.StatusMalformed {
-				// Pre-batch worker (or a frame the peer cannot read):
-				// strip the status from the chain so failFast routes the
-				// members to single-shard failover instead of aborting.
-				err = fmt.Errorf("shard: peer %s rejected batch frame: %v", p.name, err)
-			}
-			bc.err = err
-			return
+		bc.resps, bc.err = p.cli.SketchShardBatch(bctx, reqs)
+		if bc.err == nil {
+			p.lat.Record(time.Since(start))
 		}
-		if len(resps) != len(reqs) {
-			bc.err = fmt.Errorf("shard: peer %s answered %d items for a %d-shard batch", p.name, len(resps), len(reqs))
-			return
-		}
-		p.lat.Record(time.Since(start))
-		bc.resps = resps
 	}()
 	return bc
 }
 
 // wait blocks until the batch resolves (or ctx does) and extracts member
 // idx's outcome. Per-item errors keep their status chain so runShard's
-// failFast classification is identical to the single-shard path; a wrong
-// J0 echo is a peer-health failure (failover re-asks a backup — and even
-// if it slipped through, place() rejects misplacement again upstream).
-func (bc *batchCall) wait(ctx context.Context, idx int, sh *Shard) (*wire.ShardResponse, error) {
+// failFast classification applies to them unchanged; the echoed J0 is
+// checked at placement.
+func (bc *batchCall) wait(ctx context.Context, idx int) (*wire.ShardResponse, error) {
 	defer bc.release()
 	select {
 	case <-ctx.Done():
@@ -107,14 +69,7 @@ func (bc *batchCall) wait(ctx context.Context, idx int, sh *Shard) (*wire.ShardR
 	if bc.err != nil {
 		return nil, bc.err
 	}
-	resp := &bc.resps[idx]
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	if resp.J0 != sh.J0 {
-		return nil, fmt.Errorf("shard: batch item echoes j0=%d for shard [%d:%d)", resp.J0, sh.J0, sh.J1)
-	}
-	return resp, nil
+	return &bc.resps[idx], bc.resps[idx].Err()
 }
 
 // release retires one member's interest; the last release cancels the RPC

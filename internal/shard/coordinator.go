@@ -54,11 +54,6 @@ type Config struct {
 	// backup's latency window is cold (fewer than 8 observations).
 	// 0 selects 100ms.
 	HedgeMaxDelay time.Duration
-	// DisableBatch turns off per-peer batch fan-out, forcing one HTTP call
-	// per shard (the pre-batch wire behaviour). The zero value — batching
-	// on — is right except for A/B measurement and talking to pre-batch
-	// workers without paying the per-request fallback round trip.
-	DisableBatch bool
 	// StoreBytes bounds the coordinator's own content-addressed matrix
 	// store behind PutMatrix/SketchRef/PatchMatrix. 0 selects
 	// store.DefaultMaxBytes; negative means unbounded.
@@ -183,49 +178,46 @@ func (c *Coordinator) sketch(ctx context.Context, a *sparse.CSC, d int, opts cor
 		return nil, core.Stats{}, fmt.Errorf("%w: %v", core.ErrInvalidMatrix, err)
 	}
 
-	shardReq := func(sh *Shard) *wire.ShardRequest {
-		return &wire.ShardRequest{
-			J0:     sh.J0,
-			NTotal: a.N,
-			SketchRequest: wire.SketchRequest{
-				D:    d,
-				Opts: opts,
-				A:    sh.A,
-			},
-		}
-	}
 	caller := &shardCaller{
-		bytes: func(sh *Shard) int64 {
-			return int64(wire.ShardRequestWireSize(shardReq(sh)))
-		},
-		call: func(ctx context.Context, p *peer, sh *Shard) (*wire.ShardResponse, error) {
-			return p.cli.SketchShard(ctx, shardReq(sh))
-		},
 		batch: func(ctx context.Context, p *peer, group []*Shard) *batchCall {
-			return c.launchBatch(ctx, p, group, a.N, d, opts)
+			reqs := make([]wire.ShardRequest, len(group))
+			for i, sh := range group {
+				reqs[i] = wire.ShardRequest{
+					J0:     sh.J0,
+					NTotal: a.N,
+					SketchRequest: wire.SketchRequest{
+						D:    d,
+						Opts: opts,
+						A:    sh.A,
+					},
+				}
+			}
+			return c.launchBatch(ctx, p, reqs)
 		},
 	}
 	return c.fanMerge(ctx, a, d, caller)
 }
 
-// shardCaller is the per-path RPC strategy fanMerge hands to runShard:
-// inline sharding ships the shard's CSC (and can group shards into batch
-// frames), by-reference ships its fingerprint (and cannot — the upload
-// fallback is per-shard). Placement, hedging, failover and merging are
-// shared; only the wire call differs.
+// shardCaller is the per-path RPC strategy fanMerge hands to runShard.
+// Inline sharding sets batch: every attempt is a shard batch frame, one
+// per peer for the primary attempts and a batch of one for each hedge or
+// failover. By-reference sharding sets call and bytes: one fingerprint
+// request per shard, because the upload fallback is per-shard. Placement,
+// hedging, failover and merging are shared; only the wire call differs.
 type shardCaller struct {
-	bytes func(sh *Shard) int64
+	batch func(ctx context.Context, p *peer, group []*Shard) *batchCall
 	call  func(ctx context.Context, p *peer, sh *Shard) (*wire.ShardResponse, error)
-	batch func(ctx context.Context, p *peer, group []*Shard) *batchCall // nil: path cannot batch
+	bytes func(sh *Shard) int64
 }
 
 // fanMerge is the shard fan-out and exact merge shared by the inline and
 // by-reference paths: load one membership snapshot, split a into
 // nnz-balanced column shards, resolve each shard's candidate peers,
-// group same-primary shards into batch frames where the caller supports
-// it, run every shard through runShard concurrently, and accumulate the
-// partials into Â. The whole fan-out completes against the snapshot it
-// loaded — membership changes re-route only subsequent requests.
+// group same-primary shards into one batch frame per peer where the
+// caller batches, run every shard through runShard concurrently, and
+// accumulate the partials into Â. The whole fan-out completes against the
+// snapshot it loaded — membership changes re-route only subsequent
+// requests.
 func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller *shardCaller) (*dense.Matrix, core.Stats, error) {
 	mem := c.mem.Load()
 	k := c.cfg.Shards
@@ -245,23 +237,19 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 	defer cancel()
 
 	// Per-peer batching: shards sharing a primary candidate ride one wire
-	// frame. Singleton groups stay on the single-shard RPC — a one-item
-	// batch saves nothing and costs a layer of framing.
+	// frame, a lone shard as a batch of one.
 	type batchRef struct {
 		bc  *batchCall
 		idx int
 	}
 	batchOf := make([]batchRef, len(shards))
-	if caller.batch != nil && !c.cfg.DisableBatch {
+	if caller.batch != nil {
 		groups := make(map[*peer][]int)
 		for i := range shards {
 			p := cands[i][0]
 			groups[p] = append(groups[p], i)
 		}
 		for p, idxs := range groups {
-			if len(idxs) < 2 {
-				continue
-			}
 			group := make([]*Shard, len(idxs))
 			for gi, si := range idxs {
 				group[gi] = &shards[si]

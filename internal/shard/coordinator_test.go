@@ -169,13 +169,13 @@ func TestCoordinatorBatch(t *testing.T) {
 	}
 }
 
-// overloadFrame is a canned StatusOverloaded shard answer.
+// overloadFrame is a canned StatusOverloaded shard batch answer.
 func overloadFrame(t *testing.T) []byte {
 	t.Helper()
-	payload := wire.AppendShardResponse(nil, &wire.ShardResponse{
+	payload := wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{
 		Status: wire.StatusOverloaded, Detail: "test shed",
-	})
-	frame, err := wire.AppendFrame(nil, wire.MsgShardResponse, payload)
+	}})
+	frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

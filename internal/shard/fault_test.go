@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -130,7 +131,7 @@ func TestHedgeLoserCancelled(t *testing.T) {
 	}
 }
 
-// TestDuplicateAnswerRejected corrupts every worker's shard response to
+// TestDuplicateAnswerRejected corrupts every worker's shard batch items to
 // echo the wrong j0 — the shape a duplicated or misrouted answer would
 // take. The coordinator must fail the request at the placement check
 // rather than merge the partial into the wrong columns.
@@ -140,10 +141,14 @@ func TestDuplicateAnswerRejected(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()
-			if typ, payload, _, err := wire.SplitFrame(body, 1<<30); err == nil && typ == wire.MsgShardResponse {
-				if resp, derr := wire.DecodeShardResponse(payload); derr == nil && resp.Status == wire.StatusOK {
-					resp.J0 += 3
-					if nb, ferr := wire.AppendFrame(nil, wire.MsgShardResponse, wire.AppendShardResponse(nil, resp)); ferr == nil {
+			if typ, payload, _, err := wire.SplitFrame(body, 1<<30); err == nil && typ == wire.MsgShardBatchResponse {
+				if rs, derr := wire.DecodeShardBatchResponse(payload); derr == nil {
+					for i := range rs {
+						if rs[i].Status == wire.StatusOK {
+							rs[i].J0 += 3
+						}
+					}
+					if nb, ferr := wire.AppendFrame(nil, wire.MsgShardBatchResponse, wire.AppendShardBatchResponse(nil, rs)); ferr == nil {
 						body = nb
 					}
 				}
@@ -340,9 +345,9 @@ func TestWatchPeersFile(t *testing.T) {
 	}
 }
 
-// TestBatchFanout pins the per-peer batch path: more shards than peers
-// produce batch frames, the merged sketch stays bit-identical, and
-// turning batching off removes the frames without changing the answer.
+// TestBatchFanout pins the per-peer batch path: every primary attempt
+// rides a batch frame, one frame per peer with shards, and the merged
+// sketch stays bit-identical.
 func TestBatchFanout(t *testing.T) {
 	a := sparse.PowerLaw(320, 64, 2000, 1.3, 51)
 	opts := core.Options{Dist: rng.Gaussian, Seed: 19, Workers: 1}
@@ -359,37 +364,33 @@ func TestBatchFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, got, want)
-	if v := counterValue(t, c, "sketchsp_shard_batches_total"); v < 1 {
-		t.Fatalf("batches_total = %v, want >= 1 with 8 shards on 2 peers", v)
+	frames := counterValue(t, c, "sketchsp_shard_batch_size_count")
+	if frames < 1 || frames > 2 {
+		t.Fatalf("batch_size_count = %v, want one frame per peer (1 or 2) for 8 shards on 2 peers", frames)
+	}
+	if v := counterValue(t, c, "sketchsp_shard_batch_size_sum"); v != 8 {
+		t.Fatalf("batch_size_sum = %v, want 8 (every shard rides a frame)", v)
 	}
 	if v := counterValue(t, c, "sketchsp_shard_subrequests_total"); v != 8 {
 		t.Fatalf("subrequests_total = %v, want 8 (batch items count individually)", v)
 	}
-	metricLine(t, scrape(t, c), "sketchsp_shard_batch_size_count")
-
-	cNo, err := New(Config{Peers: urls, Shards: 8, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
+	var peerFrames float64
+	for _, u := range urls {
+		peerFrames += counterValue(t, c, `sketchsp_shard_peer_requests_total{peer="`+u+`"}`)
 	}
-	defer cNo.Close()
-	got2, _, err := cNo.Sketch(context.Background(), a, 14, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got2, want)
-	if v := counterValue(t, cNo, "sketchsp_shard_batches_total"); v != 0 {
-		t.Fatalf("batches_total = %v with batching disabled", v)
+	if peerFrames != frames {
+		t.Fatalf("peer_requests_total sums to %v, want %v (every frame is a batch frame)", peerFrames, frames)
 	}
 }
 
-// TestBatchFallbackToPreBatchWorker emulates workers that reject the batch
-// frame type with StatusMalformed (what a pre-batch sketchd answers): the
-// coordinator must demote the rejection to failover and finish every shard
-// over single-shard RPCs, bit-identically.
-func TestBatchFallbackToPreBatchWorker(t *testing.T) {
+// TestBatchRejectedFrameFailsFast has every worker answer the batch frame
+// with a batch-level StatusMalformed. The request is at fault, not the
+// peer, so the coordinator must fail fast with a typed *ShardError that
+// unwraps to wire.ErrMalformed — no failover to another peer.
+func TestBatchRejectedFrameFailsFast(t *testing.T) {
 	rejectBatches := func(i int, h http.Handler) http.Handler {
 		payload := wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{
-			Status: wire.StatusMalformed, Detail: "unknown message type 16",
+			Status: wire.StatusMalformed, Detail: "rejected shard batch",
 		}})
 		frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, payload)
 		if err != nil {
@@ -402,6 +403,7 @@ func TestBatchFallbackToPreBatchWorker(t *testing.T) {
 				return
 			}
 			if typ, _, _, err := wire.SplitFrame(body, 1<<30); err == nil && typ == wire.MsgShardBatchRequest {
+				w.WriteHeader(http.StatusBadRequest)
 				w.Write(frame)
 				return
 			}
@@ -418,12 +420,15 @@ func TestBatchFallbackToPreBatchWorker(t *testing.T) {
 
 	a := sparse.RandomUniform(260, 52, 0.07, 61)
 	opts := core.Options{Dist: rng.Rademacher, Seed: 29, Workers: 1}
-	got, _, err := c.Sketch(context.Background(), a, 10, opts)
-	if err != nil {
-		t.Fatalf("batch rejection was not demoted to failover: %v", err)
+	_, _, err = c.Sketch(context.Background(), a, 10, opts)
+	var se *ShardError
+	if !errors.As(err, &se) {
+		t.Fatalf("rejected batch frame: want *ShardError, got %v", err)
 	}
-	assertBitIdentical(t, got, directSketch(t, a, 10, opts))
-	if v := counterValue(t, c, "sketchsp_shard_failovers_total"); v < 1 {
-		t.Fatalf("failovers_total = %v, want >= 1", v)
+	if !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("rejected batch frame does not unwrap to ErrMalformed: %v", err)
+	}
+	if v := counterValue(t, c, "sketchsp_shard_failovers_total"); v != 0 {
+		t.Fatalf("failovers_total = %v, want 0: a rejected frame must fail fast", v)
 	}
 }

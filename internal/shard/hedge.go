@@ -92,8 +92,8 @@ func (c *Coordinator) hedgeDelay(backup *peer) time.Duration {
 }
 
 // runShard drives one shard to a single valid answer across its candidate
-// peers: attempt the primary (through the shared batch frame when bc is
-// non-nil), hedge onto the next candidate when the hedge timer fires
+// peers: attempt the primary (through the shared batch frame bc on the
+// inline path), hedge onto the next candidate when the hedge timer fires
 // before an answer, fail over on peer-health errors, and cancel every
 // losing attempt on return. Input-class failures (failFast) abort
 // immediately — no peer can cure a bad request.
@@ -128,19 +128,24 @@ func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, ca
 		inflight++
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
-		if i == 0 && bc != nil {
-			// The primary attempt rides the per-peer batch frame; its
-			// metrics were counted once by launchBatch.
-			go func() {
-				resp, err := bc.wait(actx, bcIdx, sh)
-				results <- attemptResult{0, resp, err, false}
-			}()
-			return
-		}
 		if hedge {
 			c.met.hedges.Inc()
 		} else if lastErr != nil {
 			c.met.failovers.Inc()
+		}
+		if caller.batch != nil {
+			// The primary attempt rides the per-peer batch frame fanMerge
+			// launched; a hedge or failover is a batch of one. launchBatch
+			// counts each frame's metrics.
+			b, j := bc, bcIdx
+			if i > 0 {
+				b, j = caller.batch(actx, p, []*Shard{sh}), 0
+			}
+			go func() {
+				resp, err := b.wait(actx, j)
+				results <- attemptResult{i, resp, err, hedge}
+			}()
+			return
 		}
 		c.met.subrequests.Inc()
 		p.met.requests.Inc()

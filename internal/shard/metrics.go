@@ -18,7 +18,6 @@ type metrics struct {
 	hedges      *obs.Counter   // hedge attempts fired on a latency timer
 	hedgeWins   *obs.Counter   // shards whose first valid answer came from a hedge
 	peerChanges *obs.Counter   // membership changes applied (join, leave, file update)
-	batches     *obs.Counter   // per-peer batch frames issued
 	failures    *obs.Counter   // coordinated requests that failed
 	fanout      *obs.Histogram // fan-out stage: split + route + all shard RPCs
 	merge       *obs.Histogram // merge stage: partial placement + completeness check
@@ -39,8 +38,6 @@ func newMetrics(r *obs.Registry) *metrics {
 			"Shards whose first valid answer came from a hedged attempt."),
 		peerChanges: r.Counter("sketchsp_shard_peer_changes_total",
 			"Membership changes applied: peer joins, leaves and peers-file updates."),
-		batches: r.Counter("sketchsp_shard_batches_total",
-			"Per-peer shard batch frames issued."),
 		failures: r.Counter("sketchsp_shard_failures_total",
 			"Coordinated sketch requests that returned an error."),
 		fanout: r.Histogram("sketchsp_shard_fanout_seconds",
@@ -48,7 +45,7 @@ func newMetrics(r *obs.Registry) *metrics {
 		merge: r.Histogram("sketchsp_shard_merge_seconds",
 			"Merge stage: partial sketch placement and completeness check."),
 		batchSize: r.ValueHistogram("sketchsp_shard_batch_size",
-			"Shards riding one per-peer batch frame."),
+			"Shards carried per shard batch frame."),
 	}
 }
 

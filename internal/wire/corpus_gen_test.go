@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sketchsp/internal/core"
+	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
 	"sketchsp/internal/sparse"
 )
@@ -48,6 +49,11 @@ import (
 //   - shardbatch-oversized-count: a count field of ~4 billion over a
 //     two-item payload — the count guard must refuse before allocating
 //     item views.
+//
+// Four more committed seeds are valid batch-of-one shard frames, the
+// shapes that reach the shard item decoders (shardItemSeeds): they must
+// decode and re-encode bit-identically, and FuzzWireRoundtrip mutates from
+// them.
 //
 // The seeds are generated deterministically from the codec itself; run
 //
@@ -152,8 +158,59 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 	}
 }
 
+type namedFrame struct {
+	name  string
+	frame []byte
+}
+
+// shardItemSeeds returns the batch-of-one shard frames, in a fixed order:
+//
+//   - shard-request-degenerate: one m×0 shard at j0=0 of a 0-column matrix.
+//   - shard-request-emptycols: one shard with empty columns, placed at j0=4
+//     and ending exactly at nTotal.
+//   - shard-response-ok: one partial sketch with stats.
+//   - shard-response-closed: one error item (StatusClosed).
+func shardItemSeeds() []namedFrame {
+	shapes := testCSCs()
+	return []namedFrame{
+		{"shard-request-degenerate", mustFrame(MsgShardBatchRequest, AppendShardBatchRequest(nil, []ShardRequest{{
+			SketchRequest: SketchRequest{D: 2, A: shapes["degenerate-mx0"]},
+		}}))},
+		{"shard-request-emptycols", mustFrame(MsgShardBatchRequest, AppendShardBatchRequest(nil, []ShardRequest{{
+			J0: 4, NTotal: 68, SketchRequest: SketchRequest{D: 6, Opts: core.Options{
+				Dist: rng.Gaussian, Seed: 5, BlockD: 3,
+			}, A: shapes["emptycols"]},
+		}}))},
+		{"shard-response-ok", mustFrame(MsgShardBatchResponse, AppendShardBatchResponse(nil, []ShardResponse{{
+			Status: StatusOK, J0: 7, Stats: core.Stats{Samples: 9, Flops: 3},
+			Partial: dense.NewMatrixFrom(2, 2, []float64{0.5, -1, 2, 0}),
+		}}))},
+		{"shard-response-closed", mustFrame(MsgShardBatchResponse, AppendShardBatchResponse(nil, []ShardResponse{{
+			Status: StatusClosed, Detail: "draining",
+		}}))},
+	}
+}
+
 func TestCommittedCorpusSeeds(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzWireRoundtrip")
+	committed := func(name string, frame []byte) {
+		t.Helper()
+		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(frame))))
+		path := filepath.Join(dir, name)
+		if os.Getenv("WIRE_CORPUS_WRITE") == "1" {
+			if werr := os.WriteFile(path, want, 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+			return
+		}
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatalf("%s: committed corpus seed missing (regenerate with WIRE_CORPUS_WRITE=1): %v", name, rerr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: committed corpus seed drifted from the codec (regenerate with WIRE_CORPUS_WRITE=1)", name)
+		}
+	}
 	for name, frame := range corpusSeeds(t) {
 		// Every seed must be framed cleanly, then rejected by its decoder —
 		// the rejection happens past SplitFrame, in the payload decode.
@@ -180,21 +237,32 @@ func TestCommittedCorpusSeeds(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: degenerate seed decoded cleanly — it must be rejected", name)
 		}
-
-		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(frame))))
-		path := filepath.Join(dir, name)
-		if os.Getenv("WIRE_CORPUS_WRITE") == "1" {
-			if werr := os.WriteFile(path, want, 0o644); werr != nil {
-				t.Fatal(werr)
-			}
-			continue
+		committed(name, frame)
+	}
+	for _, seed := range shardItemSeeds() {
+		// Every batch-of-one seed must decode to one item and re-encode to
+		// the same bytes.
+		typ, payload, _, err := SplitFrame(seed.frame, 1<<22)
+		if err != nil {
+			t.Fatalf("%s: frame must split cleanly, got %v", seed.name, err)
 		}
-		got, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatalf("%s: committed corpus seed missing (regenerate with WIRE_CORPUS_WRITE=1): %v", name, rerr)
+		var n int
+		var re []byte
+		switch typ {
+		case MsgShardBatchRequest:
+			var reqs []ShardRequest
+			reqs, err = DecodeShardBatchRequest(payload)
+			n, re = len(reqs), AppendShardBatchRequest(nil, reqs)
+		case MsgShardBatchResponse:
+			var rs []ShardResponse
+			rs, err = DecodeShardBatchResponse(payload)
+			n, re = len(rs), AppendShardBatchResponse(nil, rs)
+		default:
+			t.Fatalf("%s: unexpected type %v", seed.name, typ)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: committed corpus seed drifted from the codec (regenerate with WIRE_CORPUS_WRITE=1)", name)
+		if err != nil || n != 1 || !bytes.Equal(re, payload) {
+			t.Fatalf("%s: batch-of-one seed must roundtrip as one item: n=%d err=%v", seed.name, n, err)
 		}
+		committed(seed.name, seed.frame)
 	}
 }

@@ -44,21 +44,11 @@ func FuzzWireRoundtrip(f *testing.F) {
 		{Status: StatusOK, Ahat: dense.NewMatrix(1, 1)},
 		{Status: StatusClosed},
 	})))
-	f.Add(mustFrame(MsgShardRequest, AppendShardRequest(nil, &ShardRequest{
-		J0: 4, NTotal: 48, SketchRequest: SketchRequest{D: 6, Opts: core.Options{
-			Dist: rng.Gaussian, Seed: 5, BlockD: 3,
-		}, A: shapes["emptycols"]},
-	})))
-	f.Add(mustFrame(MsgShardRequest, AppendShardRequest(nil, &ShardRequest{
-		SketchRequest: SketchRequest{D: 2, A: shapes["degenerate-mx0"]},
-	})))
-	f.Add(mustFrame(MsgShardResponse, AppendShardResponse(nil, &ShardResponse{
-		Status: StatusOK, J0: 7, Stats: core.Stats{Samples: 9, Flops: 3},
-		Partial: dense.NewMatrixFrom(2, 2, []float64{0.5, -1, 2, 0}),
-	})))
-	f.Add(mustFrame(MsgShardResponse, AppendShardResponse(nil, &ShardResponse{
-		Status: StatusClosed, Detail: "draining",
-	})))
+	// Batch-of-one shard frames over degenerate shapes (also committed
+	// corpus seeds, see corpus_gen_test.go).
+	for _, seed := range shardItemSeeds() {
+		f.Add(seed.frame)
+	}
 	// Sparse sketch family: a valid SJLT request (explicit sparsity), a
 	// CountSketch request (default sparsity), and — the rejection seed —
 	// a request whose dist field is one past the last known Distribution,
@@ -203,18 +193,6 @@ func FuzzWireRoundtrip(f *testing.F) {
 			if rs, err := DecodeBatchResponse(payload); err == nil {
 				if !bytes.Equal(AppendBatchResponse(nil, rs), payload) {
 					t.Fatal("batch response re-encode differs from accepted payload")
-				}
-			}
-		case MsgShardRequest:
-			if req, err := DecodeShardRequest(payload); err == nil {
-				if !bytes.Equal(AppendShardRequest(nil, req), payload) {
-					t.Fatal("shard request re-encode differs from accepted payload")
-				}
-			}
-		case MsgShardResponse:
-			if resp, err := DecodeShardResponse(payload); err == nil {
-				if !bytes.Equal(AppendShardResponse(nil, resp), payload) {
-					t.Fatal("shard response re-encode differs from accepted payload")
 				}
 			}
 		case MsgMatrixPut:

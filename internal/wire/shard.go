@@ -9,44 +9,44 @@ import (
 	"sketchsp/internal/dense"
 )
 
-// Shard messages are the coordinator↔worker leg of the distributed serving
-// layer: a coordinator splits A into column shards A[:, j0:j1], ships each
-// shard to a worker as a MsgShardRequest, and the worker answers with the
-// partial sketch S·A[:, j0:j1] — which, because S[i,j] depends only on the
-// global row index j (never on which columns ride along), is bit-identical
-// to columns [j0, j1) of the full sketch. The shard payloads are versioned
-// and fuzzed like the rest of the codec.
+// Shard items are the coordinator↔worker leg of the distributed serving
+// layer: a coordinator splits A into column shards A[:, j0:j1], ships the
+// shards bound for one worker as the items of a MsgShardBatchRequest
+// (shardbatch.go; a lone shard is a batch of one), and the worker answers
+// each with the partial sketch S·A[:, j0:j1] — which, because S[i,j]
+// depends only on the global row index j (never on which columns ride
+// along), is bit-identical to columns [j0, j1) of the full sketch. The item
+// layouts are versioned and fuzzed like the rest of the codec.
 //
-// Shard request (MsgShardRequest):
+// Shard request item:
 //
-//	u64 j0 | u64 nTotal | single-request payload (to end of frame)
+//	u64 j0 | u64 nTotal | single-request payload (to end of item)
 //
 // j0 is the shard's first column in the full matrix and nTotal the full
 // matrix's column count; j0 + A.N <= nTotal is enforced on decode. The
 // embedded request is byte-for-byte a MsgSketchRequest payload, so a worker
 // executes it through the same plan-cache path as any other request.
 //
-// Shard response (MsgShardResponse):
+// Shard response item:
 //
 //	u8 status
 //	status == StatusOK:  u64 j0 | i64 samples | i64 flops | i64 sampleNS |
 //	                     i64 convertNS | i64 totalNS | i64 steals |
-//	                     f64 imbalance | dense payload (to end of frame)
+//	                     f64 imbalance | dense payload (to end of item)
 //	status != StatusOK:  u32 detailLen | detailLen bytes of UTF-8 detail
 //
-// The error form matches MsgSketchResponse exactly, so a server-side error
-// emitted before the frame type is known still decodes on the shard path.
+// The error form matches MsgSketchResponse exactly, so the client's status
+// peek reads shard items and sketch responses alike.
 
-// ShardRequest is the decoded form of a MsgShardRequest payload: the
-// embedded single-sketch request plus the shard's placement in the full
-// matrix.
+// ShardRequest is the decoded form of a shard request item: the embedded
+// single-sketch request plus the shard's placement in the full matrix.
 type ShardRequest struct {
 	J0     int // first column of the shard in the full matrix
 	NTotal int // column count of the full matrix
 	SketchRequest
 }
 
-// ShardResponse is the decoded form of a MsgShardResponse payload. A non-OK
+// ShardResponse is the decoded form of a shard response item. A non-OK
 // Status carries only Detail; StatusOK carries the partial sketch (the
 // shard's d×(j1−j0) columns), its placement J0, and the execute Stats.
 type ShardResponse struct {
@@ -65,24 +65,20 @@ func (r *ShardResponse) Err() error { return r.Status.Err(r.Detail) }
 // single-request payload.
 const shardRequestFixedSize = 8 + 8
 
-// AppendShardRequest appends r's shard-request payload to dst.
+// shardRequestSize is the encoded length of r's shard request item.
+func shardRequestSize(r *ShardRequest) int {
+	return shardRequestFixedSize + requestFixedSize + cscPayloadSize(r.A)
+}
+
+// AppendShardRequest appends r's shard request item to dst.
 func AppendShardRequest(dst []byte, r *ShardRequest) []byte {
 	dst = appendU64(dst, uint64(r.J0))
 	dst = appendU64(dst, uint64(r.NTotal))
 	return AppendRequest(dst, r.D, r.Opts, r.A)
 }
 
-// DecodeShardRequest decodes a shard-request payload, allocating the matrix.
-func DecodeShardRequest(payload []byte) (*ShardRequest, error) {
-	r := new(ShardRequest)
-	if err := DecodeShardRequestInto(r, payload); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// DecodeShardRequestInto decodes a shard-request payload into dst, reusing
-// dst.A's slice capacity when non-nil (the server's pooled path).
+// DecodeShardRequestInto decodes a shard request item into dst, reusing
+// dst.A's slice capacity when non-nil.
 func DecodeShardRequestInto(dst *ShardRequest, payload []byte) error {
 	if len(payload) < shardRequestFixedSize {
 		return fmt.Errorf("%w: shard request payload %d bytes, want >= %d", ErrMalformed, len(payload), shardRequestFixedSize)
@@ -103,7 +99,7 @@ func DecodeShardRequestInto(dst *ShardRequest, payload []byte) error {
 	return nil
 }
 
-// AppendShardResponse appends r's shard-response payload to dst.
+// AppendShardResponse appends r's shard response item to dst.
 func AppendShardResponse(dst []byte, r *ShardResponse) []byte {
 	dst = append(dst, byte(r.Status))
 	if r.Status != StatusOK {
@@ -121,16 +117,7 @@ func AppendShardResponse(dst []byte, r *ShardResponse) []byte {
 	return AppendDense(dst, r.Partial)
 }
 
-// DecodeShardResponse decodes a shard-response payload.
-func DecodeShardResponse(payload []byte) (*ShardResponse, error) {
-	r := new(ShardResponse)
-	if err := DecodeShardResponseInto(r, payload); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// DecodeShardResponseInto decodes a shard-response payload into dst, reusing
+// DecodeShardResponseInto decodes a shard response item into dst, reusing
 // dst.Partial's Data capacity when non-nil.
 func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
 	if len(payload) < 1 {
@@ -191,20 +178,4 @@ func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
 		dst.Partial = new(dense.Matrix)
 	}
 	return DecodeDenseInto(dst.Partial, payload[1+fixed:])
-}
-
-// EncodeShardRequestFrame returns a complete shard-request frame, ready for
-// an HTTP body. A shard too large for the 32-bit frame length fails with
-// ErrTooLarge.
-func EncodeShardRequestFrame(r *ShardRequest) ([]byte, error) {
-	size := shardRequestFixedSize + requestFixedSize + cscPayloadSize(r.A)
-	payload := AppendShardRequest(make([]byte, 0, size), r)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgShardRequest, payload)
-}
-
-// ShardRequestWireSize returns the exact on-the-wire frame size of r —
-// header plus payload — without encoding. The coordinator's per-peer byte
-// counters use it so metering costs no second serialization.
-func ShardRequestWireSize(r *ShardRequest) int {
-	return HeaderSize + shardRequestFixedSize + requestFixedSize + cscPayloadSize(r.A)
 }

@@ -22,8 +22,8 @@ func TestShardRequestRoundtrip(t *testing.T) {
 			},
 		}
 		payload := AppendShardRequest(nil, req)
-		got, err := DecodeShardRequest(payload)
-		if err != nil {
+		got := new(ShardRequest)
+		if err := DecodeShardRequestInto(got, payload); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if got.J0 != req.J0 || got.NTotal != req.NTotal || got.D != req.D || got.Opts != req.Opts {
@@ -39,14 +39,15 @@ func TestShardRequestPlacementValidation(t *testing.T) {
 	a := testCSCs()["uniform-200x40"]
 	req := &ShardRequest{J0: 5, NTotal: a.N + 2, SketchRequest: SketchRequest{D: 3, A: a}}
 	payload := AppendShardRequest(nil, req)
-	if _, err := DecodeShardRequest(payload); !errors.Is(err, ErrMalformed) {
+	var got ShardRequest
+	if err := DecodeShardRequestInto(&got, payload); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("overhanging shard decoded: %v", err)
 	}
 	req.NTotal = a.N + 5 // exactly j0 + n: legal
-	if _, err := DecodeShardRequest(AppendShardRequest(nil, req)); err != nil {
+	if err := DecodeShardRequestInto(&got, AppendShardRequest(nil, req)); err != nil {
 		t.Fatalf("exact-fit shard rejected: %v", err)
 	}
-	if _, err := DecodeShardRequest(payload[:10]); !errors.Is(err, ErrMalformed) {
+	if err := DecodeShardRequestInto(&got, payload[:10]); !errors.Is(err, ErrMalformed) {
 		t.Fatal("truncated shard request decoded")
 	}
 }
@@ -63,8 +64,8 @@ func TestShardResponseRoundtrip(t *testing.T) {
 	bad := &ShardResponse{Status: StatusOverloaded, Detail: "queue full"}
 	for _, r := range []*ShardResponse{ok, bad} {
 		payload := AppendShardResponse(nil, r)
-		got, err := DecodeShardResponse(payload)
-		if err != nil {
+		got := new(ShardResponse)
+		if err := DecodeShardResponseInto(got, payload); err != nil {
 			t.Fatalf("%v: decode: %v", r.Status, err)
 		}
 		if got.Status != r.Status || got.Detail != r.Detail || got.J0 != r.J0 {
@@ -93,11 +94,11 @@ func TestShardResponseRoundtrip(t *testing.T) {
 func errOverloadedSentinel() error { return StatusOverloaded.sentinel() }
 
 func TestShardResponseErrorFormMatchesSketchResponse(t *testing.T) {
-	// A server that fails before it knows the request type answers with the
-	// generic error form; the shard decoder must accept those bytes.
+	// A shard error item is byte-identical to the generic error form, so
+	// the client's status peek reads both alike.
 	generic := AppendResponse(nil, &SketchResponse{Status: StatusClosed, Detail: "draining"})
-	got, err := DecodeShardResponse(generic)
-	if err != nil {
+	got := new(ShardResponse)
+	if err := DecodeShardResponseInto(got, generic); err != nil {
 		t.Fatalf("decode generic error as shard response: %v", err)
 	}
 	if got.Status != StatusClosed || got.Detail != "draining" {
@@ -106,25 +107,6 @@ func TestShardResponseErrorFormMatchesSketchResponse(t *testing.T) {
 	asShard := AppendShardResponse(nil, &ShardResponse{Status: StatusClosed, Detail: "draining"})
 	if !bytes.Equal(generic, asShard) {
 		t.Fatal("error forms diverged between sketch and shard responses")
-	}
-}
-
-func TestShardRequestFrame(t *testing.T) {
-	a := testCSCs()["uniform-200x40"]
-	req := &ShardRequest{NTotal: a.N, SketchRequest: SketchRequest{D: 4, A: a}}
-	frame, err := EncodeShardRequestFrame(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ShardRequestWireSize(req); got != len(frame) {
-		t.Fatalf("ShardRequestWireSize = %d, frame is %d bytes", got, len(frame))
-	}
-	typ, payload, rest, err := SplitFrame(frame, 0)
-	if err != nil || typ != MsgShardRequest || len(rest) != 0 {
-		t.Fatalf("frame split: typ=%v rest=%d err=%v", typ, len(rest), err)
-	}
-	if _, err := DecodeShardRequest(payload); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -227,8 +209,8 @@ func TestShardBatchResponseRoundtrip(t *testing.T) {
 	if !bytes.Equal(AppendShardBatchResponse(nil, got), payload) {
 		t.Fatal("re-encode differs")
 	}
-	// The item payloads are byte-identical to single shard responses, so
-	// the client's batch status peek (SplitBatchPayload + PeekStatus per
+	// The item payloads share the single-response status prefix, so the
+	// client's batch status peek (SplitBatchPayload + PeekStatus per
 	// item) works unchanged on shard batches.
 	items, err := SplitBatchPayload(payload)
 	if err != nil {

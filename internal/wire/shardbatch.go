@@ -2,23 +2,18 @@ package wire
 
 import "fmt"
 
-// Shard batch messages collapse the coordinator's fan-out from one HTTP
-// call per shard to one call per peer: when several column shards of the
-// same request route to the same worker (consistent hashing makes this the
-// common case once shards > peers), the coordinator ships them as a single
-// MsgShardBatchRequest frame and the worker answers every shard in one
-// MsgShardBatchResponse.
+// Shard batch messages are the only shard frames: the coordinator ships
+// every column shard of one request that routes to the same worker as a
+// single MsgShardBatchRequest frame, and the worker answers every shard in
+// one MsgShardBatchResponse. With N shards on K peers the fan-out is K
+// round trips; a shard that routes alone, and every hedge or failover
+// attempt, travels as a batch of one.
 //
 // Both payloads reuse the count-prefixed batch envelope of
-// MsgBatchRequest/MsgBatchResponse around the existing shard item layouts:
+// MsgBatchRequest/MsgBatchResponse around the shard item layouts of
+// shard.go:
 //
-//	u32 count | count × (u32 len | shard request/response payload)
-//
-// The pair rides frame version 4 unchanged: no existing payload layout or
-// status code moved, and a pre-batch server rejects the unknown message
-// type with StatusMalformed, which the coordinator treats as a per-shard
-// failover — so mixed fleets degrade to the one-call-per-shard path instead
-// of desyncing.
+//	u32 count | count × (u32 len | shard request/response item)
 //
 // The request decoder additionally enforces what the coordinator's
 // coverage-checked merge would otherwise catch one layer later: every item
@@ -38,7 +33,7 @@ const (
 	MsgShardBatchResponse MsgType = 17
 )
 
-// AppendShardBatchRequest appends a shard-batch-request payload: count,
+// AppendShardBatchRequest appends a shard batch request payload: count,
 // then each shard request length-prefixed. The encoder does not validate
 // the disjointness invariant — tests deliberately encode malformed batches
 // to pin the decoder's rejections — but every frame the coordinator builds
@@ -46,14 +41,13 @@ const (
 func AppendShardBatchRequest(dst []byte, reqs []ShardRequest) []byte {
 	dst = appendU32(dst, uint32(len(reqs)))
 	for i := range reqs {
-		n := shardRequestFixedSize + requestFixedSize + cscPayloadSize(reqs[i].A)
-		dst = appendU32(dst, uint32(n))
+		dst = appendU32(dst, uint32(shardRequestSize(&reqs[i])))
 		dst = AppendShardRequest(dst, &reqs[i])
 	}
 	return dst
 }
 
-// DecodeShardBatchRequest decodes a shard-batch-request payload, enforcing
+// DecodeShardBatchRequest decodes a shard batch request payload, enforcing
 // the cross-item invariants: one shared nTotal, items sorted by j0 with
 // disjoint column ranges.
 func DecodeShardBatchRequest(payload []byte) ([]ShardRequest, error) {
@@ -81,7 +75,7 @@ func DecodeShardBatchRequest(payload []byte) ([]ShardRequest, error) {
 	return reqs, nil
 }
 
-// AppendShardBatchResponse appends a shard-batch-response payload: count,
+// AppendShardBatchResponse appends a shard batch response payload: count,
 // then each shard response length-prefixed (lengths backpatched, matching
 // AppendBatchResponse).
 func AppendShardBatchResponse(dst []byte, rs []ShardResponse) []byte {
@@ -95,7 +89,7 @@ func AppendShardBatchResponse(dst []byte, rs []ShardResponse) []byte {
 	return dst
 }
 
-// DecodeShardBatchResponse decodes a shard-batch-response payload. Items
+// DecodeShardBatchResponse decodes a shard batch response payload. Items
 // answer the request's shards index-aligned; per-item errors surface as
 // non-OK statuses, and the coordinator cross-checks each OK item's J0 echo
 // against the shard it placed, so the decoder imposes no cross-item
@@ -114,7 +108,7 @@ func DecodeShardBatchResponse(payload []byte) ([]ShardResponse, error) {
 	return rs, nil
 }
 
-// EncodeShardBatchRequestFrame returns a complete shard-batch-request
+// EncodeShardBatchRequestFrame returns a complete shard batch request
 // frame, ready for an HTTP body. A batch whose total payload exceeds the
 // 32-bit frame length fails with ErrTooLarge.
 func EncodeShardBatchRequestFrame(reqs []ShardRequest) ([]byte, error) {
@@ -128,7 +122,7 @@ func EncodeShardBatchRequestFrame(reqs []ShardRequest) ([]byte, error) {
 func ShardBatchRequestWireSize(reqs []ShardRequest) int {
 	size := HeaderSize + 4
 	for i := range reqs {
-		size += 4 + shardRequestFixedSize + requestFixedSize + cscPayloadSize(reqs[i].A)
+		size += 4 + shardRequestSize(&reqs[i])
 	}
 	return size
 }

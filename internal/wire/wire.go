@@ -67,11 +67,11 @@
 // job's lifecycle state, progress, and — once terminal — its embedded
 // result.
 //
-// Shard batch messages (shardbatch.go): MsgShardBatchRequest groups
-// several column shards bound for one worker into a single frame (the
-// coordinator's per-peer fan-out), answered index-aligned by
-// MsgShardBatchResponse. The pair rides version 4 unchanged — no existing
-// layout or status moved.
+// Shard batch messages (shardbatch.go): MsgShardBatchRequest carries the
+// column shards of one sketch bound for one worker (the coordinator's
+// per-peer fan-out; a lone shard is a batch of one), answered index-aligned
+// by MsgShardBatchResponse. They are the only shard frames; the items use
+// the ShardRequest/ShardResponse layouts of shard.go.
 //
 // # Error taxonomy
 //
@@ -137,11 +137,10 @@ const (
 	MsgCSC MsgType = 5
 	// MsgDense is a standalone dense matrix (tools and tests).
 	MsgDense MsgType = 6
-	// MsgShardRequest is a coordinator→worker request for one column shard
-	// of a larger sketch (shard.go).
-	MsgShardRequest MsgType = 7
-	// MsgShardResponse is the partial sketch of one column shard.
-	MsgShardResponse MsgType = 8
+	// Codes 7 and 8 are retired: they carried the single-shard request and
+	// response before the shard batch frames (shardbatch.go) became the only
+	// shard transport. They are never reused, so a frame from an old
+	// coordinator is rejected as an unexpected type instead of misparsed.
 	// MsgMatrixPut uploads a CSC matrix into the server's content-addressed
 	// store (PUT /v1/matrix); answered with MsgMatrixInfo.
 	MsgMatrixPut MsgType = 9
@@ -184,10 +183,6 @@ func (t MsgType) String() string {
 		return "csc"
 	case MsgDense:
 		return "dense"
-	case MsgShardRequest:
-		return "shard-request"
-	case MsgShardResponse:
-		return "shard-response"
 	case MsgMatrixPut:
 		return "matrix-put"
 	case MsgMatrixInfo:
@@ -203,9 +198,9 @@ func (t MsgType) String() string {
 	case MsgJobStatus:
 		return "job-status"
 	case MsgShardBatchRequest:
-		return "shard-batch-request"
+		return "shardbatch-request"
 	case MsgShardBatchResponse:
-		return "shard-batch-response"
+		return "shardbatch-response"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
