@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet race bench bench-json fuzz-smoke test-shard-faults
+.PHONY: ci build test vet race bench bench-json bench-smoke fuzz-smoke test-shard-faults
 
-ci: vet test race test-shard-faults fuzz-smoke
+ci: vet test race test-shard-faults fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ test-shard-faults:
 # this adds a few seconds of mutation on top as a PR smoke.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run FuzzWireRoundtrip -fuzz FuzzWireRoundtrip -fuzztime 5s
+
+# One iteration of the paper-table benchmarks that drive the pre-generated
+# (Figure 4 ablation) and timed (Table III/V breakdown) kernel paths: their
+# only callers outside unit tests, which `go test ./...` compiles but never
+# runs.
+bench-smoke:
+	$(GO) test -run - -bench 'BenchmarkAblationPregen|BenchmarkTable3SampleBreakdown|BenchmarkTable5SampleBreakdown' -benchtime 1x .
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

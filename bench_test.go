@@ -325,27 +325,26 @@ func BenchmarkAblationLoopOrder(b *testing.B) {
 }
 
 // BenchmarkAblationPregen contrasts on-the-fly generation against reading a
-// materialised S through the same kernel structure.
+// materialised S: the same Algorithm 4 loop over b_n = 300 slabs, fed by a
+// regenerating and by a pre-generated column generator.
 func BenchmarkAblationPregen(b *testing.B) {
 	a, d := benchMatrix(b)
 	out := dense.NewMatrix(d, a.N)
-	sk := newSketcher(b, d, core.Options{Seed: 1, Workers: 1})
+	sk := newSketcher(b, d, core.Options{Algorithm: core.Alg4, BlockN: 300, Seed: 1, Workers: 1})
 	b.Run("OnTheFly", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sk.SketchInto(out, a)
 		}
 	})
 	b.Run("Pregen", func(b *testing.B) {
-		s := sk.MaterializeS(a.M)
+		g := kernels.NewPregenGen(sk.MaterializeS(a.M))
 		blocked := sparse.NewBlockedCSR(a, 300)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out.Zero()
-			col := 0
 			for k, slab := range blocked.Blocks {
 				sub := out.View(0, blocked.ColStart[k], d, slab.N)
-				kernels.Kernel4Pregen(sub, slab, s)
-				col += slab.N
+				kernels.Kernel4(sub, slab, g, 0, nil)
 			}
 		}
 	})

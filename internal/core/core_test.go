@@ -385,7 +385,7 @@ func TestSketchVecMatchesMaterialized(t *testing.T) {
 			v[i] = r.NormFloat64()
 		}
 	}
-	for _, dist := range []rng.Distribution{rng.Uniform11, rng.Rademacher, rng.ScaledInt} {
+	for _, dist := range []rng.Distribution{rng.Uniform11, rng.Rademacher, rng.ScaledInt, rng.SJLT, rng.CountSketch} {
 		sk := mustSketcher(t, 50, Options{Dist: dist, Seed: 6, BlockD: 16, Workers: 1})
 		got := sk.SketchVec(v)
 		s := sk.MaterializeS(m)

@@ -63,15 +63,12 @@ type PlanStats struct {
 	PlanTime time.Duration
 }
 
-// workspace is the per-worker mutable state of a plan: a private sampler,
-// the d₁-length scratch vector the kernels overwrite with generated entries
-// of S, a reusable sub-view header for Â, and the per-round accumulators.
+// workspace is the per-worker mutable state of a plan: a private column
+// generator (sampler plus the scratch it fills with entries of S), a
+// reusable sub-view header for Â, and the per-round accumulators.
 // Pre-allocating these at plan time is what makes Execute allocation-free.
 type workspace struct {
-	s          *rng.Sampler
-	v          []float64
-	pos        []int     // sparse family: per-column position scratch (len s)
-	sval       []float64 // sparse family: per-column value scratch (len s)
+	gen        *kernels.Gen
 	sub        dense.Matrix
 	samples    int64
 	sampleTime time.Duration
@@ -119,10 +116,8 @@ type Plan struct {
 	bd   int
 	bn   int
 
-	// Sparse sketch family: resolved per-column nonzero count (0 = dense)
-	// and nonzero magnitude 1/√s.
-	sparsity  int
-	sjltScale float64
+	// Sparse sketch family: resolved per-column nonzero count (0 = dense).
+	sparsity int
 
 	flops    int64
 	a        *sparse.CSC        // Alg3 input (ScaledInt: pre-scaled clone)
@@ -182,7 +177,6 @@ func NewPlan(a *sparse.CSC, d int, opts Options) (*Plan, error) {
 	// kernels, the cost model and PlanStats agree on one effective s.
 	if rng.IsSparse(opts.Dist) {
 		p.sparsity = rng.SJLTSparsity(opts.Dist, opts.Sparsity, d)
-		p.sjltScale = rng.SJLTScale(p.sparsity)
 		p.opts.Sparsity = p.sparsity
 	} else {
 		p.opts.Sparsity = 0
@@ -278,16 +272,8 @@ func NewPlan(a *sparse.CSC, d int, opts Options) (*Plan, error) {
 
 	p.ws = make([]*workspace, w)
 	for i := range p.ws {
-		ws := &workspace{
-			s: rng.NewSampler(rng.NewSource(opts.Source, opts.Seed), opts.Dist),
-		}
-		if p.sparsity > 0 {
-			ws.pos = make([]int, p.sparsity)
-			ws.sval = make([]float64, p.sparsity)
-		} else {
-			ws.v = make([]float64, bd)
-		}
-		p.ws[i] = ws
+		s := rng.NewSampler(rng.NewSource(opts.Source, opts.Seed), opts.Dist)
+		p.ws[i] = &workspace{gen: kernels.NewGen(s, d, bd, p.sparsity)}
 	}
 	p.busyBuf = make([]time.Duration, w)
 	if p.schedIs != SchedUniform && w > 1 {
@@ -590,40 +576,13 @@ func (p *Plan) runTask(t blockTask, ws *workspace) {
 	}
 	sub := &ws.sub
 	p.curAhat.ViewInto(sub, t.i0, t.j0, t.d1, t.n1)
-	if p.sparsity > 0 {
-		// Sparse family: scatter kernels, s nonzeros per S column. The
-		// draw is keyed off the global column index alone (see rng), so
-		// blockRow only selects which positions land in this block.
-		if p.alg == Alg4 {
-			slab := p.blocked.Blocks[t.slab]
-			if p.opts.Timed {
-				ws.samples += kernels.Kernel4SJLTTimed(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval, &ws.sampleTime)
-			} else {
-				ws.samples += kernels.Kernel4SJLT(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval)
-			}
-			return
-		}
-		slab := p.slabs[t.slab]
-		if p.opts.Timed {
-			ws.samples += kernels.Kernel3SJLTTimed(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval, &ws.sampleTime)
-		} else {
-			ws.samples += kernels.Kernel3SJLT(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval)
-		}
-		return
+	var timer *time.Duration
+	if p.opts.Timed {
+		timer = &ws.sampleTime
 	}
 	if p.alg == Alg4 {
-		slab := p.blocked.Blocks[t.slab]
-		if p.opts.Timed {
-			ws.samples += kernels.Kernel4Timed(sub, slab, uint64(t.i0), ws.s, ws.v, &ws.sampleTime)
-		} else {
-			ws.samples += kernels.Kernel4(sub, slab, uint64(t.i0), ws.s, ws.v)
-		}
-		return
-	}
-	slab := p.slabs[t.slab]
-	if p.opts.Timed {
-		ws.samples += kernels.Kernel3Timed(sub, slab, uint64(t.i0), ws.s, ws.v, &ws.sampleTime)
+		ws.samples += kernels.Kernel4(sub, p.blocked.Blocks[t.slab], ws.gen, uint64(t.i0), timer)
 	} else {
-		ws.samples += kernels.Kernel3(sub, slab, uint64(t.i0), ws.s, ws.v)
+		ws.samples += kernels.Kernel3(sub, p.slabs[t.slab], ws.gen, uint64(t.i0), timer)
 	}
 }

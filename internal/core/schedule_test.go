@@ -376,12 +376,12 @@ func TestSchedulerStrings(t *testing.T) {
 	}
 }
 
-// Rademacher exercises the fused timed/untimed kernels through the full
-// planner on a skewed input: Timed must not change bits either.
+// Timed must not change bits on a skewed input through the full planner,
+// for the dense, fused ±1 and sparse-family scatter generators alike.
 func TestTimedExecutionBitIdenticalOnSkew(t *testing.T) {
 	a := sparse.PowerLaw(400, 200, 9000, 1.4, 31)
 	for _, alg := range []Algorithm{Alg3, Alg4} {
-		for _, dist := range []rng.Distribution{rng.Uniform11, rng.Rademacher} {
+		for _, dist := range []rng.Distribution{rng.Uniform11, rng.Rademacher, rng.SJLT, rng.CountSketch} {
 			base := Options{Algorithm: alg, Dist: dist, Seed: 77, BlockD: 33, BlockN: 40, Workers: 4}
 			timed := base
 			timed.Timed = true

@@ -3,47 +3,18 @@ package core
 import (
 	"fmt"
 
-	"sketchsp/internal/rng"
+	"sketchsp/internal/dense"
+	"sketchsp/internal/sparse"
 )
 
-// SketchVec computes Â·v-style products for a single vector: given v of
-// length m, it returns S·v (length d) using the same blocked on-the-fly
-// generation as the matrix kernels — i.e. a Johnson–Lindenstrauss style
-// transform of v without materialising S. Entries of S are anchored at the
-// same (block-row, index) checkpoints as Sketch, so SketchVec(v) equals
-// MaterializeS(len(v))·v exactly.
+// SketchVec returns S·v (length d) for a single vector v of length m — a
+// Johnson–Lindenstrauss style transform of v without materialising S. It
+// is the one-column sketch of v's nonzeros through the same plan path as
+// Sketch, so it equals MaterializeS(len(v))·v and the first column of
+// Sketch on v as a one-column matrix, for every distribution.
 func (sk *Sketcher) SketchVec(v []float64) []float64 {
-	m := len(v)
 	out := make([]float64, sk.d)
-	if m == 0 {
-		return out
-	}
-	s := rng.NewSampler(rng.NewSource(sk.opts.Source, sk.opts.Seed), sk.opts.Dist)
-	bd, _ := sk.blockSizes(1)
-	buf := make([]float64, bd)
-	scale := 1.0
-	if sk.opts.Dist == rng.ScaledInt {
-		scale = rng.Scale31
-	}
-	for i0 := 0; i0 < sk.d; i0 += bd {
-		d1 := bd
-		if i0+d1 > sk.d {
-			d1 = sk.d - i0
-		}
-		seg := out[i0 : i0+d1]
-		w := buf[:d1]
-		for j := 0; j < m; j++ {
-			vj := v[j] * scale
-			if vj == 0 {
-				continue
-			}
-			s.SetState(uint64(i0), uint64(j))
-			s.Fill(w)
-			for i, x := range w {
-				seg[i] += vj * x
-			}
-		}
-	}
+	sk.SketchVecInto(out, v)
 	return out
 }
 
@@ -53,6 +24,11 @@ func (sk *Sketcher) SketchVecInto(dst, v []float64) {
 	if len(dst) != sk.d {
 		panic(fmt.Sprintf("core: SketchVecInto dst len %d, want d=%d", len(dst), sk.d))
 	}
-	res := sk.SketchVec(v)
-	copy(dst, res)
+	coo := sparse.NewCOO(len(v), 1, 0)
+	for j, x := range v {
+		if x != 0 {
+			coo.Append(j, 0, x)
+		}
+	}
+	sk.SketchInto(&dense.Matrix{Rows: sk.d, Cols: 1, Stride: sk.d, Data: dst}, coo.ToCSC())
 }

@@ -1,8 +1,9 @@
 // Package kernels implements the paper's compute kernels: the six toy loop
-// orderings of Algorithm 2 (used by tests and the loop-order ablation), the
-// production kernels with on-the-fly random number generation — Algorithm 3
-// (variant kji over CSC) and Algorithm 4 (variant jki over blocked CSR) —
-// and the pre-generated-S variants used as baselines and by Figure 4.
+// orderings of Algorithm 2 (used by tests and the loop-order ablation) and
+// the two production kernels — Algorithm 3 (variant kji over CSC) and
+// Algorithm 4 (variant jki over blocked CSR) — each one loop over a column
+// generator (Gen) that regenerates columns of S on the fly or, for the
+// pre-generated baseline, reads them from a materialised S.
 package kernels
 
 import (
