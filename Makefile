@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet race bench bench-json bench-smoke fuzz-smoke test-shard-faults
+.PHONY: ci build test test-purego vet race bench bench-json bench-smoke fuzz-smoke test-shard-faults
 
-ci: vet test race test-shard-faults fuzz-smoke bench-smoke
+ci: vet test test-purego race test-shard-faults fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ build:
 # run, so inter-test state leaks can't hide behind a lucky fixed order.
 test: build
 	$(GO) test -shuffle=on ./...
+
+# The packages with an AVX-512 backend, built with the purego tag: the Go
+# reference code runs even on an AVX-512 host, so both backends stay
+# tested (the tests log which one ran).
+test-purego:
+	$(GO) test -tags purego ./internal/rng/ ./internal/kernels/ ./internal/core/
 
 vet:
 	$(GO) vet ./...

@@ -16,6 +16,7 @@ import (
 // change loud. If a break is INTENTIONAL (e.g. a new RNG version), bump the
 // constants and call it out in the release notes.
 func TestGoldenSketchFingerprints(t *testing.T) {
+	t.Logf("AVX-512 backend: %v", rng.AVX512())
 	a := sparse.RandomUniform(50, 12, 0.2, 99)
 	if a.NNZ() != 144 {
 		t.Fatalf("workload drifted: nnz=%d, want 144 (math/rand stream changed?)", a.NNZ())

@@ -14,7 +14,7 @@ import (
 type genKind uint8
 
 const (
-	genDense   genKind = iota // Sampler.Fill into a d1-length scratch column
+	genDense   genKind = iota // Sampler.Fill into a d1-length scratch column, applied by axpy
 	genSign                   // raw ±1 sign words, applied by axpySign
 	genScatter                // s-sparse SJLT/CountSketch column, scattered adds
 	genPregen                 // column read from a materialised S
@@ -23,8 +23,8 @@ const (
 // Gen is the column generator the two kernels consume: for a block row
 // [i0, i0+d1) of Â it produces column j of S restricted to those rows,
 // either regenerated from the RNG checkpoint (blockRow, j) or read from a
-// materialised S. How the column is produced is orthogonal to the loop
-// nest, so Algorithms 3 and 4 each have exactly one loop over a Gen.
+// materialised S. Each kernel switches on the kind once per call and runs
+// one loop per kind, which calls the generation and the update directly.
 //
 // The kind follows from the inputs, never from an option:
 //   - dense: Sampler.Fill into owned scratch, applied by axpy;
@@ -51,17 +51,14 @@ type Gen struct {
 	// Current block row, set by bind.
 	r      uint64
 	i0, d1 int
-	timer  *time.Duration
 
-	v     []float64 // dense scratch, len bd
-	col   []float64 // current column: v[:d1] or a view of pre
-	words []uint64  // ±1: current sign words
+	v   []float64 // dense scratch, len bd
+	col []float64 // v[:d1]
 
-	sp     int // scatter: nonzeros per column
-	scale  float64
-	pos    []int
-	val    []float64
-	lo, hi int // scatter: pos[lo:hi] fall in the current block row
+	sp    int // scatter: nonzeros per column
+	scale float64
+	pos   []int
+	val   []float64
 }
 
 // NewGen returns a generator of the d-row sketching matrix S drawn by s,
@@ -92,61 +89,53 @@ func NewPregenGen(sm *dense.Matrix) *Gen {
 }
 
 // bind points g at block row [blockRow, blockRow+d1) of S for a slab of m
-// sparse rows, timing generation into timer when it is non-nil. It reports
-// false when g cannot serve that block.
-func (g *Gen) bind(blockRow uint64, d1, m int, timer *time.Duration) bool {
+// sparse rows. It reports false when g cannot serve that block.
+func (g *Gen) bind(blockRow uint64, d1, m int) bool {
 	i0 := int(blockRow)
 	if i0 < 0 || i0+d1 > g.d || d1 > g.bd || m > g.m {
 		return false
 	}
-	g.r, g.i0, g.d1, g.timer = blockRow, i0, d1, timer
-	if g.kind == genDense {
+	g.r, g.i0, g.d1 = blockRow, i0, d1
+	if g.v != nil {
 		g.col = g.v[:d1]
 	}
 	return true
 }
 
-// load makes column j of the bound block row current and returns the
-// number of random samples that took.
-func (g *Gen) load(j int) (n int64) {
-	var t0 time.Time
-	if g.timer != nil {
-		t0 = time.Now()
-	}
+// samples returns the number of random samples that loads columns of S
+// take.
+func (g *Gen) samples(loads int) int64 {
 	switch g.kind {
-	case genDense:
-		g.s.SetState(g.r, uint64(j))
-		g.s.Fill(g.col)
-		n = int64(g.d1)
-	case genSign:
-		g.s.SetState(g.r, uint64(j))
-		g.words = g.s.RawWords(g.d1)
-		n = int64(g.d1)
 	case genScatter:
-		g.s.FillSJLTColumn(uint64(j), g.d, g.sp, g.scale, g.pos, g.val)
-		g.lo, g.hi = sjltRange(g.pos, g.i0, g.d1)
-		n = int64(g.sp)
+		return int64(loads) * int64(g.sp)
+	case genPregen:
+		return 0
 	default:
-		g.col = g.pre.Col(j)[g.i0 : g.i0+g.d1]
+		return int64(loads) * int64(g.d1)
 	}
-	if g.timer != nil {
-		*g.timer += time.Since(t0)
-	}
-	return n
 }
 
-// add computes y += a·(current column).
-func (g *Gen) add(a float64, y []float64) {
-	switch g.kind {
-	case genSign:
-		axpySign(a, g.words, y)
-	case genScatter:
-		pos, val, i0 := g.pos[g.lo:g.hi], g.val[g.lo:g.hi], g.i0
-		for b, p := range pos {
-			y[p-i0] += val[b] * a
-		}
-	default:
-		axpy(a, g.col, y)
+// clock and lap time generation when timer is non-nil: a nil check on
+// each side of the generation call, and nothing else in the loops.
+func clock(timer *time.Duration) time.Time {
+	if timer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func lap(timer *time.Duration, t0 time.Time) {
+	if timer != nil {
+		*timer += time.Since(t0)
+	}
+}
+
+// scatter computes y += a·(column of S) for the nonzeros (pos, val) of an
+// s-sparse column that fall in block row [i0, i0+len(y)). As in axpyGo,
+// the conversion keeps the product and the add from fusing.
+func scatter(a float64, pos []int, val []float64, i0 int, y []float64) {
+	for b, p := range pos {
+		y[p-i0] += float64(val[b] * a)
 	}
 }
 
@@ -177,43 +166,116 @@ func sjltRange(pos []int, i0, d1 int) (lo, hi int) {
 // Returns the number of random samples generated.
 func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
-	if asub.N != n1 || !g.bind(blockRow, d1, asub.M, sampleTime) {
+	if asub.N != n1 || !g.bind(blockRow, d1, asub.M) {
 		panic(fmt.Sprintf("kernels: Kernel3 Âsub %dx%d at row %d does not fit Asub %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, asub.M, asub.N, g.d, g.bd))
 	}
-	var generated int64
-	for k := 0; k < n1; k++ {
-		rows, vals := asub.ColView(k)
-		col := ahat.Col(k)
-		for t, j := range rows {
-			generated += g.load(j)
-			g.add(vals[t], col)
+	r, i0 := g.r, g.i0
+	switch g.kind {
+	case genDense:
+		for k := 0; k < n1; k++ {
+			rows, vals := asub.ColView(k)
+			y := ahat.Col(k)
+			for t, j := range rows {
+				t0 := clock(sampleTime)
+				g.s.SetState(r, uint64(j))
+				g.s.Fill(g.col)
+				lap(sampleTime, t0)
+				axpy(vals[t], g.col, y)
+			}
+		}
+	case genSign:
+		for k := 0; k < n1; k++ {
+			rows, vals := asub.ColView(k)
+			y := ahat.Col(k)
+			for t, j := range rows {
+				t0 := clock(sampleTime)
+				g.s.SetState(r, uint64(j))
+				words := g.s.RawWords(d1)
+				lap(sampleTime, t0)
+				axpySign(vals[t], words, y)
+			}
+		}
+	case genScatter:
+		for k := 0; k < n1; k++ {
+			rows, vals := asub.ColView(k)
+			y := ahat.Col(k)
+			for t, j := range rows {
+				t0 := clock(sampleTime)
+				g.s.FillSJLTColumn(uint64(j), g.d, g.sp, g.scale, g.pos, g.val)
+				lap(sampleTime, t0)
+				lo, hi := sjltRange(g.pos, i0, d1)
+				scatter(vals[t], g.pos[lo:hi], g.val[lo:hi], i0, y)
+			}
+		}
+	default:
+		for k := 0; k < n1; k++ {
+			rows, vals := asub.ColView(k)
+			y := ahat.Col(k)
+			for t, j := range rows {
+				axpy(vals[t], g.pre.Col(j)[i0:i0+d1], y)
+			}
 		}
 	}
-	return generated
+	return g.samples(asub.ColPtr[n1] - asub.ColPtr[0])
 }
 
 // Kernel4 is Algorithm 4: compute-kernel variant jki over one blocked-CSR
 // slab, with the same contract as Kernel3. Column j of S is loaded once per
 // nonempty sparse row and reused across the row (a rank-1 update), so a
 // dense S costs at most d·m·⌈n/b_n⌉ samples (§III-B), at the price of
-// sparsity-dependent access to the columns of Âsub.
+// sparsity-dependent access to the columns of Âsub. The loops walk the
+// slab's recorded non-empty rows, not all m of them.
 func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
-	if slab.N != n1 || !g.bind(blockRow, d1, slab.M, sampleTime) {
+	if slab.N != n1 || !g.bind(blockRow, d1, slab.M) {
 		panic(fmt.Sprintf("kernels: Kernel4 Âsub %dx%d at row %d does not fit slab %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, slab.M, slab.N, g.d, g.bd))
 	}
-	var generated int64
-	for j := 0; j < slab.M; j++ {
-		cols, vals := slab.RowView(j)
-		if len(cols) == 0 {
-			continue
+	r, i0 := g.r, g.i0
+	rows := slab.NonEmptyRows()
+	switch g.kind {
+	case genDense:
+		for _, j := range rows {
+			cols, vals := slab.RowView(j)
+			t0 := clock(sampleTime)
+			g.s.SetState(r, uint64(j))
+			g.s.Fill(g.col)
+			lap(sampleTime, t0)
+			for t, k := range cols {
+				axpy(vals[t], g.col, ahat.Col(k))
+			}
 		}
-		generated += g.load(j)
-		for t, k := range cols {
-			g.add(vals[t], ahat.Col(k))
+	case genSign:
+		for _, j := range rows {
+			cols, vals := slab.RowView(j)
+			t0 := clock(sampleTime)
+			g.s.SetState(r, uint64(j))
+			words := g.s.RawWords(d1)
+			lap(sampleTime, t0)
+			for t, k := range cols {
+				axpySign(vals[t], words, ahat.Col(k))
+			}
+		}
+	case genScatter:
+		for _, j := range rows {
+			cols, vals := slab.RowView(j)
+			t0 := clock(sampleTime)
+			g.s.FillSJLTColumn(uint64(j), g.d, g.sp, g.scale, g.pos, g.val)
+			lap(sampleTime, t0)
+			lo, hi := sjltRange(g.pos, i0, d1)
+			for t, k := range cols {
+				scatter(vals[t], g.pos[lo:hi], g.val[lo:hi], i0, ahat.Col(k))
+			}
+		}
+	default:
+		for _, j := range rows {
+			cols, vals := slab.RowView(j)
+			col := g.pre.Col(j)[i0 : i0+d1]
+			for t, k := range cols {
+				axpy(vals[t], col, ahat.Col(k))
+			}
 		}
 	}
-	return generated
+	return g.samples(len(rows))
 }

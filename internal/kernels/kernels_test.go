@@ -98,7 +98,7 @@ func newGen(src rng.Source, dist rng.Distribution, d, bd int) *Gen {
 	return NewGen(rng.NewSampler(src, dist), d, bd, testSparsity)
 }
 
-// perLoad is the sample count of one Gen.load: d1 entries for the dense
+// perLoad is the sample count of loading one column: d1 entries for the dense
 // kinds, s raw words for the sparse family.
 func perLoad(dist rng.Distribution, d, d1 int) int64 {
 	if rng.IsSparse(dist) {
@@ -199,6 +199,7 @@ func TestKernel4MatchesExplicitProduct(t *testing.T) {
 // bitwise-identical results for every generator kind — the invariant that
 // lets users switch kernels freely.
 func TestKernel3Kernel4BitwiseIdentical(t *testing.T) {
+	t.Logf("AVX-512 backend: %v", rng.AVX512())
 	for _, dist := range genDists {
 		f := func(seed uint64, dims [3]uint8, nnzRaw uint16) bool {
 			r := rand.New(rand.NewSource(int64(seed)))

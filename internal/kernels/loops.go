@@ -1,9 +1,11 @@
 // Package kernels implements the paper's compute kernels: the six toy loop
 // orderings of Algorithm 2 (used by tests and the loop-order ablation) and
 // the two production kernels — Algorithm 3 (variant kji over CSC) and
-// Algorithm 4 (variant jki over blocked CSR) — each one loop over a column
-// generator (Gen) that regenerates columns of S on the fly or, for the
-// pre-generated baseline, reads them from a materialised S.
+// Algorithm 4 (variant jki over blocked CSR) — over a column generator (Gen)
+// that regenerates columns of S on the fly or, for the pre-generated
+// baseline, reads them from a materialised S. Each kernel has one loop per
+// generator kind. axpy and axpySign run in AVX-512 assembly where rng does
+// (avx512_amd64.s), with the Go loops as the reference.
 package kernels
 
 import (
@@ -149,35 +151,59 @@ func MultiplyLoopOrder(order LoopOrder, l *dense.Matrix, rcsc *sparse.CSC, rcsr 
 	}
 }
 
-// axpy computes y += a*x with 4-way unrolling. This is the hot inner loop of
-// every column-wise kernel; the unroll stands in for the FMA vectorisation
-// the paper gets from LoopVectorization.jl.
+// axpy computes y += a*x: a rounded product, then a rounded sum, never a
+// fused multiply-add. This is the hot inner loop of every column-wise
+// kernel. It runs on YMM registers where rng runs its AVX-512 backend, and
+// the Go loop (axpyGo) is the reference it is tested against.
 func axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("kernels: axpy length mismatch")
 	}
-	n := len(x)
 	i := 0
+	if useAVX512 {
+		i = len(y) &^ 3
+		axpyAVX(a, x[:i], y[:i])
+	}
+	axpyGo(a, x, y, i)
+}
+
+// axpyGo computes y[i:] += a*x[i:] with 4-way unrolling: axpy's Go
+// reference, and its only backend without AVX-512. The explicit float64
+// conversion rounds the product before the add, so the compiler cannot
+// fuse the two (gc does fuse x*y+z on arm64, and on amd64 from
+// GOAMD64=v3): the bits do not depend on GOARCH or GOAMD64.
+func axpyGo(a float64, x, y []float64, i int) {
+	n := len(x)
 	for ; i+4 <= n; i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
+		y[i] += float64(a * x[i])
+		y[i+1] += float64(a * x[i+1])
+		y[i+2] += float64(a * x[i+2])
+		y[i+3] += float64(a * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 }
 
 // axpySign computes y[i] += ±a with the sign taken from bit i of the raw
 // word stream (bit 0 → +a, matching the Rademacher convention 1−2·bit).
 // No multiply and no materialised ±1 vector: this is the fused fast path of
-// the paper's ±1 distribution. The inner groups of four never straddle a
-// word because 64 is a multiple of 4.
+// the paper's ±1 distribution. On the AVX-512 backend an opmask flips the
+// signs four elements at a time; axpySignGo is the reference.
 func axpySign(a float64, words []uint64, y []float64) {
+	i := 0
+	if useAVX512 {
+		i = len(y) &^ 3
+		axpySignAVX(a, words, y[:i])
+	}
+	axpySignGo(a, words, y, i)
+}
+
+// axpySignGo is axpySign over y[i:], for i a multiple of 4. The inner
+// groups of four never straddle a word because 64 is a multiple of 4.
+func axpySignGo(a float64, words []uint64, y []float64, i int) {
 	abits := math.Float64bits(a)
 	n := len(y)
-	i := 0
 	for ; i+4 <= n; i += 4 {
 		w := words[i>>6] >> uint(i&63)
 		out := y[i : i+4 : i+4]

@@ -1,0 +1,87 @@
+package rng
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+func requireAVX512(t *testing.T) {
+	t.Helper()
+	if !useAVX512 {
+		t.Skip("no AVX-512 backend to compare: the CPU lacks AVX512F+DQ+VL or the build uses the purego tag")
+	}
+}
+
+// randomLanes returns a generator whose four lanes hold random states.
+func randomLanes(r *rand.Rand) *BatchXoshiro {
+	b := NewBatchXoshiro(r.Uint64())
+	for w := range b.s {
+		for k := range b.s[w] {
+			b.s[w][k] = r.Uint64()
+		}
+	}
+	b.live = Lanes
+	return b
+}
+
+// TestAVX512SeedLanesMatchGo compares the vectorised splitmix64 seeding of
+// all four lanes with the Go one, over random checkpoint values.
+func TestAVX512SeedLanesMatchGo(t *testing.T) {
+	requireAVX512(t)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		v := r.Uint64()
+		if i < 4 {
+			v = []uint64{0, 1, math.MaxUint64, 0x9E3779B97F4A7C15}[i]
+		}
+		vec := BatchXoshiro{v: v}
+		seedLanesAVX(&vec.s, v)
+		ref := BatchXoshiro{v: v}
+		for k := 0; k < Lanes; k++ {
+			ref.seedLane(k)
+		}
+		if vec.s != ref.s {
+			t.Fatalf("v=%#x: AVX-512 seeding %x, Go %x", v, vec.s, ref.s)
+		}
+	}
+}
+
+// TestAVX512FillMatchesGo compares the raw and the uniform fills bit for
+// bit, outputs and final lane state, for every length up to 260 from
+// random states.
+func TestAVX512FillMatchesGo(t *testing.T) {
+	requireAVX512(t)
+	r := rand.New(rand.NewSource(2))
+	for n := 0; n <= 260; n++ {
+		for rep := 0; rep < 4; rep++ {
+			vec := randomLanes(r)
+			ref := *vec
+			got, want := make([]uint64, n), make([]uint64, n)
+			vec.uint64s(got, true)
+			ref.uint64s(want, false)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("raw n=%d: [%d] = %#x on AVX-512, %#x in Go", n, i, got[i], want[i])
+				}
+			}
+			gotU, wantU := make([]float64, n), make([]float64, n)
+			vec.fillUniform11(gotU, true)
+			ref.fillUniform11(wantU, false)
+			requireSameBits(t, "fill", n, gotU, wantU)
+			if vec.s != ref.s {
+				t.Fatalf("n=%d: final state differs", n)
+			}
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, what string, n int, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s n=%d: [%d] = %x (%g) on AVX-512, %x (%g) in Go",
+				what, n, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}

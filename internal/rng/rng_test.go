@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -147,6 +148,87 @@ func TestBatchXoshiroTailHandling(t *testing.T) {
 	for i := range short {
 		if short[i] != long[i] {
 			t.Fatalf("prefix mismatch at %d: fills of different length disagree", i)
+		}
+	}
+}
+
+// laneModel is an independent model of BatchXoshiro's stream: checkpoint
+// (r, j) seeds four scalar xoshiro256++ lanes eagerly, lane k from the
+// splitmix64 outputs 4k+1..4k+4 of the checkpoint value, and every draw
+// takes word i from lane i mod 4, starting again at lane 0.
+type laneModel struct {
+	seed  uint64
+	lanes [Lanes]Xoshiro256
+}
+
+func (m *laneModel) setState(r, j uint64) {
+	sm := mix64(m.seed^mix64(r*0x9E3779B97F4A7C15+1)) ^ mix64(j*0xBF58476D1CE4E5B9+2)
+	for k := range m.lanes {
+		x := &m.lanes[k]
+		x.s0, x.s1, x.s2, x.s3 = SplitMix64(&sm), SplitMix64(&sm), SplitMix64(&sm), SplitMix64(&sm)
+		if x.s0|x.s1|x.s2|x.s3 == 0 {
+			x.s0 = 0x9E3779B97F4A7C15
+		}
+	}
+}
+
+func (m *laneModel) draw(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = m.lanes[i%Lanes].Uint64()
+	}
+	return out
+}
+
+// TestBatchXoshiroLazyCheckpoint interleaves SetState over several rows
+// (so the cached row half is hit and missed) with partial draws of 1, 3
+// and 5 words, which leave some lanes unseeded or part-advanced. Every
+// draw must match the eagerly seeded lane model, and a full draw after
+// each checkpoint must equal a fresh source's.
+func TestBatchXoshiroLazyCheckpoint(t *testing.T) {
+	t.Logf("AVX-512 backend: %v", AVX512())
+	const seed = 77
+	b := NewBatchXoshiro(seed)
+	m := laneModel{seed: seed}
+	rows := []uint64{0, 0, 3, 3, 9, sjltBase, 3}
+	r := rand.New(rand.NewSource(4))
+	for step := 0; step < 300; step++ {
+		row, col := rows[r.Intn(len(rows))], uint64(r.Intn(40))
+		b.SetState(row, col)
+		m.setState(row, col)
+		for _, n := range []int{1, 3, 5}[:r.Intn(4)] {
+			got := make([]uint64, n)
+			b.Uint64s(got)
+			for i, w := range m.draw(n) {
+				if got[i] != w {
+					t.Fatalf("step %d (%d, %d): partial draw of %d, word %d = %#x, model %#x", step, row, col, n, i, got[i], w)
+				}
+			}
+		}
+		row, col = rows[r.Intn(len(rows))], uint64(r.Intn(40))
+		b.SetState(row, col)
+		fresh := NewBatchXoshiro(seed)
+		fresh.SetState(row, col)
+		n := 1 + r.Intn(70)
+		if r.Intn(2) == 0 {
+			got, want := make([]float64, n), make([]float64, n)
+			b.FillUniform11(got)
+			fresh.FillUniform11(want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d (%d, %d): uniform fill of %d, [%d] = %g, fresh source %g", step, row, col, n, i, got[i], want[i])
+				}
+			}
+			continue
+		}
+		got, want := make([]uint64, n), make([]uint64, n)
+		b.Uint64s(got)
+		fresh.Uint64s(want)
+		m.setState(row, col)
+		for i, w := range m.draw(n) {
+			if got[i] != want[i] || got[i] != w {
+				t.Fatalf("step %d (%d, %d): full draw of %d, word %d = %#x, fresh source %#x, model %#x", step, row, col, n, i, got[i], want[i], w)
+			}
 		}
 	}
 }
@@ -527,6 +609,41 @@ func TestPhiloxRademacher64Granularity(t *testing.T) {
 		for i := range tail {
 			if tail[i] != whole[split+i] {
 				t.Fatalf("split %d: tail diverges at %d", split, i)
+			}
+		}
+	}
+}
+
+// TestFillSJLTColumnMatchesDefinition checks FillSJLTColumn against its
+// documented construction computed from the raw words, with a modulus and
+// a multiply: for equal power-of-two blocks (the masked fast path, d = 64
+// and s = 8 among them) and for uneven or odd blocks.
+func TestFillSJLTColumnMatchesDefinition(t *testing.T) {
+	for _, c := range [][2]int{{64, 8}, {16, 4}, {8, 8}, {32, 1}, {64, 64}, {26, 4}, {30, 6}, {19, 1}, {24, 5}} {
+		d, s := c[0], c[1]
+		scale := SJLTScale(s)
+		for _, src := range []SourceKind{SourceBatchXoshiro, SourcePhilox} {
+			sp := NewSampler(NewSource(src, 3), SJLT)
+			raw := NewSource(src, 3)
+			pos, val := make([]int, s), make([]float64, s)
+			w := make([]uint64, s)
+			for j := uint64(0); j < 50; j++ {
+				sp.FillSJLTColumn(j, d, s, scale, pos, val)
+				raw.SetState(sjltBase, j)
+				raw.Uint64s(w)
+				start := 0
+				for b, u := range w {
+					size := d / s
+					if b < d%s {
+						size++
+					}
+					wantPos := start + int(u%uint64(size))
+					wantVal := scale * (1 - 2*float64(u>>63))
+					if pos[b] != wantPos || math.Float64bits(val[b]) != math.Float64bits(wantVal) {
+						t.Fatalf("%v d=%d s=%d col %d nonzero %d: (%d, %g), want (%d, %g)", src, d, s, j, b, pos[b], val[b], wantPos, wantVal)
+					}
+					start += size
+				}
 			}
 		}
 	}

@@ -61,7 +61,21 @@ func (sp *Sampler) FillSJLTColumn(j uint64, d, s int, scale float64, pos []int, 
 	sp.src.SetState(sjltBase, j)
 	sp.zig.reset()
 	w := sp.raw(s)
+	// ±scale from the top bit, branch-free: flipping the sign bit is
+	// exactly scale·(1−2·bit), and the top bit is independent of the
+	// position bits for any blockSize far below 2⁶³.
+	sbits := math.Float64bits(scale)
+	const top = 1 << 63
 	q, rem := d/s, d%s
+	if rem == 0 && q&(q-1) == 0 {
+		// Equal power-of-two blocks (d = 64, s = 8, say): u % q is u & (q-1).
+		mask := uint64(q - 1)
+		for b, u := range w {
+			pos[b] = b*q + int(u&mask)
+			val[b] = math.Float64frombits(sbits ^ u&top)
+		}
+		return
+	}
 	start := 0
 	for b := 0; b < s; b++ {
 		size := q
@@ -70,9 +84,7 @@ func (sp *Sampler) FillSJLTColumn(j uint64, d, s int, scale float64, pos []int, 
 		}
 		u := w[b]
 		pos[b] = start + int(u%uint64(size))
-		// Branch-free ±scale from the top bit (independent of the
-		// position bits for any blockSize far below 2⁶³).
-		val[b] = scale * (1 - 2*float64(u>>63))
+		val[b] = math.Float64frombits(sbits ^ u&top)
 		start += size
 	}
 }

@@ -1,8 +1,9 @@
 // Package rng implements the random-number substrate of the paper (§IV-B):
 // an XOR-shift family generator (xoshiro256++) with O(1) state checkpointing
-// at block coordinates, a 4-lane batched variant standing in for the SIMD
-// implementation the Julia code uses, a Philox4x32-10 counter-based RNG
-// (Random123 style) for blocking-independent reproducibility, and the
+// at block coordinates; a 4-lane batched variant, the counterpart of the
+// SIMD xoshiro the Julia code uses, which runs in AVX-512 assembly where
+// the CPU has it and in pure Go elsewhere; a Philox4x32-10 counter-based
+// RNG (Random123 style) for blocking-independent reproducibility; and the
 // output distributions the paper compares in Figure 4: uniform (-1,1),
 // Rademacher ±1, Gaussian, and the integer "scaling trick".
 package rng
@@ -93,15 +94,27 @@ func (x *Xoshiro256) Jump() {
 	x.s0, x.s1, x.s2, x.s3 = t0, t1, t2, t3
 }
 
-// BatchXoshiro is the 4-lane interleaved xoshiro256++ generator. Four
-// independent streams are advanced together so the hot fill loop has the
-// instruction-level parallelism that the paper obtains from SIMD xoshiro in
-// Julia (Go exposes no vector intrinsics in the stdlib, so 4-way unrolling
-// is the faithful equivalent; see DESIGN.md §1).
+// BatchXoshiro is the 4-lane interleaved xoshiro256++ generator: word i of
+// a draw comes from lane i mod 4, and the four streams advance together,
+// which is the instruction-level parallelism the paper gets from SIMD
+// xoshiro in Julia. Where the CPU has AVX-512 (F+DQ+VL) the four lanes
+// live in one YMM register, and seeding and the raw and uniform fills run
+// in assembly (avx512_amd64.s). Elsewhere, and under the purego build tag,
+// the Go loops in this file run instead. They keep the lanes in four sets
+// of scalar registers and are the reference the assembly is tested against
+// bit for bit (DESIGN.md §1).
+//
+// Checkpoints are cheap. SetState caches the seed-and-row half of the
+// checkpoint value across calls with the same r, and lanes are seeded on
+// the first draw that reads them, so a one-word ±1 draw seeds one lane,
+// not four.
 type BatchXoshiro struct {
-	s [4][4]uint64 // s[word][lane]
-	// seed retained so SetState can derive checkpoint states in O(1).
+	s    [4][4]uint64 // s[word][lane]; only lanes [0, live) are seeded
+	live int
+	v    uint64 // checkpoint value the lanes are seeded from
 	seed uint64
+	r    uint64 // row of the last checkpoint
+	rmix uint64 // rowMix(seed, r)
 }
 
 // Lanes is the interleave width of BatchXoshiro.
@@ -109,43 +122,111 @@ const Lanes = 4
 
 // NewBatchXoshiro returns a 4-lane generator derived from seed.
 func NewBatchXoshiro(seed uint64) *BatchXoshiro {
-	b := &BatchXoshiro{seed: seed}
-	b.reseed(seed)
-	return b
+	return &BatchXoshiro{v: seed, seed: seed, rmix: rowMix(seed, 0)}
 }
 
-func (b *BatchXoshiro) reseed(v uint64) {
-	sm := v
-	for lane := 0; lane < Lanes; lane++ {
-		b.s[0][lane] = SplitMix64(&sm)
-		b.s[1][lane] = SplitMix64(&sm)
-		b.s[2][lane] = SplitMix64(&sm)
-		b.s[3][lane] = SplitMix64(&sm)
-		if b.s[0][lane]|b.s[1][lane]|b.s[2][lane]|b.s[3][lane] == 0 {
-			b.s[0][lane] = 0x9E3779B97F4A7C15
-		}
-	}
-}
+// rowMix and colMix are the two halves of checkpoint (r, j)'s value
+// rowMix(seed, r) ^ colMix(j).
+func rowMix(seed, r uint64) uint64 { return mix64(seed ^ mix64(r*0x9E3779B97F4A7C15+1)) }
+func colMix(j uint64) uint64       { return mix64(j*0xBF58476D1CE4E5B9 + 2) }
 
 // SetState repositions the generator at block checkpoint (r, j) in O(1)
 // (§IV-B: "utilizing blocks as checkpoints"). The same (seed, r, j) always
 // yields the same stream regardless of what was generated before, which is
 // what makes the sketch reproducible and thread-schedule independent.
 func (b *BatchXoshiro) SetState(r, j uint64) {
-	b.reseed(mix64(b.seed^mix64(r*0x9E3779B97F4A7C15+1)) ^ mix64(j*0xBF58476D1CE4E5B9+2))
+	if r != b.r {
+		b.r, b.rmix = r, rowMix(b.seed, r)
+	}
+	b.v = b.rmix ^ colMix(j)
+	b.live = 0
 }
 
+// ready seeds the lanes a draw of n words reads that are still unseeded.
+func (b *BatchXoshiro) ready(n int) {
+	if b.live < n && b.live < Lanes {
+		b.seedLanes(n)
+	}
+}
+
+// seedLanes seeds lanes [live, min(n, Lanes)). Lane k's state words are
+// the splitmix64 outputs 4k+1..4k+4 of the sequence started at the
+// checkpoint value. Lanes are independent of each other, so seeding one
+// late, or all four at once, gives the same state as seeding them in
+// order. A draw of more than one word from a fresh checkpoint seeds all
+// four at once, in one vector pass where the backend has one.
+func (b *BatchXoshiro) seedLanes(n int) {
+	if b.live == 0 && n > 1 {
+		if useAVX512 {
+			seedLanesAVX(&b.s, b.v)
+		} else {
+			for k := 0; k < Lanes; k++ {
+				b.seedLane(k)
+			}
+		}
+		b.live = Lanes
+		return
+	}
+	for ; b.live < min(n, Lanes); b.live++ {
+		b.seedLane(b.live)
+	}
+}
+
+// seedLane seeds lane k, moving it off the all-zero state, the one
+// forbidden point.
+func (b *BatchXoshiro) seedLane(k int) {
+	sm := b.v + uint64(4*k)*0x9E3779B97F4A7C15
+	for w := range b.s {
+		b.s[w][k] = SplitMix64(&sm)
+	}
+	if b.s[0][k]|b.s[1][k]|b.s[2][k]|b.s[3][k] == 0 {
+		b.s[0][k] = 0x9E3779B97F4A7C15
+	}
+}
+
+// uniform11 maps a raw word to (-1, 1): its top 54 bits as a signed
+// fixed-point fraction. The conversion is exact, and so is the scaling.
+func uniform11(u uint64) float64 { return float64(int64(u)>>10) * 0x1p-53 }
+
 // Uint64s fills dst with the next len(dst) raw 64-bit outputs, drawing from
-// the four lanes round-robin in groups of four. The four lane states live in
-// registers for the duration of the loop — the pure-Go equivalent of a
-// 4-wide SIMD xoshiro step.
-func (b *BatchXoshiro) Uint64s(dst []uint64) {
-	a0, a1, a2, a3 := b.s[0][0], b.s[1][0], b.s[2][0], b.s[3][0]
-	c0, c1, c2, c3 := b.s[0][1], b.s[1][1], b.s[2][1], b.s[3][1]
-	e0, e1, e2, e3 := b.s[0][2], b.s[1][2], b.s[2][2], b.s[3][2]
-	g0, g1, g2, g3 := b.s[0][3], b.s[1][3], b.s[2][3], b.s[3][3]
-	i := 0
-	for ; i+Lanes <= len(dst); i += Lanes {
+// the four lanes round-robin in groups of four. A draw always starts at
+// lane 0, so a tail shorter than four words reads lanes [0, len(tail)).
+func (b *BatchXoshiro) Uint64s(dst []uint64) { b.uint64s(dst, useAVX512) }
+
+// uint64s is Uint64s on the backend vec selects.
+func (b *BatchXoshiro) uint64s(dst []uint64, vec bool) {
+	b.ready(len(dst))
+	n := len(dst) &^ (Lanes - 1)
+	if n > 0 {
+		if vec {
+			uint64sAVX(&b.s, dst[:n])
+		} else {
+			uint64sGo(&b.s, dst[:n])
+		}
+	}
+	for lane := 0; n < len(dst); n, lane = n+1, lane+1 {
+		s0, s1, s2, s3 := &b.s[0], &b.s[1], &b.s[2], &b.s[3]
+		r := bits.RotateLeft64(s0[lane]+s3[lane], 23) + s0[lane]
+		t := s1[lane] << 17
+		s2[lane] ^= s0[lane]
+		s3[lane] ^= s1[lane]
+		s1[lane] ^= s2[lane]
+		s0[lane] ^= s3[lane]
+		s2[lane] ^= t
+		s3[lane] = bits.RotateLeft64(s3[lane], 45)
+		dst[n] = r
+	}
+}
+
+// uint64sGo is the Go reference for the whole groups of four of a raw
+// draw: len(dst) must be a multiple of Lanes. The four lane states live in
+// registers for the duration of the loop.
+func uint64sGo(s *[4][4]uint64, dst []uint64) {
+	a0, a1, a2, a3 := s[0][0], s[1][0], s[2][0], s[3][0]
+	c0, c1, c2, c3 := s[0][1], s[1][1], s[2][1], s[3][1]
+	e0, e1, e2, e3 := s[0][2], s[1][2], s[2][2], s[3][2]
+	g0, g1, g2, g3 := s[0][3], s[1][3], s[2][3], s[3][3]
+	for i := 0; i+Lanes <= len(dst); i += Lanes {
 		r0 := bits.RotateLeft64(a0+a3, 23) + a0
 		r1 := bits.RotateLeft64(c0+c3, 23) + c0
 		r2 := bits.RotateLeft64(e0+e3, 23) + e0
@@ -175,40 +256,49 @@ func (b *BatchXoshiro) Uint64s(dst []uint64) {
 		c3 = bits.RotateLeft64(c3, 45)
 		e3 = bits.RotateLeft64(e3, 45)
 		g3 = bits.RotateLeft64(g3, 45)
-		dst[i] = r0
-		dst[i+1] = r1
-		dst[i+2] = r2
-		dst[i+3] = r3
+		out := dst[i : i+4 : i+4]
+		out[0], out[1], out[2], out[3] = r0, r1, r2, r3
 	}
-	b.s[0][0], b.s[1][0], b.s[2][0], b.s[3][0] = a0, a1, a2, a3
-	b.s[0][1], b.s[1][1], b.s[2][1], b.s[3][1] = c0, c1, c2, c3
-	b.s[0][2], b.s[1][2], b.s[2][2], b.s[3][2] = e0, e1, e2, e3
-	b.s[0][3], b.s[1][3], b.s[2][3], b.s[3][3] = g0, g1, g2, g3
-	for lane := 0; i < len(dst); i, lane = i+1, lane+1 {
-		s0, s1, s2, s3 := &b.s[0], &b.s[1], &b.s[2], &b.s[3]
-		r := bits.RotateLeft64(s0[lane]+s3[lane], 23) + s0[lane]
-		t := s1[lane] << 17
-		s2[lane] ^= s0[lane]
-		s3[lane] ^= s1[lane]
-		s1[lane] ^= s2[lane]
-		s0[lane] ^= s3[lane]
-		s2[lane] ^= t
-		s3[lane] = bits.RotateLeft64(s3[lane], 45)
-		dst[i] = r
-	}
+	s[0][0], s[1][0], s[2][0], s[3][0] = a0, a1, a2, a3
+	s[0][1], s[1][1], s[2][1], s[3][1] = c0, c1, c2, c3
+	s[0][2], s[1][2], s[2][2], s[3][2] = e0, e1, e2, e3
+	s[0][3], s[1][3], s[2][3], s[3][3] = g0, g1, g2, g3
 }
 
 // FillUniform11 writes len(dst) uniform (-1, 1) samples directly, fusing
 // generation and conversion so raw words never round-trip through memory.
 // This is the kernel-facing fast path of the default distribution.
-func (b *BatchXoshiro) FillUniform11(dst []float64) {
-	a0, a1, a2, a3 := b.s[0][0], b.s[1][0], b.s[2][0], b.s[3][0]
-	c0, c1, c2, c3 := b.s[0][1], b.s[1][1], b.s[2][1], b.s[3][1]
-	e0, e1, e2, e3 := b.s[0][2], b.s[1][2], b.s[2][2], b.s[3][2]
-	g0, g1, g2, g3 := b.s[0][3], b.s[1][3], b.s[2][3], b.s[3][3]
+func (b *BatchXoshiro) FillUniform11(dst []float64) { b.fillUniform11(dst, useAVX512) }
+
+// fillUniform11 is FillUniform11 on the backend vec selects.
+func (b *BatchXoshiro) fillUniform11(dst []float64, vec bool) {
+	b.ready(len(dst))
+	n := len(dst) &^ (Lanes - 1)
+	if n > 0 {
+		if vec {
+			fillUniform11AVX(&b.s, dst[:n])
+		} else {
+			fillUniform11Go(&b.s, dst[:n])
+		}
+	}
+	if n < len(dst) {
+		var tail [Lanes]uint64
+		b.Uint64s(tail[:len(dst)-n])
+		for k := range dst[n:] {
+			dst[n+k] = uniform11(tail[k])
+		}
+	}
+}
+
+// fillUniform11Go is the Go reference for the whole groups of four of a
+// uniform fill: len(dst) must be a multiple of Lanes.
+func fillUniform11Go(s *[4][4]uint64, dst []float64) {
+	a0, a1, a2, a3 := s[0][0], s[1][0], s[2][0], s[3][0]
+	c0, c1, c2, c3 := s[0][1], s[1][1], s[2][1], s[3][1]
+	e0, e1, e2, e3 := s[0][2], s[1][2], s[2][2], s[3][2]
+	g0, g1, g2, g3 := s[0][3], s[1][3], s[2][3], s[3][3]
 	const scale = 0x1p-53
-	i := 0
-	for ; i+Lanes <= len(dst); i += Lanes {
+	for i := 0; i+Lanes <= len(dst); i += Lanes {
 		r0 := bits.RotateLeft64(a0+a3, 23) + a0
 		r1 := bits.RotateLeft64(c0+c3, 23) + c0
 		r2 := bits.RotateLeft64(e0+e3, 23) + e0
@@ -244,23 +334,17 @@ func (b *BatchXoshiro) FillUniform11(dst []float64) {
 		out[2] = float64(int64(r2)>>10) * scale
 		out[3] = float64(int64(r3)>>10) * scale
 	}
-	b.s[0][0], b.s[1][0], b.s[2][0], b.s[3][0] = a0, a1, a2, a3
-	b.s[0][1], b.s[1][1], b.s[2][1], b.s[3][1] = c0, c1, c2, c3
-	b.s[0][2], b.s[1][2], b.s[2][2], b.s[3][2] = e0, e1, e2, e3
-	b.s[0][3], b.s[1][3], b.s[2][3], b.s[3][3] = g0, g1, g2, g3
-	if i < len(dst) {
-		var tail [Lanes]uint64
-		b.Uint64s(tail[:len(dst)-i])
-		for k := 0; i < len(dst); i, k = i+1, k+1 {
-			dst[i] = float64(int64(tail[k])>>10) * scale
-		}
-	}
+	s[0][0], s[1][0], s[2][0], s[3][0] = a0, a1, a2, a3
+	s[0][1], s[1][1], s[2][1], s[3][1] = c0, c1, c2, c3
+	s[0][2], s[1][2], s[2][2], s[3][2] = e0, e1, e2, e3
+	s[0][3], s[1][3], s[2][3], s[3][3] = g0, g1, g2, g3
 }
 
 // FillScaledInt writes len(dst) int32-valued float64 samples (two per raw
 // word), fused like FillUniform11. This is the scaling-trick fast path: no
 // per-sample scaling multiply, half the generator work per sample.
 func (b *BatchXoshiro) FillScaledInt(dst []float64) {
+	b.ready((len(dst) + 1) / 2)
 	a0, a1, a2, a3 := b.s[0][0], b.s[1][0], b.s[2][0], b.s[3][0]
 	c0, c1, c2, c3 := b.s[0][1], b.s[1][1], b.s[2][1], b.s[3][1]
 	e0, e1, e2, e3 := b.s[0][2], b.s[1][2], b.s[2][2], b.s[3][2]
@@ -340,7 +424,7 @@ func NewScalarXoshiroSource(seed uint64) *ScalarXoshiroSource {
 
 // SetState repositions at block checkpoint (r, j) in O(1).
 func (s *ScalarXoshiroSource) SetState(r, j uint64) {
-	s.x.Seed(mix64(s.seed^mix64(r*0x9E3779B97F4A7C15+1)) ^ mix64(j*0xBF58476D1CE4E5B9+2))
+	s.x.Seed(rowMix(s.seed, r) ^ colMix(j))
 }
 
 // Uint64s fills dst from the single scalar stream.

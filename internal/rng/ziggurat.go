@@ -82,9 +82,9 @@ func (z *zigWords) normal() float64 {
 		if iz == 0 {
 			// Tail beyond ±r: Marsaglia's exponential wedge.
 			for {
-				x := -math.Log(z.uni()) * zigInvR
+				x := float64(-math.Log(z.uni()) * zigInvR)
 				y := -math.Log(z.uni())
-				if y+y >= x*x {
+				if y+y >= float64(x*x) {
 					if hz > 0 {
 						return zigR + x
 					}
@@ -93,7 +93,7 @@ func (z *zigWords) normal() float64 {
 			}
 		}
 		x := float64(hz) * zigWN[iz]
-		if zigFN[iz]+z.uni()*(zigFN[iz-1]-zigFN[iz]) < math.Exp(-0.5*x*x) {
+		if zigFN[iz]+float64(z.uni()*(zigFN[iz-1]-zigFN[iz])) < math.Exp(-0.5*x*x) {
 			return x
 		}
 		// Rejected: re-draw from the top.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -294,8 +295,21 @@ func TestCoordinatorDrainFailover(t *testing.T) {
 	}
 	assertBitIdentical(t, got, want)
 
-	// Drain worker 0: in-flight and future RPCs to it fail StatusClosed.
-	workers[0].svc.Close()
+	// Drain a worker the warm pass sent frames to: in-flight and future
+	// RPCs to it fail StatusClosed. Ring placement hashes the workers'
+	// ephemeral URLs, so any one worker may own none of the 4 shards.
+	drain := -1
+	for i, u := range urls {
+		line := metricLine(t, scrape(t, c), "sketchsp_shard_peer_requests_total{peer="+strconv.Quote(u)+"}")
+		if !strings.HasSuffix(line, " 0") {
+			drain = i
+			break
+		}
+	}
+	if drain < 0 {
+		t.Fatal("warm pass sent no frame to any worker")
+	}
+	workers[drain].svc.Close()
 	got, _, err = c.Sketch(context.Background(), a, 16, opts)
 	if err != nil {
 		t.Fatalf("sketch during drain: %v", err)

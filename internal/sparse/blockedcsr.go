@@ -34,7 +34,8 @@ func (b *BlockedCSR) NNZ() int {
 }
 
 // MemoryBytes reports the total storage footprint including the per-block
-// RowPtr arrays — the O(⌈n/b_n⌉·m) overhead §III-B calls memory intensive.
+// RowPtr arrays — the O(⌈n/b_n⌉·m) overhead §III-B calls memory intensive —
+// and each slab's non-empty-row list.
 func (b *BlockedCSR) MemoryBytes() int64 {
 	var t int64
 	for _, blk := range b.Blocks {
@@ -147,7 +148,9 @@ func NewBlockedCSRPartition(a *CSC, colStart []int, workers int) *BlockedCSR {
 
 // slabToCSR transposes the column slab A[:, j0:j1] into CSR. Columns are
 // visited in ascending order, so within each row the column indices come out
-// sorted — the CSR invariant holds by construction.
+// sorted — the CSR invariant holds by construction. It records the slab's
+// non-empty rows, which Algorithm 4 walks: a thin slab of a tall matrix
+// touches few of its m rows.
 func slabToCSR(a *CSC, j0, j1 int) *CSR {
 	m := a.M
 	width := j1 - j0
@@ -173,7 +176,7 @@ func slabToCSR(a *CSC, j0, j1 int) *CSR {
 			next[r]++
 		}
 	}
-	return &CSR{M: m, N: width, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	return &CSR{M: m, N: width, RowPtr: rowPtr, ColIdx: colIdx, Val: val, nonEmpty: nonEmptyRows(rowPtr)}
 }
 
 // ToCSC reassembles the blocked structure into one CSC matrix (tests).

@@ -181,16 +181,23 @@ func (a *CSC) ToDense() *dense.Matrix {
 
 // ToCSR converts to compressed sparse row.
 func (a *CSC) ToCSR() *CSR {
+	rowPtr, colIdx, val := a.rowArrays()
+	return &CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val, nonEmpty: nonEmptyRows(rowPtr)}
+}
+
+// rowArrays returns the CSR arrays of a, which are also the CSC arrays of
+// Aᵀ: one counting pass and one scatter.
+func (a *CSC) rowArrays() (rowPtr, colIdx []int, val []float64) {
 	nnz := len(a.Val)
-	rowPtr := make([]int, a.M+1)
+	rowPtr = make([]int, a.M+1)
 	for _, r := range a.RowIdx {
 		rowPtr[r+1]++
 	}
 	for i := 0; i < a.M; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	colIdx := make([]int, nnz)
-	val := make([]float64, nnz)
+	colIdx = make([]int, nnz)
+	val = make([]float64, nnz)
 	next := make([]int, a.M)
 	copy(next, rowPtr[:a.M])
 	for j := 0; j < a.N; j++ {
@@ -202,14 +209,14 @@ func (a *CSC) ToCSR() *CSR {
 			next[r]++
 		}
 	}
-	return &CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	return rowPtr, colIdx, val
 }
 
 // Transpose returns Aᵀ in CSC form. Because transposing a CSC matrix yields
 // its CSR arrays reinterpreted, this is a single counting pass.
 func (a *CSC) Transpose() *CSC {
-	csr := a.ToCSR()
-	return &CSC{M: a.N, N: a.M, ColPtr: csr.RowPtr, RowIdx: csr.ColIdx, Val: csr.Val}
+	rowPtr, colIdx, val := a.rowArrays()
+	return &CSC{M: a.N, N: a.M, ColPtr: rowPtr, RowIdx: colIdx, Val: val}
 }
 
 // ColSlice returns the vertical slab A[:, j0:j1] as a new CSC matrix.

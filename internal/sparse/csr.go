@@ -16,6 +16,8 @@ type CSR struct {
 	RowPtr []int // length M+1
 	ColIdx []int // length nnz
 	Val    []float64
+
+	nonEmpty []int // rows holding an entry, ascending; recorded by the constructors
 }
 
 // NewCSR builds a CSR matrix from raw arrays after validating invariants.
@@ -24,7 +26,36 @@ func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
+	a.nonEmpty = nonEmptyRows(rowPtr)
 	return a, nil
+}
+
+// nonEmptyRows lists, ascending, the rows of rowPtr that hold an entry.
+func nonEmptyRows(rowPtr []int) []int {
+	n := 0
+	for i := 1; i < len(rowPtr); i++ {
+		if rowPtr[i] > rowPtr[i-1] {
+			n++
+		}
+	}
+	rows := make([]int, 0, n)
+	for i := 1; i < len(rowPtr); i++ {
+		if rowPtr[i] > rowPtr[i-1] {
+			rows = append(rows, i-1)
+		}
+	}
+	return rows
+}
+
+// NonEmptyRows returns the rows holding at least one entry, ascending
+// (aliases storage). Algorithm 4 walks this list rather than all M rows
+// of a slab. The constructors record it; for a CSR assembled by hand it is
+// computed afresh on each call.
+func (a *CSR) NonEmptyRows() []int {
+	if a.nonEmpty == nil {
+		return nonEmptyRows(a.RowPtr)
+	}
+	return a.nonEmpty
 }
 
 // Validate checks the CSR structural invariants.
@@ -136,9 +167,10 @@ func (a *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// MemoryBytes reports the CSR storage footprint in bytes.
+// MemoryBytes reports the CSR storage footprint in bytes, the recorded
+// non-empty-row list included.
 func (a *CSR) MemoryBytes() int64 {
-	return int64(len(a.Val))*8 + int64(len(a.ColIdx))*8 + int64(len(a.RowPtr))*8
+	return int64(len(a.Val))*8 + int64(len(a.ColIdx))*8 + int64(len(a.RowPtr))*8 + int64(len(a.nonEmpty))*8
 }
 
 // MulVecT computes y = Aᵀ*x.

@@ -238,6 +238,76 @@ func TestBlockedCSRMatchesCSC(t *testing.T) {
 	}
 }
 
+// TestBlockedCSRNonEmptyRows checks each slab's recorded non-empty-row
+// list, which Algorithm 4 walks instead of all m rows, against a scan of
+// RowPtr: for empty slabs, full slabs, single-row slabs and a random mix,
+// each time with MemoryBytes counting the list and the ToCSC round trip
+// still exact.
+func TestBlockedCSRNonEmptyRows(t *testing.T) {
+	full := NewCOO(6, 4, 24)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 4; j++ {
+			full.Append(i, j, float64(1+i*4+j))
+		}
+	}
+	single := NewCOO(9, 5, 3)
+	single.Append(4, 0, 1)
+	single.Append(4, 2, -2)
+	single.Append(4, 4, 3)
+	mats := map[string]*CSC{
+		"empty":  NewCOO(7, 5, 0).ToCSC(),
+		"full":   full.ToCSC(),
+		"single": single.ToCSC(),
+		"random": RandomUniform(60, 23, 0.04, 29),
+	}
+	for name, a := range mats {
+		for _, bn := range []int{1, 2, a.N} {
+			b := NewBlockedCSR(a, bn)
+			var listBytes int64
+			for k, blk := range b.Blocks {
+				var want []int
+				for i := 0; i < blk.M; i++ {
+					if blk.RowPtr[i+1] > blk.RowPtr[i] {
+						want = append(want, i)
+					}
+				}
+				got := blk.NonEmptyRows()
+				if len(got) != len(want) {
+					t.Fatalf("%s b_n=%d slab %d: %d non-empty rows recorded, %d in RowPtr", name, bn, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s b_n=%d slab %d: non-empty row %d is %d, want %d", name, bn, k, i, got[i], want[i])
+					}
+				}
+				listBytes += int64(len(want)) * 8
+			}
+			var arrays int64
+			for _, blk := range b.Blocks {
+				arrays += int64(len(blk.Val)+len(blk.ColIdx)+len(blk.RowPtr)) * 8
+			}
+			if got, want := b.MemoryBytes(), arrays+listBytes+int64(len(b.ColStart))*8; got != want {
+				t.Fatalf("%s b_n=%d: MemoryBytes %d, want %d with the non-empty-row lists", name, bn, got, want)
+			}
+			back := b.ToCSC()
+			for j := 0; j < a.N; j++ {
+				for i := 0; i < a.M; i++ {
+					if a.At(i, j) != back.At(i, j) {
+						t.Fatalf("%s b_n=%d: ToCSC round trip differs at (%d, %d)", name, bn, i, j)
+					}
+				}
+			}
+		}
+	}
+	if got := full.ToCSR().NonEmptyRows(); len(got) != 6 {
+		t.Fatalf("ToCSR records %d non-empty rows of 6", len(got))
+	}
+	byHand := &CSR{M: 3, N: 2, RowPtr: []int{0, 0, 1, 1}, ColIdx: []int{1}, Val: []float64{2}}
+	if got := byHand.NonEmptyRows(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("hand-assembled CSR: non-empty rows %v, want [1]", got)
+	}
+}
+
 func TestBlockedCSRParallelMatchesSequential(t *testing.T) {
 	a := RandomUniform(200, 90, 0.05, 11)
 	seq := NewBlockedCSR(a, 17)
