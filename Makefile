@@ -1,8 +1,9 @@
 # Build/test entry points for the sketchsp reproduction. `make ci` is the
-# PR gate: vet, the tier-1 suite, and a race-detector pass over the
-# packages that exercise the persistent worker pool.
+# PR gate: vet and the gofmt check, the tier-1 suite, and a race-detector
+# pass over the packages that exercise the persistent worker pool.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: ci build test test-purego vet race bench bench-json bench-smoke fuzz-smoke test-shard-faults
 
@@ -22,8 +23,12 @@ test: build
 test-purego:
 	$(GO) test -tags purego ./internal/rng/ ./internal/kernels/ ./internal/core/
 
+# vet also fails when gofmt would reformat any Go file of the repository
+# (the perfbench module included) and lists the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l *.go cmd examples internal perfbench); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # The planner/executor worker pool and the solvers that reuse plans are the
 # concurrency-sensitive surface; race-check them on every PR. The service

@@ -66,7 +66,7 @@ func (h binHeap) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
-func (h binHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h binHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *binHeap) Push(x interface{}) { *h = append(*h, x.(bin)) }
 func (h *binHeap) Pop() interface{} {
 	old := *h

@@ -119,6 +119,31 @@ func TestGoldenSketchDigests(t *testing.T) {
 		{name: "countsketch/philox-par4", dist: rng.CountSketch, source: rng.SourcePhilox, seed: 10, m: 100, n: 14, density: 0.15, matSeed: 41, d: 20,
 			opts: Options{BlockD: 7, BlockN: 4, Workers: 4},
 			want: 0xa0d6982e447b78c1},
+		// The shapes below pin the batched draws' edge cases: the SJLT
+		// shape of the kernel benchmark (d=64, s=8: equal power-of-two
+		// blocks), uniform block rows that are not a multiple of the four
+		// lanes, and ±1 columns longer than one 64-bit sign word.
+		{name: "sjlt/d64-s8-alg3", dist: rng.SJLT, seed: 11, m: 300, n: 24, density: 0.05, matSeed: 43, d: 64,
+			opts: Options{Algorithm: Alg3, BlockD: 64, BlockN: 6, Workers: 2, Sparsity: 8},
+			want: 0x15b20f6ccb3748dd},
+		{name: "sjlt/d64-s8-alg4", dist: rng.SJLT, seed: 11, m: 300, n: 24, density: 0.05, matSeed: 43, d: 64,
+			opts: Options{Algorithm: Alg4, BlockD: 64, BlockN: 6, Workers: 2, Sparsity: 8},
+			want: 0x15b20f6ccb3748dd},
+		{name: "sjlt/d64-s8-blockd-split", dist: rng.SJLT, seed: 11, m: 300, n: 24, density: 0.05, matSeed: 43, d: 64,
+			opts: Options{Algorithm: Alg4, BlockD: 20, BlockN: 6, Workers: 1, Sparsity: 8},
+			want: 0x15b20f6ccb3748dd},
+		{name: "uniform/blockd10-alg3", dist: rng.Uniform11, seed: 12, m: 150, n: 20, density: 0.08, matSeed: 47, d: 27,
+			opts: Options{Algorithm: Alg3, BlockD: 10, BlockN: 7, Workers: 2},
+			want: 0x257a560716a05065},
+		{name: "uniform/blockd10-alg4", dist: rng.Uniform11, seed: 12, m: 150, n: 20, density: 0.08, matSeed: 47, d: 27,
+			opts: Options{Algorithm: Alg4, BlockD: 10, BlockN: 7, Workers: 1},
+			want: 0x257a560716a05065},
+		{name: "rademacher/blockd100-alg3", dist: rng.Rademacher, seed: 13, m: 150, n: 20, density: 0.08, matSeed: 53, d: 150,
+			opts: Options{Algorithm: Alg3, BlockD: 100, BlockN: 7, Workers: 2},
+			want: 0x4e20245e7754ea36},
+		{name: "rademacher/blockd100-alg4", dist: rng.Rademacher, seed: 13, m: 150, n: 20, density: 0.08, matSeed: 53, d: 150,
+			opts: Options{Algorithm: Alg4, BlockD: 100, BlockN: 7, Workers: 1},
+			want: 0x4e20245e7754ea36},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -67,6 +67,8 @@ type PlanStats struct {
 // generator (sampler plus the scratch it fills with entries of S), a
 // reusable sub-view header for Â, and the per-round accumulators.
 // Pre-allocating these at plan time is what makes Execute allocation-free.
+// Its worker writes it on every task, so it is padded to whole cache lines
+// (DESIGN.md §5), as are the generator, sampler and scratch it points to.
 type workspace struct {
 	gen        *kernels.Gen
 	sub        dense.Matrix
@@ -74,6 +76,7 @@ type workspace struct {
 	sampleTime time.Duration
 	busy       time.Duration
 	steals     int64
+	_          [40]byte // pads the struct to 128 bytes, 2 cache lines
 }
 
 // planPool is a plan's persistent worker pool: goroutines started lazily on

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"sketchsp/internal/analysis"
+	"sketchsp/internal/cacheline"
 	"sketchsp/internal/sparse"
 )
 
@@ -206,10 +207,11 @@ func makeWeightedTasks(d, bd int, a *sparse.CSC, colStart []int, sparsity int) [
 }
 
 // padCounter is an atomic counter padded to its own cache line so that the
-// per-worker cursor and remaining-weight arrays do not false-share.
+// per-worker cursor and remaining-weight arrays do not false-share
+// (DESIGN.md §5).
 type padCounter struct {
 	v atomic.Int64
-	_ [56]byte
+	_ [cacheline.Size - 8]byte
 }
 
 // sched is the plan-time-built work-stealing state: per-worker FIFO queue
@@ -217,8 +219,8 @@ type padCounter struct {
 // storage is allocated at plan time; Execute only resets counters, keeping
 // the 0 allocs/op steady state.
 type sched struct {
-	order  []int  // task indices, grouped by owner, heaviest-first within
-	qoff   []int  // worker w owns order[qoff[w]:qoff[w+1]]
+	order  []int   // task indices, grouped by owner, heaviest-first within
+	qoff   []int   // worker w owns order[qoff[w]:qoff[w+1]]
 	weight []int64 // task weight, indexed by task index
 	loads  []int64 // initial per-worker total weight (reset template)
 	cursor []padCounter

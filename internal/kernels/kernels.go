@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"sketchsp/internal/cacheline"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
 	"sketchsp/internal/sparse"
@@ -21,25 +22,31 @@ const (
 )
 
 // Gen is the column generator the two kernels consume: for a block row
-// [i0, i0+d1) of Â it produces column j of S restricted to those rows,
-// either regenerated from the RNG checkpoint (blockRow, j) or read from a
+// [i0, i0+d1) of Â it produces columns of S restricted to those rows,
+// either regenerated from the RNG checkpoints (blockRow, j) or read from a
 // materialised S. Each kernel switches on the kind once per call and runs
 // one loop per kind, which calls the generation and the update directly.
+// Regenerated columns come in groups of up to rng.MaxColumns from one
+// batched draw, and each group's updates run in the order of its columns,
+// so the bits are those of one draw and one update per column.
 //
 // The kind follows from the inputs, never from an option:
-//   - dense: Sampler.Fill into owned scratch, applied by axpy;
-//   - ±1 (rng.Rademacher): raw sign words, applied by the fused axpySign
-//     with no multiply (the paper's low-width ±1 specialisation);
-//   - scatter (rng.SJLT/CountSketch): the s nonzeros of the column, drawn
-//     from the reserved per-column checkpoint by FillSJLTColumn. The draw
-//     is blocking-independent; blockRow only selects which positions land
-//     in this block. Contributions to one Â[p, k] accumulate in ascending
-//     sparse-row order in both kernels, so they stay bit-identical;
+//   - dense: Sampler.FillColumns into owned scratch, applied by axpy;
+//   - ±1 (rng.Rademacher): raw sign words (Sampler.RawWordsColumns),
+//     applied by the fused axpySign with no multiply (the paper's
+//     low-width ±1 specialisation);
+//   - scatter (rng.SJLT/CountSketch): the s nonzeros of each column,
+//     drawn from the reserved per-column checkpoints by
+//     Sampler.FillSJLTColumns. The draw is blocking-independent; blockRow
+//     only selects which positions land in this block. Contributions to
+//     one Â[p, k] accumulate in ascending sparse-row order in both
+//     kernels, so they stay bit-identical;
 //   - pre-generated (NewPregenGen): columns read from S in memory, the
 //     ablation baseline (DESIGN §4) that regeneration is measured against.
 //
 // A Gen owns mutable scratch: one per worker, built at plan time, never
-// shared between goroutines.
+// shared between goroutines. The struct and its scratch sit on cache
+// lines of their own (DESIGN.md §5).
 type Gen struct {
 	kind genKind
 	s    *rng.Sampler
@@ -52,13 +59,13 @@ type Gen struct {
 	r      uint64
 	i0, d1 int
 
-	v   []float64 // dense scratch, len bd
-	col []float64 // v[:d1]
+	v []float64 // dense scratch: rng.MaxColumns columns of up to bd rows
 
 	sp    int // scatter: nonzeros per column
 	scale float64
-	pos   []int
-	val   []float64
+	pos   []int     // scatter: rng.MaxColumns columns of sp positions
+	val   []float64 // and their values
+	_     [32]byte  // pads the struct to 192 bytes, 3 cache lines
 }
 
 // NewGen returns a generator of the d-row sketching matrix S drawn by s,
@@ -71,12 +78,13 @@ func NewGen(s *rng.Sampler, d, bd, sparsity int) *Gen {
 		g.kind, g.bd = genScatter, d
 		g.sp = rng.SJLTSparsity(dist, sparsity, d)
 		g.scale = rng.SJLTScale(g.sp)
-		g.pos, g.val = make([]int, g.sp), make([]float64, g.sp)
+		g.pos = cacheline.Make[int](rng.MaxColumns * g.sp)
+		g.val = cacheline.Make[float64](rng.MaxColumns * g.sp)
 	case dist == rng.Rademacher:
 		g.kind = genSign
 	default:
 		g.kind = genDense
-		g.v = make([]float64, bd)
+		g.v = cacheline.Make[float64](rng.MaxColumns * bd)
 	}
 	return g
 }
@@ -96,9 +104,6 @@ func (g *Gen) bind(blockRow uint64, d1, m int) bool {
 		return false
 	}
 	g.r, g.i0, g.d1 = blockRow, i0, d1
-	if g.v != nil {
-		g.col = g.v[:d1]
-	}
 	return true
 }
 
@@ -114,6 +119,10 @@ func (g *Gen) samples(loads int) int64 {
 		return int64(loads) * int64(g.d1)
 	}
 }
+
+// group returns the next batch of at most rng.MaxColumns indices of js
+// from t on.
+func group(js []int, t int) []int { return js[t:min(t+rng.MaxColumns, len(js))] }
 
 // clock and lap time generation when timer is non-nil: a nil check on
 // each side of the generation call, and nothing else in the loops.
@@ -160,8 +169,10 @@ func sjltRange(pos []int, i0, d1 int) (lo, hi int) {
 // the row offset i0 of Âsub within Â (the r of the pseudocode's
 // g.set_state(r, j)). For every stored A[j,k] it loads column j of S from
 // g afresh — strided access to all three operands and no reuse of random
-// numbers, so a dense S costs d·nnz(A) samples (§III-B). sampleTime, when
-// non-nil, accumulates the time spent generating (Table III/V).
+// numbers, so a dense S costs d·nnz(A) samples (§III-B). The loads come in
+// groups of up to rng.MaxColumns nonzeros of one A column. sampleTime,
+// when non-nil, accumulates the time spent generating (Table III/V), one
+// clock pair per group.
 //
 // Returns the number of random samples generated.
 func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
@@ -170,42 +181,52 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 		panic(fmt.Sprintf("kernels: Kernel3 Âsub %dx%d at row %d does not fit Asub %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, asub.M, asub.N, g.d, g.bd))
 	}
-	r, i0 := g.r, g.i0
+	r, i0, sp := g.r, g.i0, g.sp
 	switch g.kind {
 	case genDense:
 		for k := 0; k < n1; k++ {
 			rows, vals := asub.ColView(k)
 			y := ahat.Col(k)
-			for t, j := range rows {
+			for t := 0; t < len(rows); t += rng.MaxColumns {
+				js := group(rows, t)
+				cols := g.v[:len(js)*d1]
 				t0 := clock(sampleTime)
-				g.s.SetState(r, uint64(j))
-				g.s.Fill(g.col)
+				g.s.FillColumns(r, js, cols)
 				lap(sampleTime, t0)
-				axpy(vals[t], g.col, y)
+				for c, a := range vals[t : t+len(js)] {
+					axpy(a, cols[c*d1:(c+1)*d1], y)
+				}
 			}
 		}
 	case genSign:
+		w := (d1 + 63) / 64
 		for k := 0; k < n1; k++ {
 			rows, vals := asub.ColView(k)
 			y := ahat.Col(k)
-			for t, j := range rows {
+			for t := 0; t < len(rows); t += rng.MaxColumns {
+				js := group(rows, t)
 				t0 := clock(sampleTime)
-				g.s.SetState(r, uint64(j))
-				words := g.s.RawWords(d1)
+				words := g.s.RawWordsColumns(r, js, d1)
 				lap(sampleTime, t0)
-				axpySign(vals[t], words, y)
+				for c, a := range vals[t : t+len(js)] {
+					axpySign(a, words[c*w:(c+1)*w], y)
+				}
 			}
 		}
 	case genScatter:
 		for k := 0; k < n1; k++ {
 			rows, vals := asub.ColView(k)
 			y := ahat.Col(k)
-			for t, j := range rows {
+			for t := 0; t < len(rows); t += rng.MaxColumns {
+				js := group(rows, t)
 				t0 := clock(sampleTime)
-				g.s.FillSJLTColumn(uint64(j), g.d, g.sp, g.scale, g.pos, g.val)
+				g.s.FillSJLTColumns(js, g.d, sp, g.scale, g.pos, g.val)
 				lap(sampleTime, t0)
-				lo, hi := sjltRange(g.pos, i0, d1)
-				scatter(vals[t], g.pos[lo:hi], g.val[lo:hi], i0, y)
+				for c, a := range vals[t : t+len(js)] {
+					pos, val := g.pos[c*sp:(c+1)*sp], g.val[c*sp:(c+1)*sp]
+					lo, hi := sjltRange(pos, i0, d1)
+					scatter(a, pos[lo:hi], val[lo:hi], i0, y)
+				}
 			}
 		}
 	default:
@@ -225,47 +246,60 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 // nonempty sparse row and reused across the row (a rank-1 update), so a
 // dense S costs at most d·m·⌈n/b_n⌉ samples (§III-B), at the price of
 // sparsity-dependent access to the columns of Âsub. The loops walk the
-// slab's recorded non-empty rows, not all m of them.
+// slab's recorded non-empty rows, loading their columns of S in groups of
+// up to rng.MaxColumns rows.
 func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if slab.N != n1 || !g.bind(blockRow, d1, slab.M) {
 		panic(fmt.Sprintf("kernels: Kernel4 Âsub %dx%d at row %d does not fit slab %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, slab.M, slab.N, g.d, g.bd))
 	}
-	r, i0 := g.r, g.i0
+	r, i0, sp := g.r, g.i0, g.sp
 	rows := slab.NonEmptyRows()
 	switch g.kind {
 	case genDense:
-		for _, j := range rows {
-			cols, vals := slab.RowView(j)
+		for b := 0; b < len(rows); b += rng.MaxColumns {
+			js := group(rows, b)
+			cols := g.v[:len(js)*d1]
 			t0 := clock(sampleTime)
-			g.s.SetState(r, uint64(j))
-			g.s.Fill(g.col)
+			g.s.FillColumns(r, js, cols)
 			lap(sampleTime, t0)
-			for t, k := range cols {
-				axpy(vals[t], g.col, ahat.Col(k))
+			for c, j := range js {
+				col := cols[c*d1 : (c+1)*d1]
+				acols, vals := slab.RowView(j)
+				for t, k := range acols {
+					axpy(vals[t], col, ahat.Col(k))
+				}
 			}
 		}
 	case genSign:
-		for _, j := range rows {
-			cols, vals := slab.RowView(j)
+		w := (d1 + 63) / 64
+		for b := 0; b < len(rows); b += rng.MaxColumns {
+			js := group(rows, b)
 			t0 := clock(sampleTime)
-			g.s.SetState(r, uint64(j))
-			words := g.s.RawWords(d1)
+			words := g.s.RawWordsColumns(r, js, d1)
 			lap(sampleTime, t0)
-			for t, k := range cols {
-				axpySign(vals[t], words, ahat.Col(k))
+			for c, j := range js {
+				col := words[c*w : (c+1)*w]
+				acols, vals := slab.RowView(j)
+				for t, k := range acols {
+					axpySign(vals[t], col, ahat.Col(k))
+				}
 			}
 		}
 	case genScatter:
-		for _, j := range rows {
-			cols, vals := slab.RowView(j)
+		for b := 0; b < len(rows); b += rng.MaxColumns {
+			js := group(rows, b)
 			t0 := clock(sampleTime)
-			g.s.FillSJLTColumn(uint64(j), g.d, g.sp, g.scale, g.pos, g.val)
+			g.s.FillSJLTColumns(js, g.d, sp, g.scale, g.pos, g.val)
 			lap(sampleTime, t0)
-			lo, hi := sjltRange(g.pos, i0, d1)
-			for t, k := range cols {
-				scatter(vals[t], g.pos[lo:hi], g.val[lo:hi], i0, ahat.Col(k))
+			for c, j := range js {
+				pos, val := g.pos[c*sp:(c+1)*sp], g.val[c*sp:(c+1)*sp]
+				lo, hi := sjltRange(pos, i0, d1)
+				acols, vals := slab.RowView(j)
+				for t, k := range acols {
+					scatter(vals[t], pos[lo:hi], val[lo:hi], i0, ahat.Col(k))
+				}
 			}
 		}
 	default:

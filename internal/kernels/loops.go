@@ -4,8 +4,11 @@
 // Algorithm 4 (variant jki over blocked CSR) — over a column generator (Gen)
 // that regenerates columns of S on the fly or, for the pre-generated
 // baseline, reads them from a materialised S. Each kernel has one loop per
-// generator kind. axpy and axpySign run in AVX-512 assembly where rng does
-// (avx512_amd64.s), with the Go loops as the reference.
+// generator kind, which regenerates the columns of S in groups of up to
+// four with one batched draw (rng.MaxColumns) and applies them in order,
+// so the bits are those of one draw per column. axpy and axpySign run in
+// AVX-512 assembly where rng does (avx512_amd64.s), with the Go loops as
+// the reference.
 package kernels
 
 import (

@@ -10,11 +10,15 @@ package rng
 // AblationCBRNG bench measures, is one full 10-round Philox block per
 // 64 bits of output (several times slower than batched xoshiro, matching
 // the ~5x factor the paper reports for Random123).
+//
+// One worker writes a generator on every column, so the struct is padded
+// to a whole cache line (DESIGN.md §5).
 type Philox4x32 struct {
 	key0, key1 uint32
 	r, j       uint64 // block coordinates set by SetState
 	t          uint64 // words already emitted since SetState
 	seed       uint64
+	_          [24]byte // pads the struct to 64 bytes
 }
 
 const (

@@ -182,7 +182,7 @@ func (m *laneModel) draw(n int) []uint64 {
 
 // TestBatchXoshiroLazyCheckpoint interleaves SetState over several rows
 // (so the cached row half is hit and missed) with partial draws of 1, 3
-// and 5 words, which leave some lanes unseeded or part-advanced. Every
+// and 5 words, which leave some lanes part-advanced. Every
 // draw must match the eagerly seeded lane model, and a full draw after
 // each checkpoint must equal a fresh source's.
 func TestBatchXoshiroLazyCheckpoint(t *testing.T) {

@@ -60,7 +60,13 @@ func SJLTScale(s int) float64 { return 1 / math.Sqrt(float64(s)) }
 func (sp *Sampler) FillSJLTColumn(j uint64, d, s int, scale float64, pos []int, val []float64) {
 	sp.src.SetState(sjltBase, j)
 	sp.zig.reset()
-	w := sp.raw(s)
+	placeSJLT(sp.raw(s), d, s, scale, pos, val)
+}
+
+// placeSJLT maps the raw words w, one per nonzero, to the positions and
+// values of len(w)/s s-sparse columns: column c's at [c*s, (c+1)*s).
+func placeSJLT(w []uint64, d, s int, scale float64, pos []int, val []float64) {
+	pos, val = pos[:len(w)], val[:len(w)]
 	// ±scale from the top bit, branch-free: flipping the sign bit is
 	// exactly scale·(1−2·bit), and the top bit is independent of the
 	// position bits for any blockSize far below 2⁶³.
@@ -70,21 +76,24 @@ func (sp *Sampler) FillSJLTColumn(j uint64, d, s int, scale float64, pos []int, 
 	if rem == 0 && q&(q-1) == 0 {
 		// Equal power-of-two blocks (d = 64, s = 8, say): u % q is u & (q-1).
 		mask := uint64(q - 1)
-		for b, u := range w {
-			pos[b] = b*q + int(u&mask)
-			val[b] = math.Float64frombits(sbits ^ u&top)
+		for c := 0; c < len(w); c += s {
+			for b, u := range w[c : c+s] {
+				pos[c+b] = b*q + int(u&mask)
+				val[c+b] = math.Float64frombits(sbits ^ u&top)
+			}
 		}
 		return
 	}
-	start := 0
-	for b := 0; b < s; b++ {
-		size := q
-		if b < rem {
-			size++
+	for c := 0; c < len(w); c += s {
+		start := 0
+		for b, u := range w[c : c+s] {
+			size := q
+			if b < rem {
+				size++
+			}
+			pos[c+b] = start + int(u%uint64(size))
+			val[c+b] = math.Float64frombits(sbits ^ u&top)
+			start += size
 		}
-		u := w[b]
-		pos[b] = start + int(u%uint64(size))
-		val[b] = math.Float64frombits(sbits ^ u&top)
-		start += size
 	}
 }

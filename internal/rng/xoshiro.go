@@ -5,7 +5,10 @@
 // the CPU has it and in pure Go elsewhere; a Philox4x32-10 counter-based
 // RNG (Random123 style) for blocking-independent reproducibility; and the
 // output distributions the paper compares in Figure 4: uniform (-1,1),
-// Rademacher ±1, Gaussian, and the integer "scaling trick".
+// Rademacher ±1, Gaussian, and the integer "scaling trick". The kernels
+// read S through batched draws (columns.go) that seed up to four
+// checkpoints of one block row in one pass and then draw each column,
+// bit for bit what four single-column draws would give.
 package rng
 
 import "math/bits"
@@ -104,17 +107,24 @@ func (x *Xoshiro256) Jump() {
 // of scalar registers and are the reference the assembly is tested against
 // bit for bit (DESIGN.md §1).
 //
-// Checkpoints are cheap. SetState caches the seed-and-row half of the
-// checkpoint value across calls with the same r, and lanes are seeded on
-// the first draw that reads them, so a one-word ±1 draw seeds one lane,
-// not four.
+// Checkpoints are cheap: SetState caches the seed-and-row half of the
+// checkpoint value across calls with the same r, and the lanes are seeded
+// on the first draw after it. The kernels do not come through here: they
+// use the batched draws of columns.go, which seed the checkpoints of up to
+// four columns of one block row in one pass.
+//
+// One generator belongs to one worker, which writes it on every column,
+// so the struct is padded to whole cache lines (DESIGN.md §5): no other
+// worker's state shares a line with it, and the 32-byte lane rows the
+// assembly loads never straddle one.
 type BatchXoshiro struct {
-	s    [4][4]uint64 // s[word][lane]; only lanes [0, live) are seeded
-	live int
-	v    uint64 // checkpoint value the lanes are seeded from
-	seed uint64
-	r    uint64 // row of the last checkpoint
-	rmix uint64 // rowMix(seed, r)
+	s      [4][4]uint64 // s[word][lane]
+	seeded bool         // s holds the lanes of checkpoint value v
+	v      uint64       // checkpoint value the lanes are seeded from
+	seed   uint64
+	r      uint64   // row of the last checkpoint
+	rmix   uint64   // rowMix(seed, r)
+	_      [24]byte // pads the struct to 192 bytes, 3 cache lines
 }
 
 // Lanes is the interleave width of BatchXoshiro.
@@ -139,48 +149,42 @@ func (b *BatchXoshiro) SetState(r, j uint64) {
 		b.r, b.rmix = r, rowMix(b.seed, r)
 	}
 	b.v = b.rmix ^ colMix(j)
-	b.live = 0
+	b.seeded = false
 }
 
-// ready seeds the lanes a draw of n words reads that are still unseeded.
-func (b *BatchXoshiro) ready(n int) {
-	if b.live < n && b.live < Lanes {
-		b.seedLanes(n)
-	}
-}
-
-// seedLanes seeds lanes [live, min(n, Lanes)). Lane k's state words are
-// the splitmix64 outputs 4k+1..4k+4 of the sequence started at the
-// checkpoint value. Lanes are independent of each other, so seeding one
-// late, or all four at once, gives the same state as seeding them in
-// order. A draw of more than one word from a fresh checkpoint seeds all
-// four at once, in one vector pass where the backend has one.
-func (b *BatchXoshiro) seedLanes(n int) {
-	if b.live == 0 && n > 1 {
-		if useAVX512 {
-			seedLanesAVX(&b.s, b.v)
-		} else {
-			for k := 0; k < Lanes; k++ {
-				b.seedLane(k)
-			}
-		}
-		b.live = Lanes
+// ready seeds the lanes on the first draw after a checkpoint, in one
+// vector pass where the backend has one.
+func (b *BatchXoshiro) ready() {
+	if b.seeded {
 		return
 	}
-	for ; b.live < min(n, Lanes); b.live++ {
-		b.seedLane(b.live)
+	if useAVX512 {
+		seedLanesAVX(&b.s, b.v)
+	} else {
+		b.s = seedColumn(b.v)
 	}
+	b.seeded = true
 }
 
-// seedLane seeds lane k, moving it off the all-zero state, the one
-// forbidden point.
-func (b *BatchXoshiro) seedLane(k int) {
-	sm := b.v + uint64(4*k)*0x9E3779B97F4A7C15
-	for w := range b.s {
-		b.s[w][k] = SplitMix64(&sm)
+// seedColumn returns the four lanes seeded from checkpoint value v. Lane
+// k's state words are the splitmix64 outputs 4k+1..4k+4 of the sequence
+// started at v.
+func seedColumn(v uint64) (s [4][4]uint64) {
+	for k := 0; k < Lanes; k++ {
+		seedLane(&s, v, k)
 	}
-	if b.s[0][k]|b.s[1][k]|b.s[2][k]|b.s[3][k] == 0 {
-		b.s[0][k] = 0x9E3779B97F4A7C15
+	return s
+}
+
+// seedLane seeds lane k of s from checkpoint value v, moving it off the
+// all-zero state, the one forbidden point.
+func seedLane(s *[4][4]uint64, v uint64, k int) {
+	sm := v + uint64(4*k)*0x9E3779B97F4A7C15
+	for w := range s {
+		s[w][k] = SplitMix64(&sm)
+	}
+	if s[0][k]|s[1][k]|s[2][k]|s[3][k] == 0 {
+		s[0][k] = 0x9E3779B97F4A7C15
 	}
 }
 
@@ -195,17 +199,23 @@ func (b *BatchXoshiro) Uint64s(dst []uint64) { b.uint64s(dst, useAVX512) }
 
 // uint64s is Uint64s on the backend vec selects.
 func (b *BatchXoshiro) uint64s(dst []uint64, vec bool) {
-	b.ready(len(dst))
+	b.ready()
+	drawRaw(&b.s, dst, vec)
+}
+
+// drawRaw fills dst with the next raw words of the lanes in s, which must
+// be seeded, and advances them.
+func drawRaw(s *[4][4]uint64, dst []uint64, vec bool) {
 	n := len(dst) &^ (Lanes - 1)
 	if n > 0 {
 		if vec {
-			uint64sAVX(&b.s, dst[:n])
+			uint64sAVX(s, dst[:n])
 		} else {
-			uint64sGo(&b.s, dst[:n])
+			uint64sGo(s, dst[:n])
 		}
 	}
 	for lane := 0; n < len(dst); n, lane = n+1, lane+1 {
-		s0, s1, s2, s3 := &b.s[0], &b.s[1], &b.s[2], &b.s[3]
+		s0, s1, s2, s3 := &s[0], &s[1], &s[2], &s[3]
 		r := bits.RotateLeft64(s0[lane]+s3[lane], 23) + s0[lane]
 		t := s1[lane] << 17
 		s2[lane] ^= s0[lane]
@@ -272,18 +282,24 @@ func (b *BatchXoshiro) FillUniform11(dst []float64) { b.fillUniform11(dst, useAV
 
 // fillUniform11 is FillUniform11 on the backend vec selects.
 func (b *BatchXoshiro) fillUniform11(dst []float64, vec bool) {
-	b.ready(len(dst))
+	b.ready()
+	drawUniform11(&b.s, dst, vec)
+}
+
+// drawUniform11 fills dst with the next uniform (-1, 1) samples of the
+// lanes in s, which must be seeded, and advances them.
+func drawUniform11(s *[4][4]uint64, dst []float64, vec bool) {
 	n := len(dst) &^ (Lanes - 1)
 	if n > 0 {
 		if vec {
-			fillUniform11AVX(&b.s, dst[:n])
+			fillUniform11AVX(s, dst[:n])
 		} else {
-			fillUniform11Go(&b.s, dst[:n])
+			fillUniform11Go(s, dst[:n])
 		}
 	}
 	if n < len(dst) {
 		var tail [Lanes]uint64
-		b.Uint64s(tail[:len(dst)-n])
+		drawRaw(s, tail[:len(dst)-n], vec)
 		for k := range dst[n:] {
 			dst[n+k] = uniform11(tail[k])
 		}
@@ -344,7 +360,7 @@ func fillUniform11Go(s *[4][4]uint64, dst []float64) {
 // word), fused like FillUniform11. This is the scaling-trick fast path: no
 // per-sample scaling multiply, half the generator work per sample.
 func (b *BatchXoshiro) FillScaledInt(dst []float64) {
-	b.ready((len(dst) + 1) / 2)
+	b.ready()
 	a0, a1, a2, a3 := b.s[0][0], b.s[1][0], b.s[2][0], b.s[3][0]
 	c0, c1, c2, c3 := b.s[0][1], b.s[1][1], b.s[2][1], b.s[3][1]
 	e0, e1, e2, e3 := b.s[0][2], b.s[1][2], b.s[2][2], b.s[3][2]
@@ -410,9 +426,12 @@ func (b *BatchXoshiro) FillScaledInt(dst []float64) {
 
 // ScalarXoshiroSource adapts the scalar Xoshiro256 to the Source interface
 // (used by the RNG-lanes ablation bench to quantify the batching win).
+// Like every Source, it is padded to a whole cache line: one worker
+// writes it on every column.
 type ScalarXoshiroSource struct {
 	x    Xoshiro256
 	seed uint64
+	_    [24]byte // pads the struct to 64 bytes
 }
 
 // NewScalarXoshiroSource returns a scalar single-lane source.

@@ -441,10 +441,10 @@ func TestBlockedCSRPartitionVariableWidths(t *testing.T) {
 func TestBlockedCSRPartitionRejectsBadPartitions(t *testing.T) {
 	a := RandomUniform(20, 10, 0.2, 29)
 	for _, bad := range [][]int{
-		{1, 10},        // does not start at 0
-		{0, 5},         // does not end at n
-		{0, 5, 5, 10},  // empty slab
-		{0, 7, 3, 10},  // non-monotone
+		{1, 10},       // does not start at 0
+		{0, 5},        // does not end at n
+		{0, 5, 5, 10}, // empty slab
+		{0, 7, 3, 10}, // non-monotone
 	} {
 		func() {
 			defer func() {
