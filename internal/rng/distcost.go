@@ -19,13 +19,14 @@ var (
 // h parameter by this factor so that cheap sketches (fused ±1 Rademacher,
 // the scaling trick) are charged less recomputation than expensive ones
 // (ziggurat Gaussian). For the sparse family the unit is one *nonzero*:
-// kernels draw s words per column via FillSJLTColumn, so the model charges
-// s·DistCost(SJLT) per column against d·DistCost(dense) for a dense one.
-// Costs are measured once per process with the same batched-xoshiro fast
-// paths the kernels use — Rademacher through RawWords (1 bit/sample), the
-// sparse family through FillSJLTColumn, the rest through Fill — and
-// clamped to [1/64, 64] so a noisy measurement can never flip the model by
-// orders of magnitude. Unknown distributions cost 1.
+// kernels draw s words per column, so the model charges s·DistCost(SJLT)
+// per column against d·DistCost(dense) for a dense one. Costs are measured
+// once per process on BatchXoshiro through the batched draws the kernels
+// use, in groups of MaxColumns columns — Rademacher through
+// RawWordsColumns (1 bit/sample), the sparse family through
+// FillSJLTColumns, the rest through FillColumns — and clamped to
+// [1/64, 64] so a noisy measurement can never flip the model by orders of
+// magnitude. Unknown distributions cost 1.
 //
 // Measurement discipline and variance bounds: the whole measurement runs
 // on one OS-pinned goroutine (runtime.LockOSThread) with a fixed iteration
@@ -62,62 +63,56 @@ func measureDistCostTable() [CountSketch + 1]float64 {
 
 	const n = distCostSamples
 	const reps = distCostReps
+	const seed = 0x9e3779b97f4a7c15
 	dst := make([]float64, n)
+	cols := make([]int, n)
+	for j := range cols {
+		cols[j] = j
+	}
 
-	timeFill := func(d Distribution) float64 {
-		s := NewSampler(NewBatchXoshiro(0x9e3779b97f4a7c15), d)
-		s.Fill(dst) // warm buffers and code paths
-		best := time.Duration(1<<63 - 1)
+	// best returns the fastest of reps timed calls of pass(r), after one
+	// call that warms buffers and code paths.
+	best := func(pass func(r uint64)) float64 {
+		pass(0)
+		b := time.Duration(1<<63 - 1)
 		for r := 0; r < reps; r++ {
-			s.SetState(uint64(r), 0)
 			t0 := time.Now()
-			s.Fill(dst)
-			if e := time.Since(t0); e < best {
-				best = e
+			pass(uint64(r))
+			if e := time.Since(t0); e < b {
+				b = e
 			}
 		}
-		return float64(best)
+		return float64(b)
+	}
+	// A dense pass draws n samples as one group of MaxColumns columns.
+	timeFill := func(d Distribution) float64 {
+		s := NewSampler(NewBatchXoshiro(seed), d)
+		return best(func(r uint64) { s.FillColumns(r, cols[:MaxColumns], dst) })
 	}
 	// Rademacher's kernel path never materialises ±1 values: it consumes
-	// sign bits straight from RawWords, so measure that.
+	// sign bits straight from RawWordsColumns, so measure that.
 	timeRademacher := func() float64 {
-		s := NewSampler(NewBatchXoshiro(0x9e3779b97f4a7c15), Rademacher)
-		s.RawWords(n)
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			s.SetState(uint64(r), 0)
-			t0 := time.Now()
-			s.RawWords(n)
-			if e := time.Since(t0); e < best {
-				best = e
-			}
-		}
-		return float64(best)
+		s := NewSampler(NewBatchXoshiro(seed), Rademacher)
+		return best(func(r uint64) { s.RawWordsColumns(r, cols[:MaxColumns], n/MaxColumns) })
 	}
-	// The sparse family's kernel path draws s-word columns through
-	// FillSJLTColumn (SetState + position/sign decode per nonzero); time n
-	// nonzeros' worth of whole columns so the per-nonzero unit includes the
-	// per-column repositioning overhead the kernels actually pay.
-	timeSJLT := func(s int) float64 {
+	// The sparse family's kernel path draws groups of MaxColumns s-word
+	// columns through FillSJLTColumns (seeding plus position/sign decode
+	// per nonzero); time n nonzeros' worth of whole groups so the
+	// per-nonzero unit includes the per-column seeding the kernels pay.
+	timeSJLT := func(sp int) float64 {
 		const d = 1024
-		sp := NewSampler(NewBatchXoshiro(0x9e3779b97f4a7c15), SJLT)
-		pos := make([]int, s)
-		val := make([]float64, s)
-		scale := SJLTScale(s)
-		cols := n / s
-		sp.FillSJLTColumn(0, d, s, scale, pos, val) // warm
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			for j := 0; j < cols; j++ {
-				sp.FillSJLTColumn(uint64(j), d, s, scale, pos, val)
+		s := NewSampler(NewBatchXoshiro(seed), SJLT)
+		pos := make([]int, MaxColumns*sp)
+		val := make([]float64, MaxColumns*sp)
+		scale := SJLTScale(sp)
+		groups := n / (MaxColumns * sp)
+		t := best(func(uint64) {
+			for g := 0; g < groups; g++ {
+				s.FillSJLTColumns(cols[g*MaxColumns:(g+1)*MaxColumns], d, sp, scale, pos, val)
 			}
-			if e := time.Since(t0); e < best {
-				best = e
-			}
-		}
+		})
 		// Normalise to the same n-sample window as the dense passes.
-		return float64(best) * float64(n) / float64(cols*s)
+		return t * float64(n) / float64(groups*MaxColumns*sp)
 	}
 
 	base := timeFill(Uniform11)

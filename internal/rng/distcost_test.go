@@ -65,7 +65,7 @@ func TestDistCostStability(t *testing.T) {
 }
 
 // TestDistCostSparseFamilyOrdering: the per-nonzero cost of the sparse
-// family includes the per-column SetState reseed, so it must be positive
+// family includes the per-column seeding, so it must be positive
 // and — like every cost — clamped; CountSketch (one word per column, all
 // repositioning overhead) is the family's expensive-per-word end.
 func TestDistCostSparseFamilyOrdering(t *testing.T) {
