@@ -364,7 +364,6 @@ func (p *Plan) ExecuteContext(ctx context.Context, ahat *dense.Matrix) (Stats, e
 		return Stats{}, err
 	}
 	start := time.Now()
-	ahat.Zero()
 	for _, ws := range p.ws {
 		ws.samples = 0
 		ws.sampleTime = 0
@@ -570,7 +569,10 @@ func (p *Plan) runWorker(w int, ws *workspace) {
 // runTask executes one outer-block cell. Cells write disjoint regions of Â,
 // so tasks parallelise without synchronisation (§II-C); results are
 // reproducible regardless of scheduling because every kernel call re-anchors
-// the RNG at its own (block-row, sparse-row) checkpoints.
+// the RNG at its own (block-row, sparse-row) checkpoints. The tasks tile
+// all of Â, empty slabs included, and each one zeroes its own cell just
+// before its kernel accumulates into it: Â is initialised in parallel and
+// while the cell is in cache, whatever it held before.
 func (p *Plan) runTask(t blockTask, ws *workspace) {
 	if c := p.curCtx; c != nil && c.Err() != nil {
 		// Round cancelled: skip the compute but keep draining, so the
@@ -579,6 +581,7 @@ func (p *Plan) runTask(t blockTask, ws *workspace) {
 	}
 	sub := &ws.sub
 	p.curAhat.ViewInto(sub, t.i0, t.j0, t.d1, t.n1)
+	sub.Zero()
 	var timer *time.Duration
 	if p.opts.Timed {
 		timer = &ws.sampleTime

@@ -271,3 +271,31 @@ func TestPlanEmptyMatrix(t *testing.T) {
 		t.Errorf("empty matrix generated %d samples", st.Samples)
 	}
 }
+
+// TestExecuteZeroAlloc is the zero-alloc gate of every kernel path:
+// steady-state Plan.Execute must not allocate for any distribution (the
+// dense fills, the ±1 sign words and the sparse family's raw words), under
+// Algorithms 3 and 4, on 1, 2 and 4 workers. The small blocks give every
+// worker tasks of its own.
+func TestExecuteZeroAlloc(t *testing.T) {
+	a := sparse.RandomUniform(200, 30, 0.1, 23)
+	const d = 32
+	dists := []rng.Distribution{rng.Uniform11, rng.Rademacher, rng.Gaussian, rng.ScaledInt, rng.Junk, rng.SJLT, rng.CountSketch}
+	for _, dist := range dists {
+		for _, alg := range []Algorithm{Alg3, Alg4} {
+			for _, workers := range []int{1, 2, 4} {
+				p := mustPlan(t, a, d, Options{Algorithm: alg, Dist: dist, Sparsity: 5, Workers: workers, Seed: 9, BlockD: 12, BlockN: 8})
+				ahat := dense.NewMatrix(d, a.N)
+				mustExecute(t, p, ahat) // warm the pool
+				avg := testing.AllocsPerRun(20, func() {
+					if _, err := p.Execute(ahat); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if avg != 0 {
+					t.Errorf("%v %v workers=%d: Execute allocates %.1f objects/op, want 0", dist, alg, workers, avg)
+				}
+			}
+		}
+	}
+}

@@ -180,35 +180,3 @@ func TestSJLTFlopsAndWeights(t *testing.T) {
 		t.Errorf("total task weight %d, want %d", sum, want)
 	}
 }
-
-// TestSJLTExecuteZeroAlloc extends the repo's zero-alloc gate to the
-// kernel execute paths: steady-state Plan.Execute must not allocate for
-// the sparse (SJLT), dense and ±1 generators, under Algorithms 3 and 4,
-// with 1 and 4 workers.
-func TestSJLTExecuteZeroAlloc(t *testing.T) {
-	a := sparse.RandomUniform(200, 30, 0.1, 23)
-	const d = 32
-	for _, dist := range []rng.Distribution{rng.SJLT, rng.Uniform11, rng.Rademacher} {
-		for _, alg := range []Algorithm{Alg3, Alg4} {
-			for _, workers := range []int{1, 4} {
-				p, err := NewPlan(a, d, Options{Algorithm: alg, Dist: dist, Sparsity: 5, Workers: workers, Seed: 9})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ahat := dense.NewMatrix(d, a.N)
-				if _, err := p.Execute(ahat); err != nil { // warm the pool
-					t.Fatal(err)
-				}
-				avg := testing.AllocsPerRun(20, func() {
-					if _, err := p.Execute(ahat); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if avg != 0 {
-					t.Errorf("%v %v workers=%d: Execute allocates %.1f objects/op, want 0", dist, alg, workers, avg)
-				}
-				p.Close()
-			}
-		}
-	}
-}

@@ -27,20 +27,22 @@ const (
 // materialised S. Each kernel switches on the kind once per call and runs
 // one loop per kind, which calls the generation and the update directly.
 // Regenerated columns come in groups of up to rng.MaxColumns from one
-// batched draw, and each group's updates run in the order of its columns,
-// so the bits are those of one draw and one update per column.
+// batched draw and are applied as drawn, every Â entry receiving the
+// group's adds in the order of its columns, so the bits are those of one
+// draw and one update per column.
 //
 // The kind follows from the inputs, never from an option:
-//   - dense: Sampler.FillColumns into owned scratch, applied by axpy;
+//   - dense: Sampler.FillColumns into owned scratch, applied by axpyCols;
 //   - ±1 (rng.Rademacher): raw sign words (Sampler.RawWordsColumns),
-//     applied by the fused axpySign with no multiply (the paper's
-//     low-width ±1 specialisation);
-//   - scatter (rng.SJLT/CountSketch): the s nonzeros of each column,
+//     applied by axpySignCols with no multiply (the paper's low-width ±1
+//     specialisation);
+//   - scatter (rng.SJLT/CountSketch): the s raw words of each column,
 //     drawn from the reserved per-column checkpoints by
-//     Sampler.FillSJLTColumns. The draw is blocking-independent; blockRow
-//     only selects which positions land in this block. Contributions to
-//     one Â[p, k] accumulate in ascending sparse-row order in both
-//     kernels, so they stay bit-identical;
+//     Sampler.SJLTWordsColumns and decoded into rows and signs
+//     (rng.SJLTLayout) as they are scattered. The draw is
+//     blocking-independent; blockRow only selects which rows land in this
+//     block. Contributions to one Â[p, k] accumulate in ascending
+//     sparse-row order in both kernels, so they stay bit-identical;
 //   - pre-generated (NewPregenGen): columns read from S in memory, the
 //     ablation baseline (DESIGN §4) that regeneration is measured against.
 //
@@ -63,9 +65,8 @@ type Gen struct {
 
 	sp    int // scatter: nonzeros per column
 	scale float64
-	pos   []int     // scatter: rng.MaxColumns columns of sp positions
-	val   []float64 // and their values
-	_     [32]byte  // pads the struct to 192 bytes, 3 cache lines
+	lay   rng.SJLTLayout // scatter: where each raw word puts its nonzero
+	_     [48]byte       // pads the struct to 192 bytes, 3 cache lines
 }
 
 // NewGen returns a generator of the d-row sketching matrix S drawn by s,
@@ -78,8 +79,7 @@ func NewGen(s *rng.Sampler, d, bd, sparsity int) *Gen {
 		g.kind, g.bd = genScatter, d
 		g.sp = rng.SJLTSparsity(dist, sparsity, d)
 		g.scale = rng.SJLTScale(g.sp)
-		g.pos = cacheline.Make[int](rng.MaxColumns * g.sp)
-		g.val = cacheline.Make[float64](rng.MaxColumns * g.sp)
+		g.lay = rng.NewSJLTLayout(d, g.sp)
 	case dist == rng.Rademacher:
 		g.kind = genSign
 	default:
@@ -139,28 +139,18 @@ func lap(timer *time.Duration, t0 time.Time) {
 	}
 }
 
-// scatter computes y += a·(column of S) for the nonzeros (pos, val) of an
-// s-sparse column that fall in block row [i0, i0+len(y)). As in axpyGo,
-// the conversion keeps the product and the add from fusing.
-func scatter(a float64, pos []int, val []float64, i0 int, y []float64) {
-	for b, p := range pos {
-		y[p-i0] += float64(val[b] * a)
+// scatterWords computes y += a·(column of S) for the s-sparse column whose
+// raw words are words: it decodes each word's row and sign in place and
+// adds the nonzeros ±scale that fall in the bound block row. As in
+// axpyGo, the conversion keeps the product and the add from fusing.
+func (g *Gen) scatterWords(a float64, words []uint64, y []float64) {
+	sbits := math.Float64bits(g.scale)
+	for b, u := range words {
+		p, sign := g.lay.Place(b, u)
+		if i := p - g.i0; uint(i) < uint(len(y)) {
+			y[i] += float64(math.Float64frombits(sbits^sign) * a)
+		}
 	}
-}
-
-// sjltRange returns the half-open index range [lo, hi) of pos whose
-// entries fall in the block-row window [i0, i0+d1). pos is strictly
-// ascending, s is small: a linear scan beats binary search here.
-func sjltRange(pos []int, i0, d1 int) (lo, hi int) {
-	end := i0 + d1
-	for lo < len(pos) && pos[lo] < i0 {
-		lo++
-	}
-	hi = lo
-	for hi < len(pos) && pos[hi] < end {
-		hi++
-	}
-	return lo, hi
 }
 
 // Kernel3 is Algorithm 3: compute-kernel variant kji over a CSC column
@@ -170,7 +160,8 @@ func sjltRange(pos []int, i0, d1 int) (lo, hi int) {
 // g.set_state(r, j)). For every stored A[j,k] it loads column j of S from
 // g afresh — strided access to all three operands and no reuse of random
 // numbers, so a dense S costs d·nnz(A) samples (§III-B). The loads come in
-// groups of up to rng.MaxColumns nonzeros of one A column. sampleTime,
+// groups of up to rng.MaxColumns nonzeros of one A column, and a group's
+// columns update Âsub's column in one pass (axpyCols). sampleTime,
 // when non-nil, accumulates the time spent generating (Table III/V), one
 // clock pair per group.
 //
@@ -193,13 +184,10 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 				t0 := clock(sampleTime)
 				g.s.FillColumns(r, js, cols)
 				lap(sampleTime, t0)
-				for c, a := range vals[t : t+len(js)] {
-					axpy(a, cols[c*d1:(c+1)*d1], y)
-				}
+				axpyCols(vals[t:t+len(js)], cols, y)
 			}
 		}
 	case genSign:
-		w := (d1 + 63) / 64
 		for k := 0; k < n1; k++ {
 			rows, vals := asub.ColView(k)
 			y := ahat.Col(k)
@@ -208,9 +196,7 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 				t0 := clock(sampleTime)
 				words := g.s.RawWordsColumns(r, js, d1)
 				lap(sampleTime, t0)
-				for c, a := range vals[t : t+len(js)] {
-					axpySign(a, words[c*w:(c+1)*w], y)
-				}
+				axpySignCols(vals[t:t+len(js)], words, y)
 			}
 		}
 	case genScatter:
@@ -220,12 +206,10 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 			for t := 0; t < len(rows); t += rng.MaxColumns {
 				js := group(rows, t)
 				t0 := clock(sampleTime)
-				g.s.FillSJLTColumns(js, g.d, sp, g.scale, g.pos, g.val)
+				words := g.s.SJLTWordsColumns(js, sp)
 				lap(sampleTime, t0)
 				for c, a := range vals[t : t+len(js)] {
-					pos, val := g.pos[c*sp:(c+1)*sp], g.val[c*sp:(c+1)*sp]
-					lo, hi := sjltRange(pos, i0, d1)
-					scatter(a, pos[lo:hi], val[lo:hi], i0, y)
+					g.scatterWords(a, words[c*sp:(c+1)*sp], y)
 				}
 			}
 		}
@@ -246,8 +230,9 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 // nonempty sparse row and reused across the row (a rank-1 update), so a
 // dense S costs at most d·m·⌈n/b_n⌉ samples (§III-B), at the price of
 // sparsity-dependent access to the columns of Âsub. The loops walk the
-// slab's recorded non-empty rows, loading their columns of S in groups of
-// up to rng.MaxColumns rows.
+// slab's recorded non-empty rows and their entry offsets, never its
+// full-length RowPtr, loading their columns of S in groups of up to
+// rng.MaxColumns rows.
 func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if slab.N != n1 || !g.bind(blockRow, d1, slab.M) {
@@ -255,7 +240,8 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, samp
 			d1, n1, blockRow, slab.M, slab.N, g.d, g.bd))
 	}
 	r, i0, sp := g.r, g.i0, g.sp
-	rows := slab.NonEmptyRows()
+	rows, off := slab.NonEmptyRows()
+	acols, avals := slab.ColIdx, slab.Val
 	switch g.kind {
 	case genDense:
 		for b := 0; b < len(rows); b += rng.MaxColumns {
@@ -264,11 +250,10 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, samp
 			t0 := clock(sampleTime)
 			g.s.FillColumns(r, js, cols)
 			lap(sampleTime, t0)
-			for c, j := range js {
+			for c := range js {
 				col := cols[c*d1 : (c+1)*d1]
-				acols, vals := slab.RowView(j)
-				for t, k := range acols {
-					axpy(vals[t], col, ahat.Col(k))
+				for e := off[b+c]; e < off[b+c+1]; e++ {
+					axpyCols(avals[e:e+1], col, ahat.Col(acols[e]))
 				}
 			}
 		}
@@ -279,11 +264,10 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, samp
 			t0 := clock(sampleTime)
 			words := g.s.RawWordsColumns(r, js, d1)
 			lap(sampleTime, t0)
-			for c, j := range js {
+			for c := range js {
 				col := words[c*w : (c+1)*w]
-				acols, vals := slab.RowView(j)
-				for t, k := range acols {
-					axpySign(vals[t], col, ahat.Col(k))
+				for e := off[b+c]; e < off[b+c+1]; e++ {
+					axpySignCols(avals[e:e+1], col, ahat.Col(acols[e]))
 				}
 			}
 		}
@@ -291,23 +275,20 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, samp
 		for b := 0; b < len(rows); b += rng.MaxColumns {
 			js := group(rows, b)
 			t0 := clock(sampleTime)
-			g.s.FillSJLTColumns(js, g.d, sp, g.scale, g.pos, g.val)
+			words := g.s.SJLTWordsColumns(js, sp)
 			lap(sampleTime, t0)
-			for c, j := range js {
-				pos, val := g.pos[c*sp:(c+1)*sp], g.val[c*sp:(c+1)*sp]
-				lo, hi := sjltRange(pos, i0, d1)
-				acols, vals := slab.RowView(j)
-				for t, k := range acols {
-					scatter(vals[t], pos[lo:hi], val[lo:hi], i0, ahat.Col(k))
+			for c := range js {
+				col := words[c*sp : (c+1)*sp]
+				for e := off[b+c]; e < off[b+c+1]; e++ {
+					g.scatterWords(avals[e], col, ahat.Col(acols[e]))
 				}
 			}
 		}
 	default:
-		for _, j := range rows {
-			cols, vals := slab.RowView(j)
+		for b, j := range rows {
 			col := g.pre.Col(j)[i0 : i0+d1]
-			for t, k := range cols {
-				axpy(vals[t], col, ahat.Col(k))
+			for e := off[b]; e < off[b+1]; e++ {
+				axpyCols(avals[e:e+1], col, ahat.Col(acols[e]))
 			}
 		}
 	}

@@ -6,9 +6,9 @@
 // baseline, reads them from a materialised S. Each kernel has one loop per
 // generator kind, which regenerates the columns of S in groups of up to
 // four with one batched draw (rng.MaxColumns) and applies them in order,
-// so the bits are those of one draw per column. axpy and axpySign run in
-// AVX-512 assembly where rng does (avx512_amd64.s), with the Go loops as
-// the reference.
+// so the bits are those of one draw per column. The multi-column updates
+// axpyCols and axpySignCols run in AVX-512 assembly where rng does
+// (avx512_amd64.s), with the Go loops as the reference.
 package kernels
 
 import (
@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"sketchsp/internal/dense"
+	"sketchsp/internal/rng"
 	"sketchsp/internal/sparse"
 )
 
@@ -155,28 +156,41 @@ func MultiplyLoopOrder(order LoopOrder, l *dense.Matrix, rcsc *sparse.CSC, rcsr 
 }
 
 // axpy computes y += a*x: a rounded product, then a rounded sum, never a
-// fused multiply-add. This is the hot inner loop of every column-wise
-// kernel. It runs on YMM registers where rng runs its AVX-512 backend, and
-// the Go loop (axpyGo) is the reference it is tested against.
+// fused multiply-add. It is axpyCols with one column.
 func axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("kernels: axpy length mismatch")
-	}
-	i := 0
-	if useAVX512 {
-		i = len(y) &^ 3
-		axpyAVX(a, x[:i], y[:i])
-	}
-	axpyGo(a, x, y, i)
+	axpyCols([]float64{a}, x, y)
 }
 
-// axpyGo computes y[i:] += a*x[i:] with 4-way unrolling: axpy's Go
-// reference, and its only backend without AVX-512. The explicit float64
-// conversion rounds the product before the add, so the compiler cannot
-// fuse the two (gc does fuse x*y+z on arm64, and on amd64 from
-// GOAMD64=v3): the bits do not depend on GOARCH or GOAMD64.
-func axpyGo(a float64, x, y []float64, i int) {
+// axpyCols applies len(a) columns of S to y in one pass: with n = len(y)
+// and column c at x[c*n:(c+1)*n], every element becomes
+// y[i] = ((y[i] + a[0]·x₀[i]) + a[1]·x₁[i]) + …, each product rounded
+// before its add. That is the sequence of operations of len(a) axpys in
+// column order, so the bits are theirs, while y is loaded and stored once.
+// It takes 1 to rng.MaxColumns columns and runs on ZMM registers where rng
+// runs its AVX-512 backend; the per-column Go loop (axpyGo) is the
+// reference it is tested against.
+func axpyCols(a, x, y []float64) {
+	if len(a) < 1 || len(a) > rng.MaxColumns || len(x) != len(a)*len(y) {
+		panic(fmt.Sprintf("kernels: axpyCols of %d columns over %d values into %d rows", len(a), len(x), len(y)))
+	}
+	if useAVX512 {
+		axpyColsAVX(a, x, y)
+		return
+	}
+	n := len(y)
+	for c, ac := range a {
+		axpyGo(ac, x[c*n:(c+1)*n], y)
+	}
+}
+
+// axpyGo computes y += a*x with 4-way unrolling: the Go reference, and the
+// only backend without AVX-512. The explicit float64 conversion rounds the
+// product before the add, so the compiler cannot fuse the two (gc does
+// fuse x*y+z on arm64, and on amd64 from GOAMD64=v3): the bits do not
+// depend on GOARCH or GOAMD64.
+func axpyGo(a float64, x, y []float64) {
 	n := len(x)
+	i := 0
 	for ; i+4 <= n; i += 4 {
 		y[i] += float64(a * x[i])
 		y[i+1] += float64(a * x[i+1])
@@ -188,25 +202,34 @@ func axpyGo(a float64, x, y []float64, i int) {
 	}
 }
 
-// axpySign computes y[i] += ±a with the sign taken from bit i of the raw
-// word stream (bit 0 → +a, matching the Rademacher convention 1−2·bit).
-// No multiply and no materialised ±1 vector: this is the fused fast path of
-// the paper's ±1 distribution. On the AVX-512 backend an opmask flips the
-// signs four elements at a time; axpySignGo is the reference.
-func axpySign(a float64, words []uint64, y []float64) {
-	i := 0
-	if useAVX512 {
-		i = len(y) &^ 3
-		axpySignAVX(a, words, y[:i])
+// axpySignCols is axpyCols for ±1 columns: y[i] += ±a[c] with the sign
+// taken from bit i of column c's words, words[c*w:(c+1)*w] for
+// w = ⌈len(y)/64⌉ (bit 0 → +a, matching the Rademacher convention
+// 1−2·bit), so element i becomes y[i] = ((y[i] + ±a[0]) + ±a[1]) + ….
+// No multiply and no materialised ±1 vector: this is the fused fast path
+// of the paper's ±1 distribution. On the AVX-512 backend an opmask
+// picks −a[c] or a[c] eight elements at a time; axpySignGo, one column at
+// a time, is the reference.
+func axpySignCols(a []float64, words []uint64, y []float64) {
+	w := (len(y) + 63) / 64
+	if len(a) < 1 || len(a) > rng.MaxColumns || len(words) < len(a)*w {
+		panic(fmt.Sprintf("kernels: axpySignCols of %d columns over %d words into %d rows", len(a), len(words), len(y)))
 	}
-	axpySignGo(a, words, y, i)
+	if useAVX512 {
+		axpySignColsAVX(a, words, y)
+		return
+	}
+	for c, ac := range a {
+		axpySignGo(ac, words[c*w:(c+1)*w], y)
+	}
 }
 
-// axpySignGo is axpySign over y[i:], for i a multiple of 4. The inner
-// groups of four never straddle a word because 64 is a multiple of 4.
-func axpySignGo(a float64, words []uint64, y []float64, i int) {
+// axpySignGo is the Go loop of one ±1 column. The inner groups of four
+// never straddle a word because 64 is a multiple of 4.
+func axpySignGo(a float64, words []uint64, y []float64) {
 	abits := math.Float64bits(a)
 	n := len(y)
+	i := 0
 	for ; i+4 <= n; i += 4 {
 		w := words[i>>6] >> uint(i&63)
 		out := y[i : i+4 : i+4]

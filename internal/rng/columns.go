@@ -19,14 +19,14 @@ const MaxColumns = 4
 // unspecified, so the next draw must start with SetState or another
 // batched draw. len(js) must be in [1, MaxColumns].
 //
-// On BatchXoshiro, a batched uniform, raw or SJLT draw seeds all its
-// checkpoints in one pass and then draws each column; where the CPU has
-// AVX-512, one call (fillUniform4AVX, uint64s4AVX) does both, with the
-// lanes of two columns in each ZMM register, and the lane states never
-// leave the registers. In the Go loops a batch of one-word columns (±1
-// with at most 64 rows, CountSketch) computes only the first output of
-// lane 0 of each, with firstWord. Every other source and distribution
-// loops over the columns.
+// On BatchXoshiro, a batched uniform or raw draw (the sparse family's
+// included) seeds all its checkpoints in one pass and then draws each
+// column; where the CPU has AVX-512, one call (fillUniform4AVX,
+// uint64s4AVX) does both, with the lanes of two columns in each ZMM
+// register, and the lane states never leave the registers. In the Go
+// loops a batch of one-word columns (±1 with at most 64 rows,
+// CountSketch) computes only the first output of lane 0 of each, with
+// firstWord. Every other source and distribution loops over the columns.
 
 // FillColumns writes column js[c] of block row r to dst[c*n:(c+1)*n] for
 // each c, where n = len(dst)/len(js).
@@ -53,12 +53,16 @@ func (s *Sampler) RawWordsColumns(r uint64, js []int, nbits int) []uint64 {
 	return out
 }
 
-// FillSJLTColumns is FillSJLTColumn for a batch: column js[c]'s positions
-// and values go to pos[c*sp:(c+1)*sp] and val[c*sp:(c+1)*sp].
-func (s *Sampler) FillSJLTColumns(js []int, d, sp int, scale float64, pos []int, val []float64) {
+// SJLTWordsColumns returns the raw words of the s-sparse columns js of
+// the sparse family's S, sp per column, drawn at their reserved
+// checkpoints: column js[c]'s at [c*sp, (c+1)*sp), word b deciding
+// nonzero b through SJLTLayout.Place. This is FillSJLTColumn's draw for a
+// batch, without the placement, which the kernels do as they scatter. The
+// returned slice is valid until the next Sampler call.
+func (s *Sampler) SJLTWordsColumns(js []int, sp int) []uint64 {
 	w := s.words(len(js) * sp)
 	s.rawColumns(sjltBase, js, sp, w)
-	placeSJLT(w, d, sp, scale, pos, val)
+	return w
 }
 
 // rawColumns fills out[c*w:(c+1)*w] with the first w raw words drawn at

@@ -101,15 +101,19 @@ func checkSJLTColumns(t *testing.T, where string, batch, single *Sampler, dist D
 	for _, req := range []int{1, 2, 3, 8, d} {
 		sp := SJLTSparsity(dist, req, d)
 		scale := SJLTScale(sp)
-		pos, val := make([]int, len(js)*sp), make([]float64, len(js)*sp)
-		batch.FillSJLTColumns(js, d, sp, scale, pos, val)
+		l := NewSJLTLayout(d, sp)
+		words := append([]uint64(nil), batch.SJLTWordsColumns(js, sp)...)
+		if len(words) != len(js)*sp {
+			t.Fatalf("SJLTWordsColumns %s s=%d: %d words, want %d", where, sp, len(words), len(js)*sp)
+		}
 		wantPos, wantVal := make([]int, sp), make([]float64, sp)
 		for c, j := range js {
 			single.FillSJLTColumn(uint64(j), d, sp, scale, wantPos, wantVal)
 			for b := range wantPos {
-				gp, gv := pos[c*sp+b], val[c*sp+b]
+				gp, sign := l.Place(b, words[c*sp+b])
+				gv := math.Float64frombits(math.Float64bits(scale) ^ sign)
 				if gp != wantPos[b] || math.Float64bits(gv) != math.Float64bits(wantVal[b]) {
-					t.Fatalf("FillSJLTColumns %s s=%d: column %d nonzero %d = (%d, %g), single draw (%d, %g)",
+					t.Fatalf("SJLTWordsColumns %s s=%d: column %d nonzero %d decodes to (%d, %g), single draw (%d, %g)",
 						where, sp, c, b, gp, gv, wantPos[b], wantVal[b])
 				}
 			}

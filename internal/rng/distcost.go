@@ -24,7 +24,7 @@ var (
 // once per process on BatchXoshiro through the batched draws the kernels
 // use, in groups of MaxColumns columns — Rademacher through
 // RawWordsColumns (1 bit/sample), the sparse family through
-// FillSJLTColumns, the rest through FillColumns — and clamped to
+// SJLTWordsColumns, the rest through FillColumns — and clamped to
 // [1/64, 64] so a noisy measurement can never flip the model by orders of
 // magnitude. Unknown distributions cost 1.
 //
@@ -96,19 +96,16 @@ func measureDistCostTable() [CountSketch + 1]float64 {
 		return best(func(r uint64) { s.RawWordsColumns(r, cols[:MaxColumns], n/MaxColumns) })
 	}
 	// The sparse family's kernel path draws groups of MaxColumns s-word
-	// columns through FillSJLTColumns (seeding plus position/sign decode
-	// per nonzero); time n nonzeros' worth of whole groups so the
-	// per-nonzero unit includes the per-column seeding the kernels pay.
+	// columns through SJLTWordsColumns and decodes each word as it
+	// scatters, so the decode is compute, not generation. Time n nonzeros'
+	// worth of whole groups so the per-nonzero unit includes the
+	// per-column seeding the kernels pay.
 	timeSJLT := func(sp int) float64 {
-		const d = 1024
 		s := NewSampler(NewBatchXoshiro(seed), SJLT)
-		pos := make([]int, MaxColumns*sp)
-		val := make([]float64, MaxColumns*sp)
-		scale := SJLTScale(sp)
 		groups := n / (MaxColumns * sp)
 		t := best(func(uint64) {
 			for g := 0; g < groups; g++ {
-				s.FillSJLTColumns(cols[g*MaxColumns:(g+1)*MaxColumns], d, sp, scale, pos, val)
+				s.SJLTWordsColumns(cols[g*MaxColumns:(g+1)*MaxColumns], sp)
 			}
 		})
 		// Normalise to the same n-sample window as the dense passes.

@@ -48,52 +48,62 @@ func SJLTSparsity(dist Distribution, requested, d int) int {
 // floating point.
 func SJLTScale(s int) float64 { return 1 / math.Sqrt(float64(s)) }
 
+// SJLTLayout is the block construction (OSNAP) of an s-sparse column of S
+// with d rows: [0, d) is split into s contiguous blocks — the first d%s of
+// size ⌊d/s⌋+1, the rest ⌊d/s⌋ — and nonzero b of the column lies in
+// block b. It is the one home of the placement rule: FillSJLTColumn and
+// the kernels, which decode the raw words as they scatter, both use Place.
+type SJLTLayout struct {
+	q, rem int    // block size ⌊d/s⌋; the first rem blocks are one taller
+	mask   uint64 // q-1 when every block is a power of two tall
+	pow2   bool
+}
+
+// NewSJLTLayout returns the block layout of s nonzeros over d rows, for
+// 1 ≤ s ≤ d (SJLTSparsity resolves s into that range).
+func NewSJLTLayout(d, s int) SJLTLayout {
+	q, rem := d/s, d%s
+	pow2 := rem == 0 && q&(q-1) == 0
+	return SJLTLayout{q: q, rem: rem, mask: uint64(q - 1), pow2: pow2}
+}
+
+// Place decodes the raw word u drawn for nonzero b of a column: its row,
+// blockStart + u mod blockSize, and its sign, the top bit of u as a mask
+// (1<<63 for −, 0 for +) to XOR into a float's bits. The top bit is
+// independent of the position bits for any block size far below 2⁶³, and
+// flipping a float's sign bit negates it exactly, so ±x is x's bits XOR
+// sign. Equal power-of-two blocks (d = 64, s = 8, say) take u mod q as
+// u & (q-1).
+func (l SJLTLayout) Place(b int, u uint64) (pos int, sign uint64) {
+	const top = 1 << 63
+	if l.pow2 {
+		return b*l.q + int(u&l.mask), u & top
+	}
+	return l.place(b, u), u & top
+}
+
+// place is Place's row for blocks of uneven or odd size.
+func (l SJLTLayout) place(b int, u uint64) int {
+	start, size := b*l.q+min(b, l.rem), l.q
+	if b < l.rem {
+		size++
+	}
+	return start + int(u%uint64(size))
+}
+
 // FillSJLTColumn regenerates column j of the sparse sketching matrix S:
 // row positions into pos[:s] (strictly ascending, all in [0, d)) and
-// signed values ±scale into val[:s]. The block/OSNAP construction
-// partitions [0, d) into s contiguous blocks — the first d%s of size
-// ⌊d/s⌋+1, the rest ⌊d/s⌋ — and places exactly one nonzero per block:
-// position = blockStart + word % blockSize, sign = bit 63 of the word.
-// One raw word per nonzero; the draw always starts at the reserved
-// checkpoint (sjltBase, j), so callers need not (and must not) SetState
-// around it. pos and val must have length ≥ s.
+// signed values ±scale into val[:s], one raw word per nonzero placed by
+// SJLTLayout.Place. The draw always starts at the reserved checkpoint
+// (sjltBase, j), so callers need not (and must not) SetState around it.
+// pos and val must have length ≥ s.
 func (sp *Sampler) FillSJLTColumn(j uint64, d, s int, scale float64, pos []int, val []float64) {
 	sp.src.SetState(sjltBase, j)
 	sp.zig.reset()
-	placeSJLT(sp.raw(s), d, s, scale, pos, val)
-}
-
-// placeSJLT maps the raw words w, one per nonzero, to the positions and
-// values of len(w)/s s-sparse columns: column c's at [c*s, (c+1)*s).
-func placeSJLT(w []uint64, d, s int, scale float64, pos []int, val []float64) {
-	pos, val = pos[:len(w)], val[:len(w)]
-	// ±scale from the top bit, branch-free: flipping the sign bit is
-	// exactly scale·(1−2·bit), and the top bit is independent of the
-	// position bits for any blockSize far below 2⁶³.
+	l := NewSJLTLayout(d, s)
 	sbits := math.Float64bits(scale)
-	const top = 1 << 63
-	q, rem := d/s, d%s
-	if rem == 0 && q&(q-1) == 0 {
-		// Equal power-of-two blocks (d = 64, s = 8, say): u % q is u & (q-1).
-		mask := uint64(q - 1)
-		for c := 0; c < len(w); c += s {
-			for b, u := range w[c : c+s] {
-				pos[c+b] = b*q + int(u&mask)
-				val[c+b] = math.Float64frombits(sbits ^ u&top)
-			}
-		}
-		return
-	}
-	for c := 0; c < len(w); c += s {
-		start := 0
-		for b, u := range w[c : c+s] {
-			size := q
-			if b < rem {
-				size++
-			}
-			pos[c+b] = start + int(u%uint64(size))
-			val[c+b] = math.Float64frombits(sbits ^ u&top)
-			start += size
-		}
+	for b, u := range sp.raw(s) {
+		p, sign := l.Place(b, u)
+		pos[b], val[b] = p, math.Float64frombits(sbits^sign)
 	}
 }

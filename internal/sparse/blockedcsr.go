@@ -149,8 +149,8 @@ func NewBlockedCSRPartition(a *CSC, colStart []int, workers int) *BlockedCSR {
 // slabToCSR transposes the column slab A[:, j0:j1] into CSR. Columns are
 // visited in ascending order, so within each row the column indices come out
 // sorted — the CSR invariant holds by construction. It records the slab's
-// non-empty rows, which Algorithm 4 walks: a thin slab of a tall matrix
-// touches few of its m rows.
+// non-empty rows and their entry offsets, which Algorithm 4 walks: a thin
+// slab of a tall matrix touches few of its m rows.
 func slabToCSR(a *CSC, j0, j1 int) *CSR {
 	m := a.M
 	width := j1 - j0
@@ -176,7 +176,7 @@ func slabToCSR(a *CSC, j0, j1 int) *CSR {
 			next[r]++
 		}
 	}
-	return &CSR{M: m, N: width, RowPtr: rowPtr, ColIdx: colIdx, Val: val, nonEmpty: nonEmptyRows(rowPtr)}
+	return (&CSR{M: m, N: width, RowPtr: rowPtr, ColIdx: colIdx, Val: val}).recordRows()
 }
 
 // ToCSC reassembles the blocked structure into one CSC matrix (tests).

@@ -182,7 +182,7 @@ func (a *CSC) ToDense() *dense.Matrix {
 // ToCSR converts to compressed sparse row.
 func (a *CSC) ToCSR() *CSR {
 	rowPtr, colIdx, val := a.rowArrays()
-	return &CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val, nonEmpty: nonEmptyRows(rowPtr)}
+	return (&CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}).recordRows()
 }
 
 // rowArrays returns the CSR arrays of a, which are also the CSC arrays of

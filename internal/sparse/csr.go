@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"sketchsp/internal/dense"
 )
@@ -17,8 +18,14 @@ type CSR struct {
 	ColIdx []int // length nnz
 	Val    []float64
 
-	nonEmpty []int // rows holding an entry, ascending; recorded by the constructors
+	rows atomic.Pointer[rowIndex] // the non-empty rows; see NonEmptyRows
 }
+
+// rowIndex lists the rows of a CSR that hold an entry, ascending, with
+// their entry offsets: row rows[i]'s entries are ColIdx[off[i]:off[i+1]].
+// The entries of consecutive non-empty rows are contiguous, so off has
+// one element more than rows and off[i+1] is also where rows[i+1] starts.
+type rowIndex struct{ rows, off []int }
 
 // NewCSR builds a CSR matrix from raw arrays after validating invariants.
 func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
@@ -26,36 +33,53 @@ func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	a.nonEmpty = nonEmptyRows(rowPtr)
-	return a, nil
+	return a.recordRows(), nil
 }
 
-// nonEmptyRows lists, ascending, the rows of rowPtr that hold an entry.
-func nonEmptyRows(rowPtr []int) []int {
+// recordRows records a's non-empty rows and returns a. Every constructor
+// calls it once the arrays are final.
+func (a *CSR) recordRows() *CSR {
+	a.rows.Store(newRowIndex(a.RowPtr))
+	return a
+}
+
+// newRowIndex scans rowPtr for the rows that hold an entry.
+func newRowIndex(rowPtr []int) *rowIndex {
 	n := 0
 	for i := 1; i < len(rowPtr); i++ {
 		if rowPtr[i] > rowPtr[i-1] {
 			n++
 		}
 	}
-	rows := make([]int, 0, n)
+	x := &rowIndex{rows: make([]int, 0, n), off: make([]int, 0, n+1)}
 	for i := 1; i < len(rowPtr); i++ {
 		if rowPtr[i] > rowPtr[i-1] {
-			rows = append(rows, i-1)
+			x.rows = append(x.rows, i-1)
+			x.off = append(x.off, rowPtr[i-1])
 		}
 	}
-	return rows
+	nnz := 0
+	if len(rowPtr) > 0 {
+		nnz = rowPtr[len(rowPtr)-1]
+	}
+	x.off = append(x.off, nnz)
+	return x
 }
 
-// NonEmptyRows returns the rows holding at least one entry, ascending
-// (aliases storage). Algorithm 4 walks this list rather than all M rows
-// of a slab. The constructors record it; for a CSR assembled by hand it is
-// computed afresh on each call.
-func (a *CSR) NonEmptyRows() []int {
-	if a.nonEmpty == nil {
-		return nonEmptyRows(a.RowPtr)
+// NonEmptyRows returns the rows holding at least one entry, ascending, and
+// their entry offsets: row rows[i]'s column indices and values are
+// ColIdx[off[i]:off[i+1]] and Val[off[i]:off[i+1]], and len(off) =
+// len(rows)+1. Both alias storage. Algorithm 4 walks these lists rather
+// than all M rows of a slab and the full-length RowPtr: a thin slab of a
+// tall matrix touches few of its rows. The constructors record them; a
+// CSR assembled by hand gets them on its first call, once.
+func (a *CSR) NonEmptyRows() (rows, off []int) {
+	x := a.rows.Load()
+	if x == nil {
+		x = newRowIndex(a.RowPtr)
+		a.rows.CompareAndSwap(nil, x)
 	}
-	return a.nonEmpty
+	return x.rows, x.off
 }
 
 // Validate checks the CSR structural invariants.
@@ -90,6 +114,31 @@ func (a *CSR) Validate() error {
 			}
 			prev = c
 		}
+	}
+	if x := a.rows.Load(); x != nil {
+		return x.check(a.RowPtr)
+	}
+	return nil
+}
+
+// check reports whether x is the non-empty-row index of rowPtr.
+func (x *rowIndex) check(rowPtr []int) error {
+	if len(x.off) != len(x.rows)+1 {
+		return fmt.Errorf("sparse: CSR %d non-empty rows with %d offsets", len(x.rows), len(x.off))
+	}
+	k := 0
+	for i := 0; i+1 < len(rowPtr); i++ {
+		if rowPtr[i+1] == rowPtr[i] {
+			continue
+		}
+		if k == len(x.rows) || x.rows[k] != i || x.off[k] != rowPtr[i] {
+			return fmt.Errorf("sparse: CSR non-empty row %d not recorded at its offset %d", i, rowPtr[i])
+		}
+		k++
+	}
+	if k != len(x.rows) || x.off[k] != rowPtr[len(rowPtr)-1] {
+		return fmt.Errorf("sparse: CSR records %d non-empty rows ending at %d, RowPtr has %d ending at %d",
+			len(x.rows), x.off[len(x.off)-1], k, rowPtr[len(rowPtr)-1])
 	}
 	return nil
 }
@@ -168,9 +217,13 @@ func (a *CSR) MulVec(x, y []float64) {
 }
 
 // MemoryBytes reports the CSR storage footprint in bytes, the recorded
-// non-empty-row list included.
+// non-empty rows and their offsets included.
 func (a *CSR) MemoryBytes() int64 {
-	return int64(len(a.Val))*8 + int64(len(a.ColIdx))*8 + int64(len(a.RowPtr))*8 + int64(len(a.nonEmpty))*8
+	t := int64(len(a.Val))*8 + int64(len(a.ColIdx))*8 + int64(len(a.RowPtr))*8
+	if x := a.rows.Load(); x != nil {
+		t += int64(len(x.rows)+len(x.off)) * 8
+	}
+	return t
 }
 
 // MulVecT computes y = Aᵀ*x.

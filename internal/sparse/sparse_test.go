@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -238,11 +240,11 @@ func TestBlockedCSRMatchesCSC(t *testing.T) {
 	}
 }
 
-// TestBlockedCSRNonEmptyRows checks each slab's recorded non-empty-row
-// list, which Algorithm 4 walks instead of all m rows, against a scan of
-// RowPtr: for empty slabs, full slabs, single-row slabs and a random mix,
-// each time with MemoryBytes counting the list and the ToCSC round trip
-// still exact.
+// TestBlockedCSRNonEmptyRows checks each slab's recorded non-empty rows
+// and entry offsets, which Algorithm 4 walks instead of all m rows, against
+// a scan of RowPtr: for empty slabs, full slabs, single-row slabs and a
+// random mix, each time with MemoryBytes counting the index and the ToCSC
+// round trip still exact.
 func TestBlockedCSRNonEmptyRows(t *testing.T) {
 	full := NewCOO(6, 4, 24)
 	for i := 0; i < 6; i++ {
@@ -250,44 +252,21 @@ func TestBlockedCSRNonEmptyRows(t *testing.T) {
 			full.Append(i, j, float64(1+i*4+j))
 		}
 	}
-	single := NewCOO(9, 5, 3)
-	single.Append(4, 0, 1)
-	single.Append(4, 2, -2)
-	single.Append(4, 4, 3)
-	mats := map[string]*CSC{
-		"empty":  NewCOO(7, 5, 0).ToCSC(),
-		"full":   full.ToCSC(),
-		"single": single.ToCSC(),
-		"random": RandomUniform(60, 23, 0.04, 29),
-	}
-	for name, a := range mats {
+	for name, a := range indexTestMatrices(full) {
 		for _, bn := range []int{1, 2, a.N} {
 			b := NewBlockedCSR(a, bn)
-			var listBytes int64
+			var indexBytes int64
 			for k, blk := range b.Blocks {
-				var want []int
-				for i := 0; i < blk.M; i++ {
-					if blk.RowPtr[i+1] > blk.RowPtr[i] {
-						want = append(want, i)
-					}
-				}
-				got := blk.NonEmptyRows()
-				if len(got) != len(want) {
-					t.Fatalf("%s b_n=%d slab %d: %d non-empty rows recorded, %d in RowPtr", name, bn, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s b_n=%d slab %d: non-empty row %d is %d, want %d", name, bn, k, i, got[i], want[i])
-					}
-				}
-				listBytes += int64(len(want)) * 8
+				checkRowIndex(t, fmt.Sprintf("%s b_n=%d slab %d", name, bn, k), blk)
+				rows, off := blk.NonEmptyRows()
+				indexBytes += int64(len(rows)+len(off)) * 8
 			}
 			var arrays int64
 			for _, blk := range b.Blocks {
 				arrays += int64(len(blk.Val)+len(blk.ColIdx)+len(blk.RowPtr)) * 8
 			}
-			if got, want := b.MemoryBytes(), arrays+listBytes+int64(len(b.ColStart))*8; got != want {
-				t.Fatalf("%s b_n=%d: MemoryBytes %d, want %d with the non-empty-row lists", name, bn, got, want)
+			if got, want := b.MemoryBytes(), arrays+indexBytes+int64(len(b.ColStart))*8; got != want {
+				t.Fatalf("%s b_n=%d: MemoryBytes %d, want %d with the non-empty-row indexes", name, bn, got, want)
 			}
 			back := b.ToCSC()
 			for j := 0; j < a.N; j++ {
@@ -299,12 +278,100 @@ func TestBlockedCSRNonEmptyRows(t *testing.T) {
 			}
 		}
 	}
-	if got := full.ToCSR().NonEmptyRows(); len(got) != 6 {
+	if got, _ := full.ToCSR().NonEmptyRows(); len(got) != 6 {
 		t.Fatalf("ToCSR records %d non-empty rows of 6", len(got))
 	}
+}
+
+// indexTestMatrices are the shapes the non-empty-row tests cover: no
+// entry, every entry, one non-empty row, and a random mix.
+func indexTestMatrices(full *COO) map[string]*CSC {
+	single := NewCOO(9, 5, 3)
+	single.Append(4, 0, 1)
+	single.Append(4, 2, -2)
+	single.Append(4, 4, 3)
+	return map[string]*CSC{
+		"empty":  NewCOO(7, 5, 0).ToCSC(),
+		"full":   full.ToCSC(),
+		"single": single.ToCSC(),
+		"random": RandomUniform(60, 23, 0.04, 29),
+	}
+}
+
+// checkRowIndex checks a's NonEmptyRows against a scan of RowPtr: the
+// rows that hold an entry, ascending, each with its RowPtr offset, and one
+// final offset at nnz.
+func checkRowIndex(t *testing.T, name string, a *CSR) {
+	t.Helper()
+	rows, off := a.NonEmptyRows()
+	if len(off) != len(rows)+1 || off[len(rows)] != a.NNZ() {
+		t.Fatalf("%s: %d rows with offsets %v, want %d offsets ending at nnz %d", name, len(rows), off, len(rows)+1, a.NNZ())
+	}
+	k := 0
+	for i := 0; i < a.M; i++ {
+		if a.RowPtr[i+1] == a.RowPtr[i] {
+			continue
+		}
+		if k == len(rows) || rows[k] != i || off[k] != a.RowPtr[i] {
+			t.Fatalf("%s: non-empty row %d (entries from %d) missing from rows %v offsets %v", name, i, a.RowPtr[i], rows, off)
+		}
+		k++
+	}
+	if k != len(rows) {
+		t.Fatalf("%s: %d non-empty rows recorded, %d in RowPtr", name, len(rows), k)
+	}
+}
+
+// TestCSRNonEmptyRows checks the index every CSR constructor records —
+// NewCSR, CSC.ToCSR and the blocked slabs — on random, empty and
+// single-row matrices, that Validate rejects an index that disagrees with
+// RowPtr, and that a CSR assembled by hand computes its index once: later
+// calls, as every Kernel4 call makes, allocate nothing.
+func TestCSRNonEmptyRows(t *testing.T) {
+	full := NewCOO(3, 3, 9)
+	for i := 0; i < 9; i++ {
+		full.Append(i/3, i%3, float64(i+1))
+	}
+	for name, a := range indexTestMatrices(full) {
+		c := a.ToCSR()
+		checkRowIndex(t, name+" ToCSR", c)
+		n, err := NewCSR(c.M, c.N, c.RowPtr, c.ColIdx, c.Val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRowIndex(t, name+" NewCSR", n)
+		if err := n.Validate(); err != nil {
+			t.Fatalf("%s: Validate rejects the recorded index: %v", name, err)
+		}
+		if rows, _ := n.NonEmptyRows(); len(rows) > 0 {
+			bad := &rowIndex{rows: rows[1:], off: n.rows.Load().off[1:]}
+			n.rows.Store(bad)
+			if n.Validate() == nil {
+				t.Fatalf("%s: Validate accepts an index missing row %d", name, rows[0])
+			}
+		}
+	}
+	// Workers may reach a hand-assembled CSR at once: the first calls race
+	// to record the index, and every one must see a complete index.
+	concurrent := &CSR{M: 3, N: 2, RowPtr: []int{0, 1, 1, 2}, ColIdx: []int{0, 1}, Val: []float64{1, 2}}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rows, off := concurrent.NonEmptyRows(); len(rows) != 2 || len(off) != 3 || off[2] != 2 {
+				t.Errorf("concurrent first calls: rows %v offsets %v, want [0 2] [0 1 2]", rows, off)
+			}
+		}()
+	}
+	wg.Wait()
 	byHand := &CSR{M: 3, N: 2, RowPtr: []int{0, 0, 1, 1}, ColIdx: []int{1}, Val: []float64{2}}
-	if got := byHand.NonEmptyRows(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("hand-assembled CSR: non-empty rows %v, want [1]", got)
+	checkRowIndex(t, "hand-assembled", byHand)
+	if rows, off := byHand.NonEmptyRows(); len(rows) != 1 || rows[0] != 1 || off[0] != 0 || off[1] != 1 {
+		t.Fatalf("hand-assembled CSR: rows %v offsets %v, want [1] [0 1]", rows, off)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { byHand.NonEmptyRows() }); allocs != 0 {
+		t.Fatalf("hand-assembled CSR: NonEmptyRows allocates %.0f objects per call after the first", allocs)
 	}
 }
 
