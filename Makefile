@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci build test test-purego vet race bench bench-json bench-smoke fuzz-smoke test-shard-faults
+.PHONY: ci build test test-purego vet race bench bench-smoke fuzz-smoke test-shard-faults
 
 ci: vet test test-purego race test-shard-faults fuzz-smoke bench-smoke
 
@@ -67,25 +67,3 @@ bench-smoke:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# Scheduler A/B on skewed sparsity; records (benchmark name, ns/op, GFlops,
-# measured imbalance ratio) per scheduler into BENCH_PR2.json. The PR5
-# record repeats the HTTP replay with -scrape, folding the /metrics series
-# (cache traffic, shed, stage latency sums) into the JSON. The PR6 record
-# replays the same mix through a shard coordinator over 1/2/4 loopback
-# sketchd worker processes and writes the scaling curve. The PR8 record is
-# the content-addressed A/B: repeat sketches of one ~2 MB matrix inline vs
-# by fingerprint, plus the incremental ΔA patch, with bit-identity checks.
-# The PR9 record is the solve-surface A/B: direct SAP-QR vs served cold vs
-# served warm preconditioner cache, plus an async job round-trip.
-bench-json:
-	$(GO) run ./cmd/spmmbench -skew -scale 0.05 -json BENCH_PR2.json
-	$(GO) test -run - -bench BenchmarkServiceHit -benchtime 100x .
-	$(GO) run ./cmd/spmmbench -serve -scale 0.05 -json BENCH_PR3.json
-	$(GO) run ./cmd/spmmbench -serve-http -scale 0.05 -json BENCH_PR4.json
-	$(GO) run ./cmd/spmmbench -serve-http -scrape -scale 0.05 -json BENCH_PR5.json
-	$(GO) run ./cmd/spmmbench -serve-shard -json BENCH_PR6.json
-	$(GO) run ./cmd/spmmbench -skew -scale 0.05 -json BENCH_PR7.json
-	$(GO) run ./cmd/spmmbench -byref -requests 200 -json BENCH_PR8.json
-	$(GO) run ./cmd/spmmbench -serve-solve -json BENCH_PR9.json
-	$(GO) run ./cmd/spmmbench -serve-shard-faults -json BENCH_PR10.json

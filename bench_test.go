@@ -564,8 +564,8 @@ func BenchmarkPlanReuse(b *testing.B) {
 // cache lookup, refcount, allocation-free Execute, metrics — versus the
 // bare plan execute it wraps. The hit path must stay at 0 allocs/op
 // (TestServiceHitZeroAlloc in internal/service enforces it; the -benchmem
-// column here shows it). Wired into `make bench-json`, with serve-mode
-// results recorded in BENCH_PR3.json.
+// column here shows it). Run it with `go test -run - -bench ServiceHit .`;
+// end-to-end serving throughput is perfbench's `serve` workload.
 func BenchmarkServiceHit(b *testing.B) {
 	a, d := benchMatrix(b)
 	configs := []struct {

@@ -73,8 +73,6 @@ func main() {
 		peerCooldown  = flag.Duration("peer-cooldown", 5*time.Second, "how long a failed peer is avoided by shard routing")
 		hedgeQuantile = flag.Float64("hedge-quantile", 0, "latency quantile after which a slow shard RPC is hedged to the next peer (0 = off; try 0.95)")
 		hedgeMaxDelay = flag.Duration("hedge-max-delay", 100*time.Millisecond, "hedge delay cap, also used while a peer's latency window is cold")
-
-		faultDelay = flag.Duration("fault-delay", 0, "TESTING: delay every sketch on this worker (straggler injection for hedging benchmarks)")
 	)
 	flag.Parse()
 	if args := flag.Args(); len(args) != 0 {
@@ -149,17 +147,8 @@ func main() {
 			SketchCacheBytes:  *sketchCacheMB << 20,
 			PrecondCacheBytes: *precondMB << 20,
 		})
-		if *faultDelay > 0 {
-			// Straggler injection for hedging A/Bs: same service, same
-			// handler, every sketch just arrives late. Metrics still come
-			// from the real service underneath.
-			cfg.Metrics = svc.Registry()
-			srv = server.NewBackend(&delayBackend{inner: svc, delay: *faultDelay}, cfg)
-			mode = fmt.Sprintf("worker (cache=%d inflight=%d queue=%d fault-delay=%v)", *cache, *maxInFlight, *maxQueue, *faultDelay)
-		} else {
-			srv = server.New(svc, cfg)
-			mode = fmt.Sprintf("worker (cache=%d inflight=%d queue=%d)", *cache, *maxInFlight, *maxQueue)
-		}
+		srv = server.New(svc, cfg)
+		mode = fmt.Sprintf("worker (cache=%d inflight=%d queue=%d)", *cache, *maxInFlight, *maxQueue)
 		cleanup = svc.Close
 	}
 

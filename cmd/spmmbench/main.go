@@ -10,7 +10,9 @@
 //	spmmbench -table 2 -scale 0.1   # one table, custom matrix scale
 //	spmmbench -fig 4                # the Figure 4 density sweep
 //	spmmbench -skew -json out.json  # scheduler A/B on skewed inputs
-//	spmmbench -serve -clients 8     # concurrent sketch-service replay
+//
+// Serving, shard and solve performance is measured by perfbench (its own
+// module under perfbench/), not here.
 package main
 
 import (
@@ -38,17 +40,17 @@ var (
 	table   = flag.Int("table", 0, "regenerate one table (1–7)")
 	fig     = flag.Int("fig", 0, "regenerate one figure (4 or 5)")
 	all     = flag.Bool("all", false, "run every table and figure")
-	threads = flag.Int("threads", 0, "max worker count for Table VII (0 = 32, the paper's sweep)")
+	threads = flag.Int("threads", 0, "max worker count for Table VII (0 = 32, the paper's sweep); worker count for -skew (0 = 8)")
 	spyDir  = flag.String("spydir", "", "also write Figure 5 spy plots as PGM images into this directory")
 	figDir  = flag.String("figdir", "", "also write Figure 4 as an SVG chart into this directory")
 	csvOut  = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	skew    = flag.Bool("skew", false, "run the scheduler A/B suite on skewed sparsity (uniform vs AbnormalB/Banded/power-law)")
-	jsonOut = flag.String("json", "", "with -skew or -serve: also write the records as JSON to this file")
+	jsonOut = flag.String("json", "", "with -skew: also write the records as JSON to this file")
 )
 
 func main() {
 	flag.Parse()
-	if !*all && *table == 0 && *fig == 0 && !*skew && !*serve && !*serveHTTP && !*serveShard && !*serveShardFaults && !*byref && !*serveSolve {
+	if !*all && *table == 0 && *fig == 0 && !*skew {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -71,32 +73,17 @@ func main() {
 		fig5()
 	}
 	if *all || *skew {
-		skewSuite()
-	}
-	if *serve {
-		serveSuite()
-	}
-	if *serveHTTP {
-		serveHTTPSuite()
-	}
-	if *serveShard {
-		serveShardSuite()
-	}
-	if *serveShardFaults {
-		serveShardFaultsSuite()
-	}
-	if *byref {
-		byrefSuite()
-	}
-	if *serveSolve {
-		serveSolveSuite()
+		if err := skewSuite(); err != nil {
+			fmt.Fprintln(os.Stderr, "spmmbench:", err)
+			os.Exit(1)
+		}
 	}
 }
 
 // skewRecord is one (workload, scheduler) measurement of the skew suite —
-// the JSON schema consumed by the bench-json Make target. Records from the
-// sketch-family A/B carry suite="family" plus the dist/sparsity/speedup
-// fields; scheduler A/B records leave them zero.
+// the JSON schema -skew -json writes. Records from the sketch-family A/B
+// carry suite="family" plus the dist/sparsity/speedup fields; scheduler
+// A/B records leave them zero.
 type skewRecord struct {
 	Name      string  `json:"name"`
 	Scheduler string  `json:"scheduler"`
@@ -115,8 +102,9 @@ type skewRecord struct {
 // the grid); on the skewed shapes the uniform scheduler's measured
 // imbalance approaches the worker count while the weighted one stays near
 // 1 — which converts into wall-clock speedup on multi-core hosts (see
-// EXPERIMENTS.md for the single-core caveat).
-func skewSuite() {
+// EXPERIMENTS.md for the single-core caveat). It fails only when the
+// -json file cannot be written.
+func skewSuite() error {
 	workers := *threads
 	if workers == 0 {
 		workers = 8
@@ -181,19 +169,19 @@ func skewSuite() {
 	}
 	emit(t)
 	records = append(records, familySuite(inputs, d, workers)...)
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spmmbench:", err)
-			return
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "spmmbench:", err)
-			return
-		}
-		fmt.Printf("(wrote %s)\n", *jsonOut)
+	if *jsonOut == "" {
+		return nil
 	}
+	buf, err := json.MarshalIndent(records, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encode -json records: %w", err)
+	}
+	buf = append(buf, '\n')
+	if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("(wrote %s)\n", *jsonOut)
+	return nil
 }
 
 // familySuite is the sketch-family A/B riding on the skew suite's inputs:

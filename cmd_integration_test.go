@@ -1,9 +1,11 @@
 package sketchsp_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -46,6 +48,53 @@ func TestSpmmbenchFig5Integration(t *testing.T) {
 	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("expected 3 PGM files, got %d (%v)", len(entries), err)
+	}
+}
+
+// TestSpmmbenchSkewIntegration runs the scheduler and sketch-family A/B at
+// a tiny scale and checks the -json records, then that an unwritable -json
+// path makes the command fail instead of exiting 0 after printing tables.
+func TestSpmmbenchSkewIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "spmmbench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/spmmbench").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	args := []string{"-skew", "-scale", "0.01", "-threads", "2", "-trials", "1", "-json"}
+	path := filepath.Join(dir, "skew.json")
+	if out, err := exec.Command(bin, append(args, path)...).CombinedOutput(); err != nil {
+		t.Fatalf("spmmbench -skew: %v\n%s", err, out)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []struct {
+		Name, Scheduler, Suite string
+	}
+	if err := json.Unmarshal(buf, &records); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, buf)
+	}
+	var sched, family int
+	for _, r := range records {
+		switch r.Suite {
+		case "":
+			sched++
+		case "family":
+			family++
+		}
+	}
+	// 4 inputs × 3 schedulers, and 4 inputs × 4 sketch families.
+	if sched != 12 || family != 16 || len(records) != 28 {
+		t.Fatalf("got %d scheduler + %d family records of %d, want 12 + 16 of 28", sched, family, len(records))
+	}
+
+	bad := filepath.Join(dir, "missing", "skew.json")
+	if out, err := exec.Command(bin, append(args, bad)...).CombinedOutput(); err == nil {
+		t.Fatalf("spmmbench -skew -json %s exited 0:\n%s", bad, out)
 	}
 }
 

@@ -301,7 +301,7 @@ func (r *Registry) Handler() http.Handler {
 // ParseText parses text exposition back into a flat sample map keyed by the
 // sample name with its label set rendered verbatim (`name` or
 // `name{key="value"}`). It understands exactly what WriteText emits — the
-// shared dialect the scrape-reconciliation tests and spmmbench's -scrape
+// shared dialect the scrape-reconciliation tests and perfbench's traced
 // mode consume — not the full exposition grammar (no escaped label values,
 // no timestamps).
 func ParseText(r io.Reader) (map[string]float64, error) {

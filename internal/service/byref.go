@@ -1,9 +1,8 @@
 package service
 
 import (
-	"container/list"
+	"cmp"
 	"context"
-	"sync"
 
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
@@ -33,113 +32,18 @@ import (
 // is 0: 64 MiB ≈ a few hundred bench-sized sketches.
 const DefaultSketchCacheBytes = 64 << 20
 
-// sketchEntry is one cached Â. The matrix is immutable: PatchMatrix
-// derives a new entry from a clone rather than editing in place.
-type sketchEntry struct {
-	key   planKey
-	ahat  *dense.Matrix
-	bytes int64
-	elem  *list.Element
-}
-
-// sketchCache is a byte-bounded LRU of computed sketches. Unlike the plan
-// cache there is no single-flight: two racing misses both execute and the
-// second insert wins harmlessly (same key ⇒ bit-identical Â).
-type sketchCache struct {
-	max int64
-
-	mu      sync.Mutex
-	entries map[planKey]*sketchEntry
-	lru     *list.List
-	bytes   int64
-
-	evictions *obs.Counter
-}
-
-func newSketchCache(maxBytes int64, r *obs.Registry) *sketchCache {
-	if maxBytes == 0 {
-		maxBytes = DefaultSketchCacheBytes
-	}
-	c := &sketchCache{
-		max:     maxBytes,
-		entries: make(map[planKey]*sketchEntry),
-		lru:     list.New(),
-	}
-	if r != nil {
-		c.evictions = r.Counter("sketchsp_ref_sketch_cache_evictions_total",
-			"Cached sketches reclaimed by the Â-cache byte budget.")
-		r.GaugeFunc("sketchsp_ref_sketch_cache_bytes",
-			"Summed bytes of cached sketches Â.", func() int64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return c.bytes
-			})
-		r.GaugeFunc("sketchsp_ref_sketch_cache_entries",
-			"Cached sketches currently resident.", func() int64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return int64(c.lru.Len())
-			})
-	}
-	return c
-}
-
-// get returns the cached Â for k, or nil. The returned matrix is shared and
-// immutable — callers copy out of it, never write into it.
-func (c *sketchCache) get(k planKey) *dense.Matrix {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(e.elem)
-	return e.ahat
-}
-
-// put inserts ahat under k, taking ownership (callers pass a private copy).
-// An existing entry is replaced — by-ref misses can race, and both compute
-// the same bits, so last-write-wins is sound.
-func (c *sketchCache) put(k planKey, ahat *dense.Matrix) {
-	bytes := ahat.MemoryBytes()
-	c.mu.Lock()
-	if old, ok := c.entries[k]; ok {
-		c.lru.Remove(old.elem)
-		delete(c.entries, k)
-		c.bytes -= old.bytes
-	}
-	e := &sketchEntry{key: k, ahat: ahat, bytes: bytes}
-	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
-	c.bytes += bytes
-	for c.max >= 0 && c.bytes > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		old := back.Value.(*sketchEntry)
-		c.lru.Remove(back)
-		delete(c.entries, old.key)
-		c.bytes -= old.bytes
-		if c.evictions != nil {
-			c.evictions.Inc()
-		}
-	}
-	c.mu.Unlock()
-}
-
-// entriesFor snapshots every cached sketch of the matrix fp — the set
-// PatchMatrix advances. The matrices are shared immutable references.
-func (c *sketchCache) entriesFor(fp sparse.Fingerprint) []sketchEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []sketchEntry
-	for k, e := range c.entries {
-		if k.fp == fp {
-			out = append(out, sketchEntry{key: k, ahat: e.ahat, bytes: e.bytes})
-		}
-	}
-	return out
+// newSketchCache returns the Â cache: maxBytes of sketches (0 = default,
+// negative = unbounded). Entries are immutable: PatchMatrix derives a new
+// entry from a clone rather than editing in place.
+func newSketchCache(maxBytes int64, r *obs.Registry) *byteLRU[planKey, *dense.Matrix] {
+	return newByteLRU[planKey](cmp.Or(maxBytes, DefaultSketchCacheBytes), (*dense.Matrix).MemoryBytes, r, lruMetricNames{
+		evictions:     "sketchsp_ref_sketch_cache_evictions_total",
+		evictionsHelp: "Cached sketches reclaimed by the Â-cache byte budget.",
+		bytes:         "sketchsp_ref_sketch_cache_bytes",
+		bytesHelp:     "Summed bytes of cached sketches Â.",
+		entries:       "sketchsp_ref_sketch_cache_entries",
+		entriesHelp:   "Cached sketches currently resident.",
+	})
 }
 
 // refMetrics is the by-reference surface's own metric family. It is kept
@@ -210,7 +114,7 @@ func (s *Service) SketchRefInto(ctx context.Context, ahat *dense.Matrix, fp spar
 	defer s.exit()
 
 	k := planKey{fp: fp, d: d, opts: opts}
-	if cached := s.sketches.get(k); cached != nil {
+	if cached, ok := s.sketches.get(k); ok {
 		ahat.CopyFrom(cached)
 		s.refMet.sketchHits.Inc()
 		return core.Stats{}, nil
@@ -300,11 +204,11 @@ func (s *Service) PatchMatrix(ctx context.Context, fp sparse.Fingerprint, delta 
 	// the *same options* as its cache key: BlockD resolution depends only on
 	// (opts, d) and ΔA shares A's shape, so the sampler partition — and
 	// hence every generated S entry — matches the one the cached Â saw.
-	for _, se := range s.sketches.entriesFor(fp) {
+	for _, se := range s.sketches.matching(func(k planKey) bool { return k.fp == fp }) {
 		if err := ctx.Err(); err != nil {
 			return info, err
 		}
-		next, uerr := advanceSketch(se.ahat, delta, se.key.d, se.key.opts)
+		next, uerr := advanceSketch(se.val, delta, se.key.d, se.key.opts)
 		if uerr != nil {
 			// The merged matrix is stored and correct; a failed advance only
 			// costs the next request a full (cache-miss) resketch.

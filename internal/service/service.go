@@ -40,6 +40,7 @@ import (
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/obs"
+	"sketchsp/internal/solver"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/store"
 )
@@ -108,12 +109,12 @@ type Service struct {
 	// of computed sketches that makes repeat by-ref requests and PATCH
 	// deltas O(1) in nnz(A).
 	store    *store.Store
-	sketches *sketchCache
+	sketches *byteLRU[planKey, *dense.Matrix]
 	refMet   *refMetrics
 
 	// Solve surface (solve.go): preconditioner factor cache and the
 	// sketchsp_solve_* metric family.
-	preconds *precondCache
+	preconds *byteLRU[precondKey, *solver.Precond]
 	solveMet *solveMetrics
 
 	mu      sync.Mutex

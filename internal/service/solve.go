@@ -1,10 +1,9 @@
 package service
 
 import (
-	"container/list"
+	"cmp"
 	"context"
 	"math"
-	"sync"
 	"time"
 
 	"sketchsp/internal/core"
@@ -175,7 +174,7 @@ func (s *Service) precondFor(ctx context.Context, a *sparse.CSC, fp sparse.Finge
 		d = solver.SAPSketchDim(a.N, req.Opts)
 	}
 	k := precondKey{fp: fp, method: req.Method, d: d, opts: req.Opts.Sketch}
-	if p := s.preconds.get(k); p != nil {
+	if p, ok := s.preconds.get(k); ok {
 		s.solveMet.precondHits.Inc()
 		return p, true, nil
 	}
@@ -203,7 +202,7 @@ func (s *Service) planSketch(fp sparse.Fingerprint, byRef bool) solver.SketchFun
 		t0 := time.Now()
 		k := planKey{fp: fp, d: d, opts: o}
 		if byRef {
-			if cached := s.sketches.get(k); cached != nil {
+			if cached, ok := s.sketches.get(k); ok {
 				return cached, time.Since(t0), nil
 			}
 		}
@@ -252,99 +251,18 @@ type precondKey struct {
 	opts   core.Options
 }
 
-// precondEntry is one cached preconditioner; bytes is the resident factor
-// footprint (FactorBytes, not the transient sketch).
-type precondEntry struct {
-	key   precondKey
-	p     *solver.Precond
-	bytes int64
-	elem  *list.Element
-}
-
-// precondCache is a byte-bounded LRU of preconditioner factors, the same
-// shape as sketchCache: no single-flight (racing misses both build the
-// same bits and last-write-wins), immutable entries, whole-entry eviction
-// from the LRU tail.
-type precondCache struct {
-	max int64
-
-	mu      sync.Mutex
-	entries map[precondKey]*precondEntry
-	lru     *list.List
-	bytes   int64
-
-	evictions *obs.Counter
-}
-
-func newPrecondCache(maxBytes int64, r *obs.Registry) *precondCache {
-	if maxBytes == 0 {
-		maxBytes = DefaultPrecondCacheBytes
-	}
-	c := &precondCache{
-		max:     maxBytes,
-		entries: make(map[precondKey]*precondEntry),
-		lru:     list.New(),
-	}
-	if r != nil {
-		c.evictions = r.Counter("sketchsp_solve_precond_evictions_total",
-			"Preconditioners reclaimed by the factor-cache byte budget.")
-		r.GaugeFunc("sketchsp_solve_precond_cache_bytes",
-			"Summed bytes of cached preconditioner factors.", func() int64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return c.bytes
-			})
-		r.GaugeFunc("sketchsp_solve_precond_cache_entries",
-			"Preconditioners currently resident.", func() int64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return int64(c.lru.Len())
-			})
-	}
-	return c
-}
-
-// get returns the cached preconditioner for k, or nil. Precond is
-// immutable and safe for concurrent SolvePrecond calls.
-func (c *precondCache) get(k precondKey) *solver.Precond {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(e.elem)
-	return e.p
-}
-
-// put inserts p under k, replacing any racing insert (same key ⇒ same
-// bits) and evicting from the tail past the byte budget.
-func (c *precondCache) put(k precondKey, p *solver.Precond) {
-	bytes := p.FactorBytes()
-	c.mu.Lock()
-	if old, ok := c.entries[k]; ok {
-		c.lru.Remove(old.elem)
-		delete(c.entries, k)
-		c.bytes -= old.bytes
-	}
-	e := &precondEntry{key: k, p: p, bytes: bytes}
-	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
-	c.bytes += bytes
-	for c.max >= 0 && c.bytes > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		old := back.Value.(*precondEntry)
-		c.lru.Remove(back)
-		delete(c.entries, old.key)
-		c.bytes -= old.bytes
-		if c.evictions != nil {
-			c.evictions.Inc()
-		}
-	}
-	c.mu.Unlock()
+// newPrecondCache returns the factor cache: maxBytes of preconditioner
+// factors as FactorBytes counts them, not the transient sketch (0 =
+// default, negative = unbounded).
+func newPrecondCache(maxBytes int64, r *obs.Registry) *byteLRU[precondKey, *solver.Precond] {
+	return newByteLRU[precondKey](cmp.Or(maxBytes, DefaultPrecondCacheBytes), (*solver.Precond).FactorBytes, r, lruMetricNames{
+		evictions:     "sketchsp_solve_precond_evictions_total",
+		evictionsHelp: "Preconditioners reclaimed by the factor-cache byte budget.",
+		bytes:         "sketchsp_solve_precond_cache_bytes",
+		bytesHelp:     "Summed bytes of cached preconditioner factors.",
+		entries:       "sketchsp_solve_precond_cache_entries",
+		entriesHelp:   "Preconditioners currently resident.",
+	})
 }
 
 // solveMetrics is the sketchsp_solve_* family — kept apart from svcMetrics
