@@ -52,11 +52,15 @@ race:
 test-shard-faults:
 	$(GO) test -race -count=2 -run 'TestHedge|TestDuplicate|TestMembership|TestWatchPeers|TestBatch|TestRing' ./internal/shard/
 
-# Short coverage-guided run of the wire fuzzer (v4 frames: solve and
-# job-status messages included); the committed corpus seeds always replay,
-# this adds a few seconds of mutation on top as a PR smoke.
+# Short coverage-guided runs of the wire fuzzer (v4 frames: solve and
+# job-status messages included) and of the POST /v1/sketch handler fuzzer;
+# the committed corpus and seeds always replay, this adds a few seconds of
+# mutation on top as a PR smoke. The handler's new inputs are minimized for
+# at most 100 runs each: at the default 60 s budget the 5 s smoke would
+# spend its time minimizing instead of mutating.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run FuzzWireRoundtrip -fuzz FuzzWireRoundtrip -fuzztime 5s
+	$(GO) test ./internal/server -run FuzzSketchHandler -fuzz FuzzSketchHandler -fuzztime 5s -fuzzminimizetime 100x
 
 # One iteration of the paper-table benchmarks that drive the pre-generated
 # (Figure 4 ablation) and timed (Table III/V breakdown) kernel paths: their

@@ -47,18 +47,7 @@ func (c *Client) SketchRef(ctx context.Context, fp sparse.Fingerprint, d int, op
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	resp, err := wire.DecodeResponse(payload)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, core.Stats{}, err
-	}
-	return resp.Ahat, resp.Stats, nil
+	return c.postSketch(ctx, body)
 }
 
 // SketchCached sketches a by reference, uploading it first only when the

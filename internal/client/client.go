@@ -128,6 +128,12 @@ func (c *Client) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Opt
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
+	return c.postSketch(ctx, body)
+}
+
+// postSketch posts a single sketch request frame (inline or by-ref) and
+// decodes the MsgSketchResponse both answer with.
+func (c *Client) postSketch(ctx context.Context, body []byte) (*dense.Matrix, core.Stats, error) {
 	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -147,55 +153,40 @@ func (c *Client) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Opt
 // is retryable (the server sheds whole batches at admission); per-item
 // outcomes are reported in the returned slice, not as an error.
 func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]wire.SketchResponse, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
 	for i := range reqs {
 		if reqs[i].A == nil {
 			return nil, fmt.Errorf("%w: batch item %d", core.ErrNilMatrix, i)
 		}
 	}
-	body, err := wire.EncodeBatchRequestFrame(reqs)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := wire.DecodeBatchResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != len(reqs) {
-		// A server that fails before per-item decoding (malformed bytes,
-		// response too large to frame) answers with a single-element error
-		// batch; surface that status instead of a count-mismatch artifact.
-		if len(rs) == 1 && rs[0].Status != wire.StatusOK {
-			return nil, rs[0].Err()
-		}
-		return nil, fmt.Errorf("%w: batch response count %d for %d requests", wire.ErrMalformed, len(rs), len(reqs))
-	}
-	return rs, nil
+	return postBatch(c, ctx, len(reqs), func() ([]byte, error) { return wire.EncodeBatchRequestFrame(reqs) },
+		wire.DecodeBatchResponse, (*wire.SketchResponse).Err)
 }
 
 // SketchShardBatch issues column shards of one sketch as a single
 // MsgShardBatchRequest — the coordinator's only shard frame, one per peer
 // and request (a lone shard is a batch of one) — and returns the
-// index-aligned shard responses. It shares Sketch's error taxonomy; retry
-// semantics mirror SketchBatch: the batch is reissued as a whole only
-// while every item's failure is retryable, and per-item outcomes land in
-// the returned slice.
+// index-aligned shard responses. It shares Sketch's error taxonomy and
+// SketchBatch's retry and count rules.
 func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest) ([]wire.ShardResponse, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
 	for i := range reqs {
 		if reqs[i].A == nil {
 			return nil, fmt.Errorf("%w: shard batch item %d", core.ErrNilMatrix, i)
 		}
 	}
-	body, err := wire.EncodeShardBatchRequestFrame(reqs)
+	return postBatch(c, ctx, len(reqs), func() ([]byte, error) { return wire.EncodeShardBatchRequestFrame(reqs) },
+		wire.DecodeShardBatchResponse, (*wire.ShardResponse).Err)
+}
+
+// postBatch posts the frame encode builds for n batch items and decodes the
+// index-aligned answer. A server that fails before per-item decoding
+// (malformed bytes, response too large to frame) answers with a single
+// error item; that status is surfaced instead of a count-mismatch artifact.
+func postBatch[R any](c *Client, ctx context.Context, n int, encode func() ([]byte, error),
+	decode func([]byte) ([]R, error), errOf func(*R) error) ([]R, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	body, err := encode()
 	if err != nil {
 		return nil, err
 	}
@@ -203,15 +194,17 @@ func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := wire.DecodeShardBatchResponse(payload)
+	rs, err := decode(payload)
 	if err != nil {
 		return nil, err
 	}
-	if len(rs) != len(reqs) {
-		if len(rs) == 1 && rs[0].Status != wire.StatusOK {
-			return nil, rs[0].Err()
+	if len(rs) != n {
+		if len(rs) == 1 {
+			if err := errOf(&rs[0]); err != nil {
+				return nil, err
+			}
 		}
-		return nil, fmt.Errorf("%w: shard batch response count %d for %d requests", wire.ErrMalformed, len(rs), len(reqs))
+		return nil, fmt.Errorf("%w: batch response count %d for %d requests", wire.ErrMalformed, len(rs), n)
 	}
 	return rs, nil
 }
@@ -323,71 +316,31 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 // item carries a retryable (or equally shed) failure. Non-retryable statuses
 // return nil here — the caller decodes and reports them per item. Only
 // status bytes are peeked; matrices are never materialized (the caller's
-// decode stays the single full decode), and the one decode below is of an
-// error item, which carries only a detail string.
+// decode stays the single full decode), and the one decode is of the
+// shared error form, which carries only a detail string.
 func statusPeek(t wire.MsgType, payload []byte) error {
-	if t == wire.MsgMatrixInfo {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
+	if t.IsBatch() {
+		items, err := wire.SplitBatchPayload(payload)
+		if err != nil || len(items) == 0 {
 			return err
 		}
-		info, err := wire.DecodeMatrixInfo(payload)
-		if err != nil {
-			return err
+		for _, item := range items {
+			st, err := wire.PeekStatus(item)
+			if err != nil || !st.Retryable() {
+				return err
+			}
 		}
-		return info.Err()
+		payload = items[0] // whole batch shed → retry the whole batch
 	}
-	if t == wire.MsgSketchResponse {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return err
-		}
-		return resp.Err()
-	}
-	if t == wire.MsgSolveResponse {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		resp, err := wire.DecodeSolveResponse(payload)
-		if err != nil {
-			return err
-		}
-		return resp.Err()
-	}
-	if t == wire.MsgJobStatus {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		js, err := wire.DecodeJobStatus(payload)
-		if err != nil {
-			return err
-		}
-		return js.Err()
-	}
-	items, err := wire.SplitBatchPayload(payload)
-	if err != nil || len(items) == 0 {
+	st, err := wire.PeekStatus(payload)
+	if err != nil || !st.Retryable() {
 		return err
 	}
-	for _, item := range items {
-		st, err := wire.PeekStatus(item)
-		if err != nil {
-			return err
-		}
-		if !st.Retryable() {
-			return nil
-		}
-	}
-	var first wire.SketchResponse
-	if err := wire.DecodeResponseInto(&first, items[0]); err != nil {
+	st, detail, err := wire.DecodeError(payload)
+	if err != nil {
 		return err
 	}
-	return first.Err() // whole batch shed → retry the whole batch
+	return st.Err(detail)
 }
 
 // transportError marks failures below the wire protocol (dial, reset,

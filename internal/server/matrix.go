@@ -1,14 +1,12 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
 
 	"sketchsp/internal/obs"
 	"sketchsp/internal/service"
-	"sketchsp/internal/sparse"
 	"sketchsp/internal/store"
 	"sketchsp/internal/wire"
 )
@@ -58,16 +56,17 @@ func (s *Server) handleMatrixPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.met.requests.Inc()
 	sc := s.scratch.Get().(*reqScratch)
 	defer s.scratch.Put(sc)
 
-	dsp := obs.StartSpan(s.met.decode)
-	a, ctx, cancel, err := s.decodeMatrixBody(sc, w, r, wire.MsgMatrixPut)
-	dsp.End()
+	a, ok := decodeFrame(s, sc, w, r, wire.MsgMatrixPut, wire.MsgMatrixInfo, wire.DecodeMatrixPut)
+	if !ok {
+		return
+	}
+	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgMatrixInfo, wire.StatusOf(err), err.Error())
+		s.writeError(w, wire.MsgMatrixInfo, wire.StatusMalformed, err.Error())
 		return
 	}
 	defer cancel()
@@ -91,7 +90,6 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.met.requests.Inc()
 	pathFp, err := wire.ParseFingerprint(strings.TrimPrefix(r.URL.Path, "/v1/matrix/"))
 	if err != nil {
 		s.met.badRequests.Inc()
@@ -101,24 +99,8 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 	sc := s.scratch.Get().(*reqScratch)
 	defer s.scratch.Put(sc)
 
-	dsp := obs.StartSpan(s.met.decode)
-	body, err := s.readBody(sc, w, r)
-	var delta *wire.MatrixDelta
-	if err == nil {
-		var typ wire.MsgType
-		var payload []byte
-		typ, payload, _, err = wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-		if err == nil && typ != wire.MsgMatrixDelta {
-			err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
-		}
-		if err == nil {
-			delta, err = wire.DecodeMatrixDelta(payload)
-		}
-	}
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgMatrixInfo, wire.StatusOf(err), err.Error())
+	delta, ok := decodeFrame(s, sc, w, r, wire.MsgMatrixDelta, wire.MsgMatrixInfo, wire.DecodeMatrixDelta)
+	if !ok {
 		return
 	}
 	// The URL names the matrix being patched; the frame repeats it so a
@@ -148,75 +130,6 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeMatrixInfo(w, sc, info)
-}
-
-// serveSketchRef handles one MsgSketchRef payload on /v1/sketch: sketch a
-// stored matrix by fingerprint. The 121-byte request is the whole point —
-// the answer is the same MsgSketchResponse the inline path produces.
-func (s *Server) serveSketchRef(ctx context.Context, w http.ResponseWriter, sc *reqScratch, payload []byte, dsp obs.Span) {
-	s.met.requests.Inc()
-	req, err := wire.DecodeSketchRef(payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	rb, ok := s.refBackend(w, wire.MsgSketchResponse)
-	if !ok {
-		return
-	}
-	var resp wire.SketchResponse
-	if err := s.checkSketchSize(req.D, req.Fp.N); err != nil {
-		resp = wire.SketchResponse{Status: wire.StatusBadOptions, Detail: err.Error()}
-	} else {
-		xsp := obs.StartSpan(s.met.execute)
-		ahat, st, err := rb.SketchRef(ctx, req.Fp, req.D, req.Opts)
-		xsp.End()
-		if err != nil {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			resp = wire.SketchResponse{Status: wire.StatusOf(err), Detail: err.Error()}
-		} else {
-			resp = wire.SketchResponse{Status: wire.StatusOK, Stats: st, Ahat: ahat}
-		}
-	}
-	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSketchResponse, wire.AppendResponse(nil, &resp))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
-		return
-	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
-	esp.End()
-}
-
-// decodeMatrixBody reads and decodes a MsgMatrixPut body plus the request
-// context. (PATCH decodes inline — it threads the extra fingerprint check.)
-func (s *Server) decodeMatrixBody(sc *reqScratch, w http.ResponseWriter, r *http.Request, want wire.MsgType) (*sparse.CSC, context.Context, context.CancelFunc, error) {
-	body, err := s.readBody(sc, w, r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	typ, payload, _, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if typ != want {
-		return nil, nil, nil, fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
-	}
-	a, err := wire.DecodeMatrixPut(payload)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return a, ctx, cancel, nil
 }
 
 // writeMatrixInfo emits the OK MsgMatrixInfo frame for info.

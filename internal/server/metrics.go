@@ -6,11 +6,13 @@ import (
 	"sketchsp/internal/obs"
 )
 
-// httpCodes are the statuses the sketch endpoint can actually emit (see
-// httpStatus plus the 405 guard); anything else lands in the "other" series
-// so the per-code family stays fixed-cardinality no matter what a proxy or
-// future handler does.
-var httpCodes = [...]int{200, 400, 405, 429, 499, 500, 503, 504}
+// httpCodes are all the statuses the server's handlers count: httpStatus's
+// codes (404 for an unknown fingerprint, job or peer among them), the 405
+// guards, 201 for a PUT /v1/matrix that created the matrix and 202 for a
+// solve admitted as a job. Anything else lands in
+// the "other" series so the per-code family stays fixed-cardinality no
+// matter what a proxy or future handler does.
+var httpCodes = [...]int{200, 201, 202, 400, 404, 405, 429, 499, 500, 503, 504}
 
 // httpMetrics is the transport layer's metric set on the shared registry.
 // Like the service metrics, these handles are the single home of the
@@ -32,7 +34,7 @@ type httpMetrics struct {
 func newHTTPMetrics(r *obs.Registry) *httpMetrics {
 	m := &httpMetrics{
 		requests: r.Counter("sketchsp_http_requests_total",
-			"Sketch requests received (batch items count individually)."),
+			"Requests whose frame decoded (sketch batch items count individually)."),
 		badRequests: r.Counter("sketchsp_http_bad_requests_total",
 			"Request bodies rejected before reaching the service."),
 		bytesIn: r.Counter("sketchsp_http_request_bytes_total",
@@ -41,7 +43,7 @@ func newHTTPMetrics(r *obs.Registry) *httpMetrics {
 			"Response body bytes written."),
 		byCode: make(map[int]*obs.Counter, len(httpCodes)),
 		codeOther: r.LabeledCounter("sketchsp_http_responses_total",
-			`code="other"`, "Responses written to the sketch endpoint, by HTTP status."),
+			`code="other"`, "Responses written, by HTTP status."),
 		decode: r.Histogram("sketchsp_http_decode_seconds",
 			"Request decode stage: body read, frame split, payload decode."),
 		execute: r.Histogram("sketchsp_http_execute_seconds",
@@ -52,7 +54,7 @@ func newHTTPMetrics(r *obs.Registry) *httpMetrics {
 	for _, c := range httpCodes {
 		m.byCode[c] = r.LabeledCounter("sketchsp_http_responses_total",
 			`code="`+strconv.Itoa(c)+`"`,
-			"Responses written to the sketch endpoint, by HTTP status.")
+			"Responses written, by HTTP status.")
 	}
 	return m
 }

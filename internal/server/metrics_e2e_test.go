@@ -247,3 +247,60 @@ func TestE2EPprofGate(t *testing.T) {
 		t.Errorf("pprof on: GET /debug/pprof/cmdline = %d, %d bytes; want 200 with content", res2.StatusCode, len(body))
 	}
 }
+
+// TestE2EResponseCodesHaveTheirOwnSeries: every status a handler writes
+// lands on its own sketchsp_http_responses_total series — 201 for a created
+// matrix, 202 for a solve queued as a job, 404 for an unknown fingerprint
+// or job — and the "other" series stays at 0.
+func TestE2EResponseCodesHaveTheirOwnSeries(t *testing.T) {
+	base, _, _ := startServer(t, service.Config{}, Config{})
+	send := func(method, path string, frame []byte, want int) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode != want {
+			t.Fatalf("%s %s = %d, want %d", method, path, res.StatusCode, want)
+		}
+	}
+	a, b := solveE2E(5, 200, 10)
+	put, err := wire.EncodeMatrixPutFrame(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(http.MethodPut, "/v1/matrix", put, http.StatusCreated)
+	ref, err := wire.EncodeSketchRefFrame(&wire.SketchRefRequest{D: 4, Fp: sparse.RandomUniform(30, 5, 0.2, 9).Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(http.MethodPost, "/v1/sketch", ref, http.StatusNotFound)
+	solve, err := wire.EncodeSolveRequestFrame(&wire.SolveRequest{Method: wire.SolveSAPQR, Async: true, A: a, B: b, Opts: e2eSketchOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(http.MethodPost, "/v1/solve", solve, http.StatusAccepted)
+	send(http.MethodGet, "/v1/jobs/no-such-job", nil, http.StatusNotFound)
+
+	res, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	mm, err := obs.ParseText(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for code, want := range map[string]float64{"201": 1, "202": 1, "404": 2, "other": 0} {
+		key := `sketchsp_http_responses_total{code="` + code + `"}`
+		if got, ok := mm[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+}

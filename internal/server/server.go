@@ -7,9 +7,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/sketch   wire.MsgSketchRequest, wire.MsgBatchRequest or
-//	                  wire.MsgSketchRef body; responds with the matching
-//	                  response frame. The HTTP status mirrors the wire
+//	POST /v1/sketch   wire.MsgSketchRequest, wire.MsgSketchRef,
+//	                  wire.MsgBatchRequest or wire.MsgShardBatchRequest
+//	                  body; responds with the matching response frame
+//	                  (sketch.go). The HTTP status mirrors the wire
 //	                  status (200 OK, 400 invalid, 404 unknown fingerprint,
 //	                  429 overloaded, 503 draining/closed, 504 deadline),
 //	                  but clients should classify by the wire status — it
@@ -53,7 +54,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sketchsp/internal/core"
 	"sketchsp/internal/jobs"
 	"sketchsp/internal/obs"
 	"sketchsp/internal/service"
@@ -71,8 +71,8 @@ type Config struct {
 	// http.MaxBytesReader before any decoding). 0 selects 1 GiB.
 	MaxBodyBytes int64
 	// MaxSketchBytes bounds the d×n response a single request may demand
-	// (8·d·n bytes); beyond it the request is rejected with
-	// StatusBadOptions instead of allocating. 0 selects 1 GiB.
+	// (8·d·n bytes, n counted as at least 1); beyond it the request is
+	// rejected with StatusBadOptions instead of allocating. 0 selects 1 GiB.
 	MaxSketchBytes int64
 	// RequestTimeout, when positive, caps every request's deadline. A
 	// client-supplied X-Sketchsp-Timeout-Ms header can only tighten it.
@@ -123,12 +123,13 @@ type Server struct {
 }
 
 // reqScratch is the pooled per-request workspace: the body buffer, the
-// decoded request (whose CSC slices are reused across requests), and the
-// response encode buffer. Single-request hot path only — batches allocate.
+// decoded single request (whose CSC slices are reused across requests),
+// the /v1/sketch items, and the single-response frame buffer.
 type reqScratch struct {
-	body []byte
-	req  wire.SketchRequest
-	out  []byte
+	body  []byte
+	req   wire.SketchRequest
+	items []sketchItem
+	out   []byte
 }
 
 // New returns a Server fronting the local plan-cache service svc.
@@ -274,58 +275,34 @@ func httpStatus(st wire.Status) int {
 	}
 }
 
-func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.met.countCode(http.StatusMethodNotAllowed)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
-
-	// The decode span covers the whole request-parsing stage — body read,
-	// frame split, payload decode — and is handed down so the per-payload
-	// decoders can close it; error paths close it here.
+// decodeFrame is the decode stage of the endpoints that take one frame
+// type: the body, its one frame of type want, the payload by decode. A
+// failure is answered in response type resp and counted as a bad request;
+// a decoded frame counts as a request.
+func decodeFrame[T any](s *Server, sc *reqScratch, w http.ResponseWriter, r *http.Request,
+	want, resp wire.MsgType, decode func([]byte) (T, error)) (T, bool) {
 	dsp := obs.StartSpan(s.met.decode)
+	var v T
 	body, err := s.readBody(sc, w, r)
+	if err == nil {
+		var typ wire.MsgType
+		var payload []byte
+		if typ, payload, _, err = wire.SplitFrame(body, int(s.cfg.MaxBodyBytes)); err == nil {
+			if typ != want {
+				err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
+			} else {
+				v, err = decode(payload)
+			}
+		}
+	}
+	dsp.End()
 	if err != nil {
-		dsp.End()
 		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusOf(err), err.Error())
-		return
+		s.writeError(w, resp, wire.StatusOf(err), err.Error())
+		return v, false
 	}
-	typ, payload, _, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-	if err != nil {
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusOf(err), err.Error())
-		return
-	}
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	defer cancel()
-
-	switch typ {
-	case wire.MsgSketchRequest:
-		s.serveSingle(ctx, w, sc, payload, dsp)
-	case wire.MsgBatchRequest:
-		s.serveBatch(ctx, w, payload, dsp)
-	case wire.MsgShardBatchRequest:
-		s.serveShardBatch(ctx, w, payload, dsp)
-	case wire.MsgSketchRef:
-		s.serveSketchRef(ctx, w, sc, payload, dsp)
-	default:
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed,
-			fmt.Sprintf("unexpected message type %v", typ))
-	}
+	s.met.requests.Inc()
+	return v, true
 }
 
 // readBody consumes the request body into the pooled buffer under the
@@ -358,194 +335,12 @@ func (s *Server) readBody(sc *reqScratch, w http.ResponseWriter, r *http.Request
 	return buf, nil
 }
 
-// serveSingle handles one MsgSketchRequest payload on the pooled hot path.
-func (s *Server) serveSingle(ctx context.Context, w http.ResponseWriter, sc *reqScratch, payload []byte, dsp obs.Span) {
-	s.met.requests.Inc()
-	err := wire.DecodeRequestInto(&sc.req, payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	resp := s.sketchOne(ctx, &sc.req)
-	xsp.End()
-	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSketchResponse, wire.AppendResponse(nil, &resp))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
-		return
-	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
-	esp.End()
-}
-
-// serveShardBatch handles one MsgShardBatchRequest payload: the column
-// shards of one sketch that the coordinator routed here, a lone shard as a
-// batch of one. A worker needs no special mode — any sketchd answers shard
-// batches. The items run through the same backend SketchBatch path as a
-// plain batch — grouped by plan key, so same-matrix shards resolve the
-// cache once — and each response echoes its shard's J0 for the
-// coordinator's placement check. A frame that fails the strict decode
-// (corrupt envelope or item, mixed matrices, overlapping column ranges) is
-// rejected whole with StatusMalformed, which the coordinator fails fast.
-func (s *Server) serveShardBatch(ctx context.Context, w http.ResponseWriter, payload []byte, dsp obs.Span) {
-	reqs, err := wire.DecodeShardBatchRequest(payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgShardBatchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	s.met.requests.Add(int64(len(reqs)))
-	sreqs := make([]service.Request, len(reqs))
-	oversize := make([]bool, len(reqs))
-	for i := range reqs {
-		if err := s.checkSketchSize(reqs[i].D, reqs[i].A.N); err != nil {
-			oversize[i] = true
-			continue
-		}
-		sreqs[i] = service.Request{A: reqs[i].A, D: reqs[i].D, Opts: reqs[i].Opts}
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	sresps := s.backend.SketchBatch(ctx, sreqs)
-	xsp.End()
-	out := make([]wire.ShardResponse, len(reqs))
-	for i := range out {
-		switch {
-		case oversize[i]:
-			out[i] = wire.ShardResponse{Status: wire.StatusBadOptions,
-				Detail: fmt.Sprintf("sketch %dx%d exceeds MaxSketchBytes %d", reqs[i].D, reqs[i].A.N, s.cfg.MaxSketchBytes)}
-		case sresps[i].Err != nil:
-			err := sresps[i].Err
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			out[i] = wire.ShardResponse{Status: wire.StatusOf(err), Detail: err.Error()}
-		default:
-			out[i] = wire.ShardResponse{Status: wire.StatusOK, J0: reqs[i].J0,
-				Stats: sresps[i].Stats, Partial: sresps[i].Ahat}
-		}
-	}
-	esp := obs.StartSpan(s.met.encode)
-	frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, wire.AppendShardBatchResponse(nil, out))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgShardBatchResponse, wire.StatusInternal, "shard batch response too large to frame: "+err.Error())
-		return
-	}
-	s.writeFrame(w, http.StatusOK, frame)
-	esp.End()
-}
-
-// serveBatch handles one MsgBatchRequest payload: the requests are mapped
-// onto service.SketchBatch, which groups them by plan key so a batch of
-// same-matrix sketches resolves the cache once and executes back-to-back
-// on the hot plan.
-func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, payload []byte, dsp obs.Span) {
-	reqs, err := wire.DecodeBatchRequest(payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgBatchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	s.met.requests.Add(int64(len(reqs)))
-	sreqs := make([]service.Request, len(reqs))
-	oversize := make([]bool, len(reqs))
-	for i := range reqs {
-		if err := s.checkSketchSize(reqs[i].D, reqs[i].A.N); err != nil {
-			oversize[i] = true
-			continue
-		}
-		sreqs[i] = service.Request{A: reqs[i].A, D: reqs[i].D, Opts: reqs[i].Opts}
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	sresps := s.backend.SketchBatch(ctx, sreqs)
-	xsp.End()
-	out := make([]wire.SketchResponse, len(reqs))
-	for i := range out {
-		switch {
-		case oversize[i]:
-			out[i] = wire.SketchResponse{Status: wire.StatusBadOptions,
-				Detail: fmt.Sprintf("sketch %dx%d exceeds MaxSketchBytes %d", reqs[i].D, reqs[i].A.N, s.cfg.MaxSketchBytes)}
-		case sresps[i].Err != nil:
-			st := wire.StatusOf(sresps[i].Err)
-			out[i] = wire.SketchResponse{Status: st, Detail: sresps[i].Err.Error()}
-		default:
-			out[i] = wire.SketchResponse{Status: wire.StatusOK, Stats: sresps[i].Stats, Ahat: sresps[i].Ahat}
-		}
-	}
-	// A batch of near-MaxSketchBytes sketches can legitimately exceed the
-	// 32-bit frame length; answer with a framable error instead of a
-	// length-wrapped frame that would desync the client's decoder.
-	esp := obs.StartSpan(s.met.encode)
-	frame, err := wire.AppendFrame(nil, wire.MsgBatchResponse, wire.AppendBatchResponse(nil, out))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgBatchResponse, wire.StatusInternal, "batch response too large to frame: "+err.Error())
-		return
-	}
-	s.writeFrame(w, http.StatusOK, frame)
-	esp.End()
-}
-
-// sketchOne runs one request through the service and classifies the
-// outcome. The response's Ahat is freshly allocated per request — it is
-// being serialised right after, so pooling it would only add copying.
-func (s *Server) sketchOne(ctx context.Context, req *wire.SketchRequest) wire.SketchResponse {
-	if err := s.checkSketchSize(req.D, req.A.N); err != nil {
-		return wire.SketchResponse{Status: wire.StatusBadOptions, Detail: err.Error()}
-	}
-	ahat, st, err := s.backend.Sketch(ctx, req.A, req.D, req.Opts)
-	if err != nil {
-		// Prefer the context's verdict when the deadline raced the
-		// execute: the client asked for a bounded request and should see
-		// the deadline status, not an internal cancellation artifact.
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		return wire.SketchResponse{Status: wire.StatusOf(err), Detail: err.Error()}
-	}
-	return wire.SketchResponse{Status: wire.StatusOK, Stats: st, Ahat: ahat}
-}
-
-// checkSketchSize bounds the response allocation 8·d·n.
-func (s *Server) checkSketchSize(d, n int) error {
-	if d > 0 && n > 0 && int64(d) > s.cfg.MaxSketchBytes/8/int64(n) {
-		return fmt.Errorf("%w: sketch %dx%d exceeds MaxSketchBytes %d",
-			core.ErrBadOptions, d, n, s.cfg.MaxSketchBytes)
-	}
-	return nil
-}
-
-// writeError emits a non-OK response frame of the given kind. Batch-shaped
-// failures that happen before per-item decoding (malformed bytes, bad
-// deadline header) come back as a single-element batch response so the
-// client's decoder matches what it sent.
+// writeError answers with the error payload of response type typ: the
+// shared error form, wrapped as a batch of one item for the batch types.
 func (s *Server) writeError(w http.ResponseWriter, typ wire.MsgType, st wire.Status, detail string) {
-	resp := wire.SketchResponse{Status: st, Detail: detail}
-	var payload []byte
-	switch typ {
-	case wire.MsgBatchResponse:
-		payload = wire.AppendBatchResponse(nil, []wire.SketchResponse{resp})
-	case wire.MsgShardBatchResponse:
-		payload = wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{Status: st, Detail: detail}})
-	case wire.MsgMatrixInfo:
-		payload = wire.AppendMatrixInfo(nil, &wire.MatrixInfo{Status: st, Detail: detail})
-	case wire.MsgSolveResponse:
-		payload = wire.AppendSolveResponse(nil, &wire.SolveResponse{Status: st, Detail: detail})
-	case wire.MsgJobStatus:
-		payload = wire.AppendJobStatus(nil, &wire.JobStatus{Status: st, Detail: detail})
-	default:
-		payload = wire.AppendResponse(nil, &resp)
-	}
 	// An error payload is a status byte plus a short detail string — it
 	// cannot reach the frame limit, so the framing error is impossible.
-	frame, _ := wire.AppendFrame(nil, typ, payload)
+	frame, _ := wire.AppendFrame(nil, typ, wire.AppendErrorPayload(nil, typ, st, detail))
 	s.writeFrame(w, httpStatus(st), frame)
 }
 

@@ -224,141 +224,106 @@ func DecodeResponse(payload []byte) (*SketchResponse, error) {
 // DecodeResponseInto decodes a single-response payload into dst, reusing
 // dst.Ahat's Data capacity when dst.Ahat is non-nil.
 func DecodeResponseInto(dst *SketchResponse, payload []byte) error {
-	if len(payload) < 1 {
-		return fmt.Errorf("%w: empty response payload", ErrMalformed)
+	st, detail, err := DecodeError(payload)
+	if err != nil {
+		return err
 	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
-	}
-	dst.Status = st
+	dst.Status, dst.Detail = st, detail
 	if st != StatusOK {
-		if len(payload) < 5 {
-			return fmt.Errorf("%w: truncated error response", ErrMalformed)
-		}
-		n := uint64(getU32(payload[1:5]))
-		if uint64(len(payload)-5) != n {
-			return fmt.Errorf("%w: error detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
-		}
-		dst.Detail = string(payload[5:])
-		dst.Stats = core.Stats{}
-		dst.Ahat = nil
+		dst.Stats, dst.Ahat = core.Stats{}, nil
 		return nil
 	}
-	const statsSize = 6*8 + 8
-	if len(payload) < 1+statsSize {
-		return fmt.Errorf("%w: truncated response stats", ErrMalformed)
-	}
-	samples := int64(getU64(payload[1:]))
-	flops := int64(getU64(payload[9:]))
-	sampleNS := int64(getU64(payload[17:]))
-	convertNS := int64(getU64(payload[25:]))
-	totalNS := int64(getU64(payload[33:]))
-	steals := int64(getU64(payload[41:]))
-	imb := math.Float64frombits(getU64(payload[49:]))
-	if samples < 0 || flops < 0 || sampleNS < 0 || convertNS < 0 || totalNS < 0 || steals < 0 {
-		return fmt.Errorf("%w: negative response stats", ErrMalformed)
-	}
-	if math.IsNaN(imb) || math.IsInf(imb, 0) || imb < 0 {
-		return fmt.Errorf("%w: non-finite or negative imbalance", ErrMalformed)
-	}
-	dst.Detail = ""
-	dst.Stats = core.Stats{
-		Samples:     samples,
-		Flops:       flops,
-		SampleTime:  time.Duration(sampleNS),
-		ConvertTime: time.Duration(convertNS),
-		Total:       time.Duration(totalNS),
-		Steals:      steals,
-		Imbalance:   imb,
+	if dst.Stats, err = decodeStats(payload[1:]); err != nil {
+		return err
 	}
 	if dst.Ahat == nil {
 		dst.Ahat = new(dense.Matrix)
 	}
-	return DecodeDenseInto(dst.Ahat, payload[1+statsSize:])
+	return DecodeDenseInto(dst.Ahat, payload[1+statsWireSize:])
 }
 
-// PeekStatus reads a response payload's status byte without decoding the
-// rest. The client's retry loop classifies responses with it so a
-// successful response is not fully decoded twice (the dense Â dominates
-// decode cost; the status is one byte).
-func PeekStatus(payload []byte) (Status, error) {
-	if len(payload) < 1 {
-		return 0, fmt.Errorf("%w: empty response payload", ErrMalformed)
+// decodeStats decodes the execute Stats block at the head of payload,
+// rejecting negative counts and a non-finite or negative imbalance.
+func decodeStats(payload []byte) (core.Stats, error) {
+	if len(payload) < statsWireSize {
+		return core.Stats{}, fmt.Errorf("%w: truncated response stats", ErrMalformed)
 	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return 0, fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
+	var v [6]int64
+	for i := range v {
+		if v[i] = int64(getU64(payload[8*i:])); v[i] < 0 {
+			return core.Stats{}, fmt.Errorf("%w: negative response stats", ErrMalformed)
+		}
 	}
-	return st, nil
-}
-
-// SplitBatchPayload parses a batch payload into its per-item payload views
-// without decoding the items. The views alias payload.
-func SplitBatchPayload(payload []byte) ([][]byte, error) {
-	_, items, err := splitBatch(payload)
-	return items, err
+	imb := math.Float64frombits(getU64(payload[48:]))
+	if math.IsNaN(imb) || math.IsInf(imb, 0) || imb < 0 {
+		return core.Stats{}, fmt.Errorf("%w: non-finite or negative imbalance", ErrMalformed)
+	}
+	return core.Stats{
+		Samples:     v[0],
+		Flops:       v[1],
+		SampleTime:  time.Duration(v[2]),
+		ConvertTime: time.Duration(v[3]),
+		Total:       time.Duration(v[4]),
+		Steals:      v[5],
+		Imbalance:   imb,
+	}, nil
 }
 
 // DecodeBatchRequest decodes a batch-request payload.
 func DecodeBatchRequest(payload []byte) ([]SketchRequest, error) {
-	n, items, err := splitBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]SketchRequest, n)
-	for i, item := range items {
-		if err := DecodeRequestInto(&reqs[i], item); err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
-		}
-	}
-	return reqs, nil
+	return decodeBatch(payload, DecodeRequestInto)
 }
 
 // DecodeBatchResponse decodes a batch-response payload.
 func DecodeBatchResponse(payload []byte) ([]SketchResponse, error) {
-	n, items, err := splitBatch(payload)
+	return decodeBatch(payload, DecodeResponseInto)
+}
+
+// decodeBatch decodes every item of a batch payload with decode.
+func decodeBatch[T any](payload []byte, decode func(*T, []byte) error) ([]T, error) {
+	items, err := SplitBatchPayload(payload)
 	if err != nil {
 		return nil, err
 	}
-	rs := make([]SketchResponse, n)
+	out := make([]T, len(items))
 	for i, item := range items {
-		if err := DecodeResponseInto(&rs[i], item); err != nil {
+		if err := decode(&out[i], item); err != nil {
 			return nil, fmt.Errorf("batch item %d: %w", i, err)
 		}
 	}
-	return rs, nil
+	return out, nil
 }
 
-// splitBatch parses the count-prefixed item list of a batch payload into
-// per-item views (no copying) and enforces exact consumption.
-func splitBatch(payload []byte) (int, [][]byte, error) {
+// SplitBatchPayload parses the count-prefixed item list of a batch payload
+// into per-item views (no copying; they alias payload) without decoding
+// the items, and enforces exact consumption.
+func SplitBatchPayload(payload []byte) ([][]byte, error) {
 	if len(payload) < 4 {
-		return 0, nil, fmt.Errorf("%w: batch payload %d bytes, want >= 4", ErrMalformed, len(payload))
+		return nil, fmt.Errorf("%w: batch payload %d bytes, want >= 4", ErrMalformed, len(payload))
 	}
 	count := uint64(getU32(payload))
 	rest := payload[4:]
 	// Each item costs at least its own 4-byte length prefix.
 	if count > uint64(len(rest))/4 {
-		return 0, nil, fmt.Errorf("%w: batch count %d inconsistent with %d payload bytes", ErrMalformed, count, len(rest))
+		return nil, fmt.Errorf("%w: batch count %d inconsistent with %d payload bytes", ErrMalformed, count, len(rest))
 	}
 	items := make([][]byte, count)
 	for i := range items {
 		if len(rest) < 4 {
-			return 0, nil, fmt.Errorf("%w: truncated batch item %d", ErrMalformed, i)
+			return nil, fmt.Errorf("%w: truncated batch item %d", ErrMalformed, i)
 		}
 		n := uint64(getU32(rest))
 		rest = rest[4:]
 		if n > uint64(len(rest)) {
-			return 0, nil, fmt.Errorf("%w: batch item %d claims %d of %d bytes", ErrMalformed, i, n, len(rest))
+			return nil, fmt.Errorf("%w: batch item %d claims %d of %d bytes", ErrMalformed, i, n, len(rest))
 		}
 		items[i] = rest[:n]
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrMalformed, len(rest))
+		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrMalformed, len(rest))
 	}
-	return int(count), items, nil
+	return items, nil
 }
 
 func intSliceInto(s []int, n int) []int {

@@ -108,45 +108,52 @@ func AppendRequest(dst []byte, d int, opts core.Options, a *sparse.CSC) []byte {
 
 // AppendResponse appends r's response payload to dst.
 func AppendResponse(dst []byte, r *SketchResponse) []byte {
-	dst = append(dst, byte(r.Status))
 	if r.Status != StatusOK {
-		detail := r.Detail
-		dst = appendU32(dst, uint32(len(detail)))
-		return append(dst, detail...)
+		return AppendError(dst, r.Status, r.Detail)
 	}
-	dst = appendU64(dst, uint64(r.Stats.Samples))
-	dst = appendU64(dst, uint64(r.Stats.Flops))
-	dst = appendU64(dst, uint64(r.Stats.SampleTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.ConvertTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.Total.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.Steals))
-	dst = appendU64(dst, math.Float64bits(r.Stats.Imbalance))
+	dst = appendStats(append(dst, byte(StatusOK)), r.Stats)
 	return AppendDense(dst, r.Ahat)
+}
+
+// statsWireSize is the encoded size of the execute Stats an OK sketch or
+// shard response carries: six integers and the imbalance.
+const statsWireSize = 6*8 + 8
+
+// appendStats appends the execute Stats block of an OK response.
+func appendStats(dst []byte, st core.Stats) []byte {
+	dst = appendU64(dst, uint64(st.Samples))
+	dst = appendU64(dst, uint64(st.Flops))
+	dst = appendU64(dst, uint64(st.SampleTime.Nanoseconds()))
+	dst = appendU64(dst, uint64(st.ConvertTime.Nanoseconds()))
+	dst = appendU64(dst, uint64(st.Total.Nanoseconds()))
+	dst = appendU64(dst, uint64(st.Steals))
+	return appendU64(dst, math.Float64bits(st.Imbalance))
+}
+
+// appendBatch appends the envelope every batch payload shares: the item
+// count, then each item as item appends it, prefixed by its u32 length.
+func appendBatch(dst []byte, n int, item func(dst []byte, i int) []byte) []byte {
+	dst = appendU32(dst, uint32(n))
+	for i := 0; i < n; i++ {
+		mark := len(dst)
+		dst = item(appendU32(dst, 0), i) // length backpatched below
+		putU32(dst[mark:mark+4], uint32(len(dst)-mark-4))
+	}
+	return dst
 }
 
 // AppendBatchRequest appends a batch-request payload: count, then each
 // request length-prefixed.
 func AppendBatchRequest(dst []byte, reqs []SketchRequest) []byte {
-	dst = appendU32(dst, uint32(len(reqs)))
-	for i := range reqs {
-		n := requestFixedSize + cscPayloadSize(reqs[i].A)
-		dst = appendU32(dst, uint32(n))
-		dst = AppendRequest(dst, reqs[i].D, reqs[i].Opts, reqs[i].A)
-	}
-	return dst
+	return appendBatch(dst, len(reqs), func(dst []byte, i int) []byte {
+		return AppendRequest(dst, reqs[i].D, reqs[i].Opts, reqs[i].A)
+	})
 }
 
 // AppendBatchResponse appends a batch-response payload: count, then each
 // response length-prefixed.
 func AppendBatchResponse(dst []byte, rs []SketchResponse) []byte {
-	dst = appendU32(dst, uint32(len(rs)))
-	for i := range rs {
-		mark := len(dst)
-		dst = appendU32(dst, 0) // length backpatched below
-		dst = AppendResponse(dst, &rs[i])
-		putU32(dst[mark:mark+4], uint32(len(dst)-mark-4))
-	}
-	return dst
+	return appendBatch(dst, len(rs), func(dst []byte, i int) []byte { return AppendResponse(dst, &rs[i]) })
 }
 
 // EncodeRequestFrame returns a complete single-request frame, ready for an

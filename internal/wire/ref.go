@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -24,7 +23,7 @@ import (
 //	MsgMatrixInfo:   u8 status
 //	                 status == StatusOK:  u64 m | u64 n | u64 nnz |
 //	                                      u64 hash | i64 bytes | u8 created
-//	                 status != StatusOK:  u32 detailLen | detail bytes
+//	                 status != StatusOK:  the error form (wire.go)
 //
 //	MsgSketchRef:    request fixed prefix (d, seed, options, flags — byte-
 //	                 identical to MsgSketchRequest's) | u64 m | u64 n |
@@ -35,9 +34,9 @@ import (
 //	                 fingerprint) | CSC payload of ΔA (same shape as the
 //	                 base; answered with MsgMatrixInfo for A+ΔA)
 //
-// The error form of MsgMatrixInfo matches MsgSketchResponse's exactly, so
-// server-side failures emitted before the frame type is known still decode
-// on every path.
+// MsgMatrixInfo shares the error form of every response, so server-side
+// failures emitted before the frame type is known still decode on every
+// path.
 
 // fingerprintWireSize is the encoded size of a sparse.Fingerprint:
 // m, n, nnz, hash as four u64 words.
@@ -113,12 +112,10 @@ func DecodeMatrixPut(payload []byte) (*sparse.CSC, error) {
 
 // AppendMatrixInfo appends r's matrix-info payload to dst.
 func AppendMatrixInfo(dst []byte, r *MatrixInfo) []byte {
-	dst = append(dst, byte(r.Status))
 	if r.Status != StatusOK {
-		dst = appendU32(dst, uint32(len(r.Detail)))
-		return append(dst, r.Detail...)
+		return AppendError(dst, r.Status, r.Detail)
 	}
-	dst = appendFingerprint(dst, r.Fp)
+	dst = appendFingerprint(append(dst, byte(StatusOK)), r.Fp)
 	dst = appendU64(dst, uint64(r.Bytes))
 	if r.Created {
 		return append(dst, 1)
@@ -128,23 +125,12 @@ func AppendMatrixInfo(dst []byte, r *MatrixInfo) []byte {
 
 // DecodeMatrixInfo decodes a matrix-info payload.
 func DecodeMatrixInfo(payload []byte) (*MatrixInfo, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: empty matrix-info payload", ErrMalformed)
+	st, detail, err := DecodeError(payload)
+	if err != nil {
+		return nil, err
 	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
-	}
-	r := &MatrixInfo{Status: st}
+	r := &MatrixInfo{Status: st, Detail: detail}
 	if st != StatusOK {
-		if len(payload) < 5 {
-			return nil, fmt.Errorf("%w: truncated matrix-info error", ErrMalformed)
-		}
-		n := uint64(getU32(payload[1:5]))
-		if uint64(len(payload)-5) != n {
-			return nil, fmt.Errorf("%w: matrix-info detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
-		}
-		r.Detail = string(payload[5:])
 		return r, nil
 	}
 	const okSize = 1 + fingerprintWireSize + 8 + 1
@@ -175,25 +161,7 @@ func DecodeMatrixInfo(payload []byte) (*MatrixInfo, error) {
 // fixed (d, options) prefix as AppendRequest, then the fingerprint in place
 // of the matrix.
 func AppendSketchRef(dst []byte, r *SketchRefRequest) []byte {
-	dst = appendU64(dst, uint64(r.D))
-	dst = appendU64(dst, r.Opts.Seed)
-	dst = appendU64(dst, uint64(int64(r.Opts.Algorithm)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Dist)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Source)))
-	dst = appendU64(dst, uint64(int64(r.Opts.BlockD)))
-	dst = appendU64(dst, uint64(int64(r.Opts.BlockN)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Workers)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Sched)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Sparsity)))
-	dst = appendU64(dst, math.Float64bits(r.Opts.RNGCost))
-	var flags byte
-	if r.Opts.Timed {
-		flags |= 1
-	}
-	if r.Opts.TuneBlockN {
-		flags |= 2
-	}
-	dst = append(dst, flags)
+	dst = appendSketchOpts(appendU64(dst, uint64(r.D)), r.Opts)
 	return appendFingerprint(dst, r.Fp)
 }
 

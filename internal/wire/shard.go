@@ -2,8 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
@@ -33,9 +31,9 @@ import (
 //	status == StatusOK:  u64 j0 | i64 samples | i64 flops | i64 sampleNS |
 //	                     i64 convertNS | i64 totalNS | i64 steals |
 //	                     f64 imbalance | dense payload (to end of item)
-//	status != StatusOK:  u32 detailLen | detailLen bytes of UTF-8 detail
+//	status != StatusOK:  the error form (wire.go)
 //
-// The error form matches MsgSketchResponse exactly, so the client's status
+// The error form is the one every response shares, so the client's status
 // peek reads shard items and sketch responses alike.
 
 // ShardRequest is the decoded form of a shard request item: the embedded
@@ -101,81 +99,38 @@ func DecodeShardRequestInto(dst *ShardRequest, payload []byte) error {
 
 // AppendShardResponse appends r's shard response item to dst.
 func AppendShardResponse(dst []byte, r *ShardResponse) []byte {
-	dst = append(dst, byte(r.Status))
 	if r.Status != StatusOK {
-		dst = appendU32(dst, uint32(len(r.Detail)))
-		return append(dst, r.Detail...)
+		return AppendError(dst, r.Status, r.Detail)
 	}
-	dst = appendU64(dst, uint64(r.J0))
-	dst = appendU64(dst, uint64(r.Stats.Samples))
-	dst = appendU64(dst, uint64(r.Stats.Flops))
-	dst = appendU64(dst, uint64(r.Stats.SampleTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.ConvertTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.Total.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.Steals))
-	dst = appendU64(dst, math.Float64bits(r.Stats.Imbalance))
-	return AppendDense(dst, r.Partial)
+	dst = appendU64(append(dst, byte(StatusOK)), uint64(r.J0))
+	return AppendDense(appendStats(dst, r.Stats), r.Partial)
 }
 
 // DecodeShardResponseInto decodes a shard response item into dst, reusing
 // dst.Partial's Data capacity when non-nil.
 func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
-	if len(payload) < 1 {
-		return fmt.Errorf("%w: empty shard response payload", ErrMalformed)
+	st, detail, err := DecodeError(payload)
+	if err != nil {
+		return err
 	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
-	}
-	dst.Status = st
+	dst.Status, dst.Detail = st, detail
 	if st != StatusOK {
-		if len(payload) < 5 {
-			return fmt.Errorf("%w: truncated shard error response", ErrMalformed)
-		}
-		n := uint64(getU32(payload[1:5]))
-		if uint64(len(payload)-5) != n {
-			return fmt.Errorf("%w: shard error detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
-		}
-		dst.Detail = string(payload[5:])
-		dst.J0 = 0
-		dst.Stats = core.Stats{}
-		dst.Partial = nil
+		dst.J0, dst.Stats, dst.Partial = 0, core.Stats{}, nil
 		return nil
 	}
-	const fixed = 8 + 6*8 + 8 // j0, six integer stats, imbalance
-	if len(payload) < 1+fixed {
+	if len(payload) < 1+8 {
 		return fmt.Errorf("%w: truncated shard response stats", ErrMalformed)
 	}
 	j0 := getU64(payload[1:])
-	samples := int64(getU64(payload[9:]))
-	flops := int64(getU64(payload[17:]))
-	sampleNS := int64(getU64(payload[25:]))
-	convertNS := int64(getU64(payload[33:]))
-	totalNS := int64(getU64(payload[41:]))
-	steals := int64(getU64(payload[49:]))
-	imb := math.Float64frombits(getU64(payload[57:]))
 	if j0 > MaxDim {
 		return fmt.Errorf("%w: shard j0 %d exceeds MaxDim", ErrMalformed, j0)
 	}
-	if samples < 0 || flops < 0 || sampleNS < 0 || convertNS < 0 || totalNS < 0 || steals < 0 {
-		return fmt.Errorf("%w: negative shard response stats", ErrMalformed)
-	}
-	if math.IsNaN(imb) || math.IsInf(imb, 0) || imb < 0 {
-		return fmt.Errorf("%w: non-finite or negative imbalance", ErrMalformed)
-	}
-	dst.Detail = ""
 	dst.J0 = int(j0)
-	dst.Stats = core.Stats{
-		Samples:     samples,
-		Flops:       flops,
-		SampleTime:  time.Duration(sampleNS),
-		ConvertTime: time.Duration(convertNS),
-		Total:       time.Duration(totalNS),
-		Steals:      steals,
-		Imbalance:   imb,
+	if dst.Stats, err = decodeStats(payload[9:]); err != nil {
+		return err
 	}
 	if dst.Partial == nil {
 		dst.Partial = new(dense.Matrix)
 	}
-	return DecodeDenseInto(dst.Partial, payload[1+fixed:])
+	return DecodeDenseInto(dst.Partial, payload[9+statsWireSize:])
 }

@@ -39,32 +39,23 @@ const (
 // to pin the decoder's rejections — but every frame the coordinator builds
 // satisfies it by construction (shards tile [0, n)).
 func AppendShardBatchRequest(dst []byte, reqs []ShardRequest) []byte {
-	dst = appendU32(dst, uint32(len(reqs)))
-	for i := range reqs {
-		dst = appendU32(dst, uint32(shardRequestSize(&reqs[i])))
-		dst = AppendShardRequest(dst, &reqs[i])
-	}
-	return dst
+	return appendBatch(dst, len(reqs), func(dst []byte, i int) []byte { return AppendShardRequest(dst, &reqs[i]) })
 }
 
 // DecodeShardBatchRequest decodes a shard batch request payload, enforcing
 // the cross-item invariants: one shared nTotal, items sorted by j0 with
 // disjoint column ranges.
 func DecodeShardBatchRequest(payload []byte) ([]ShardRequest, error) {
-	n, items, err := splitBatch(payload)
+	reqs, err := decodeBatch(payload, DecodeShardRequestInto)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
+	if len(reqs) == 0 {
 		return nil, fmt.Errorf("%w: empty shard batch", ErrMalformed)
 	}
-	reqs := make([]ShardRequest, n)
 	nextJ0 := 0
-	for i, item := range items {
-		if err := DecodeShardRequestInto(&reqs[i], item); err != nil {
-			return nil, fmt.Errorf("shard batch item %d: %w", i, err)
-		}
-		if i > 0 && reqs[i].NTotal != reqs[0].NTotal {
+	for i := range reqs {
+		if reqs[i].NTotal != reqs[0].NTotal {
 			return nil, fmt.Errorf("%w: shard batch item %d names nTotal %d, item 0 named %d", ErrMalformed, i, reqs[i].NTotal, reqs[0].NTotal)
 		}
 		if reqs[i].J0 < nextJ0 {
@@ -76,17 +67,9 @@ func DecodeShardBatchRequest(payload []byte) ([]ShardRequest, error) {
 }
 
 // AppendShardBatchResponse appends a shard batch response payload: count,
-// then each shard response length-prefixed (lengths backpatched, matching
-// AppendBatchResponse).
+// then each shard response length-prefixed.
 func AppendShardBatchResponse(dst []byte, rs []ShardResponse) []byte {
-	dst = appendU32(dst, uint32(len(rs)))
-	for i := range rs {
-		mark := len(dst)
-		dst = appendU32(dst, 0) // length backpatched below
-		dst = AppendShardResponse(dst, &rs[i])
-		putU32(dst[mark:mark+4], uint32(len(dst)-mark-4))
-	}
-	return dst
+	return appendBatch(dst, len(rs), func(dst []byte, i int) []byte { return AppendShardResponse(dst, &rs[i]) })
 }
 
 // DecodeShardBatchResponse decodes a shard batch response payload. Items
@@ -95,17 +78,7 @@ func AppendShardBatchResponse(dst []byte, rs []ShardResponse) []byte {
 // against the shard it placed, so the decoder imposes no cross-item
 // constraints of its own.
 func DecodeShardBatchResponse(payload []byte) ([]ShardResponse, error) {
-	n, items, err := splitBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]ShardResponse, n)
-	for i, item := range items {
-		if err := DecodeShardResponseInto(&rs[i], item); err != nil {
-			return nil, fmt.Errorf("shard batch item %d: %w", i, err)
-		}
-	}
-	return rs, nil
+	return decodeBatch(payload, DecodeShardResponseInto)
 }
 
 // EncodeShardBatchRequestFrame returns a complete shard batch request

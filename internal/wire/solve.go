@@ -29,7 +29,7 @@ import (
 // Solve response (MsgSolveResponse):
 //
 //	u8 status
-//	status != StatusOK: u32 detailLen | detail
+//	status != StatusOK: the error form (wire.go)
 //	status == StatusOK:
 //	  u8 kind (0 solution, 1 factors) | u8 method |
 //	  u8 infoFlags (bit0 converged, bit1 precond-cached) |
@@ -41,7 +41,7 @@ import (
 // Job status (MsgJobStatus):
 //
 //	u8 status
-//	status != StatusOK: u32 detailLen | detail
+//	status != StatusOK: the error form (wire.go)
 //	status == StatusOK:
 //	  u8 state | i64 iters | f64 resid | u32 idLen | id bytes |
 //	  u8 hasResult | (hasResult == 1: solve-response payload, to end)
@@ -311,11 +311,10 @@ const solveInfoSize = 1 + 1 + 1 + 6*8 + 8 // kind, method, flags, 6 i64, residua
 
 // AppendSolveResponse appends r's payload to dst.
 func AppendSolveResponse(dst []byte, r *SolveResponse) []byte {
-	dst = append(dst, byte(r.Status))
 	if r.Status != StatusOK {
-		dst = appendU32(dst, uint32(len(r.Detail)))
-		return append(dst, r.Detail...)
+		return AppendError(dst, r.Status, r.Detail)
 	}
+	dst = append(dst, byte(StatusOK))
 	var kind byte
 	if r.Factors != nil {
 		kind = 1
@@ -356,23 +355,12 @@ func AppendSolveResponse(dst []byte, r *SolveResponse) []byte {
 
 // DecodeSolveResponse decodes a solve-response payload.
 func DecodeSolveResponse(payload []byte) (*SolveResponse, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: empty solve response", ErrMalformed)
+	st, detail, err := DecodeError(payload)
+	if err != nil {
+		return nil, err
 	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
-	}
-	r := &SolveResponse{Status: st}
+	r := &SolveResponse{Status: st, Detail: detail}
 	if st != StatusOK {
-		if len(payload) < 5 {
-			return nil, fmt.Errorf("%w: truncated solve error", ErrMalformed)
-		}
-		n := uint64(getU32(payload[1:5]))
-		if uint64(len(payload)-5) != n {
-			return nil, fmt.Errorf("%w: solve error detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
-		}
-		r.Detail = string(payload[5:])
 		return r, nil
 	}
 	if len(payload) < 1+solveInfoSize {
@@ -482,11 +470,10 @@ const maxJobIDLen = 64
 
 // AppendJobStatus appends j's payload to dst.
 func AppendJobStatus(dst []byte, j *JobStatus) []byte {
-	dst = append(dst, byte(j.Status))
 	if j.Status != StatusOK {
-		dst = appendU32(dst, uint32(len(j.Detail)))
-		return append(dst, j.Detail...)
+		return AppendError(dst, j.Status, j.Detail)
 	}
+	dst = append(dst, byte(StatusOK))
 	dst = append(dst, byte(j.State))
 	dst = appendU64(dst, uint64(int64(j.Iters)))
 	dst = appendU64(dst, math.Float64bits(j.Resid))
@@ -501,23 +488,12 @@ func AppendJobStatus(dst []byte, j *JobStatus) []byte {
 
 // DecodeJobStatus decodes a job-status payload.
 func DecodeJobStatus(payload []byte) (*JobStatus, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: empty job status", ErrMalformed)
+	st, detail, err := DecodeError(payload)
+	if err != nil {
+		return nil, err
 	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
-	}
-	j := &JobStatus{Status: st}
+	j := &JobStatus{Status: st, Detail: detail}
 	if st != StatusOK {
-		if len(payload) < 5 {
-			return nil, fmt.Errorf("%w: truncated job-status error", ErrMalformed)
-		}
-		n := uint64(getU32(payload[1:5]))
-		if uint64(len(payload)-5) != n {
-			return nil, fmt.Errorf("%w: job-status detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
-		}
-		j.Detail = string(payload[5:])
 		return j, nil
 	}
 	const fixed = 1 + 1 + 8 + 8 + 4 // status, state, iters, resid, idLen

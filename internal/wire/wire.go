@@ -47,7 +47,7 @@
 //	status == StatusOK:  i64 samples | i64 flops | i64 sampleNS |
 //	                     i64 convertNS | i64 totalNS | i64 steals |
 //	                     f64 imbalance | dense payload (to end of frame)
-//	status != StatusOK:  u32 detailLen | detailLen bytes of UTF-8 detail
+//	status != StatusOK:  the error form (below)
 //
 // Batch request/response (MsgBatchRequest / MsgBatchResponse):
 //
@@ -410,6 +410,77 @@ func (s Status) Err(detail string) error {
 		return nil
 	}
 	return &StatusError{Code: s, Detail: detail}
+}
+
+// ---- the error form ----
+//
+// Every response payload whose status is not StatusOK — MsgSketchResponse,
+// the shard response item, MsgMatrixInfo, MsgSolveResponse and
+// MsgJobStatus — is the same bytes:
+//
+//	u8 status | u32 detailLen | detailLen bytes of UTF-8 detail
+//
+// AppendError and DecodeError are its only encoder and decoder, so a
+// reader that knows just the status byte (the client's retry peek, a server
+// answering before it has decoded anything) handles every response alike.
+
+// AppendError appends the error form of (st, detail) to dst.
+func AppendError(dst []byte, st Status, detail string) []byte {
+	dst = append(dst, byte(st))
+	dst = appendU32(dst, uint32(len(detail)))
+	return append(dst, detail...)
+}
+
+// DecodeError reads a response payload's status and, when it is not
+// StatusOK, decodes the error form, whose detail must fill the payload
+// exactly. A StatusOK payload has no error form: DecodeError returns
+// StatusOK and leaves the rest to the response type's own decoder.
+func DecodeError(payload []byte) (Status, string, error) {
+	st, err := PeekStatus(payload)
+	if err != nil || st == StatusOK {
+		return st, "", err
+	}
+	if len(payload) < 5 {
+		return 0, "", fmt.Errorf("%w: truncated error response", ErrMalformed)
+	}
+	if n := uint64(getU32(payload[1:5])); uint64(len(payload)-5) != n {
+		return 0, "", fmt.Errorf("%w: error detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
+	}
+	return st, string(payload[5:]), nil
+}
+
+// PeekStatus reads a response payload's status byte without decoding the
+// rest. The client's retry loop classifies responses with it so a
+// successful response is not fully decoded twice (the dense Â dominates
+// decode cost; the status is one byte).
+func PeekStatus(payload []byte) (Status, error) {
+	if len(payload) < 1 {
+		return 0, fmt.Errorf("%w: empty response payload", ErrMalformed)
+	}
+	st := Status(payload[0])
+	if st > maxStatus {
+		return 0, fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
+	}
+	return st, nil
+}
+
+// IsBatch reports whether t is one of the count-prefixed batch messages.
+func (t MsgType) IsBatch() bool {
+	switch t {
+	case MsgBatchRequest, MsgBatchResponse, MsgShardBatchRequest, MsgShardBatchResponse:
+		return true
+	}
+	return false
+}
+
+// AppendErrorPayload appends the error answer of response type t: the
+// error form, wrapped as a batch of one item for the batch response types
+// so the client's decoder still matches what it sent.
+func AppendErrorPayload(dst []byte, t MsgType, st Status, detail string) []byte {
+	if t.IsBatch() {
+		return appendBatch(dst, 1, func(dst []byte, _ int) []byte { return AppendError(dst, st, detail) })
+	}
+	return AppendError(dst, st, detail)
 }
 
 // ---- frame I/O ----
