@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci build test test-purego vet race bench bench-smoke fuzz-smoke test-shard-faults
+.PHONY: ci build test test-purego vet race bench bench-smoke bench-ledger fuzz-smoke test-shard-faults
 
 ci: vet test test-purego race test-shard-faults fuzz-smoke bench-smoke
 
@@ -71,3 +71,16 @@ bench-smoke:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# Appends WORKLOAD's perfbench medians to the append-only BENCH.json
+# ledger: RUNS untraced runs of RUN_SECONDS each on this checkout, summarized
+# by cmd/benchledger into one {rev, host, workload, metric, median, iqr, n}
+# record per end-to-end metric. The raw runs stay in .bench_build.
+WORKLOAD ?= serve
+RUNS ?= 5
+RUN_SECONDS ?= 20
+
+bench-ledger:
+	@mkdir -p .bench_build
+	for i in $$(seq $(RUNS)); do bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds $(RUN_SECONDS) --trace 0; done > .bench_build/ledger-$(WORKLOAD).txt
+	$(GO) run ./cmd/benchledger -workload $(WORKLOAD) .bench_build/ledger-$(WORKLOAD).txt

@@ -166,7 +166,9 @@ func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]
 // MsgShardBatchRequest — the coordinator's only shard frame, one per peer
 // and request (a lone shard is a batch of one) — and returns the
 // index-aligned shard responses. It shares Sketch's error taxonomy and
-// SketchBatch's retry and count rules.
+// SketchBatch's retry and count rules. An OK response's partial sketch
+// comes back encoded in PartialPayload (wire.DecodeShardBatchResponseDeferred),
+// for the coordinator to decode straight into the merged sketch.
 func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest) ([]wire.ShardResponse, error) {
 	for i := range reqs {
 		if reqs[i].A == nil {
@@ -174,7 +176,7 @@ func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest)
 		}
 	}
 	return postBatch(c, ctx, len(reqs), func() ([]byte, error) { return wire.EncodeShardBatchRequestFrame(reqs) },
-		wire.DecodeShardBatchResponse, (*wire.ShardResponse).Err)
+		wire.DecodeShardBatchResponseDeferred, (*wire.ShardResponse).Err)
 }
 
 // postBatch posts the frame encode builds for n batch items and decodes the
@@ -270,22 +272,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return 0, nil, &transportError{err: err}
 	}
 	defer hres.Body.Close()
-	// Read one byte past the limit so an oversized response is
-	// distinguishable from an exactly-full one: a LimitReader at the limit
-	// would silently truncate the body and misreport the deterministic
-	// size overrun as a retryable "truncated payload" transport error.
-	limit := int64(wire.HeaderSize) + int64(c.cfg.MaxResponseBytes)
-	raw, err := io.ReadAll(io.LimitReader(hres.Body, limit+1))
+	raw, err := c.readBody(ctx, hres)
 	if err != nil {
-		if ctx.Err() != nil {
-			return 0, nil, ctx.Err()
-		}
-		return 0, nil, &transportError{err: err}
+		return 0, nil, err
 	}
-	if int64(len(raw)) > limit {
-		return 0, nil, fmt.Errorf("%w: response body exceeds MaxResponseBytes %d", wire.ErrTooLarge, c.cfg.MaxResponseBytes)
-	}
-	t, payload, _, err := wire.SplitFrame(raw, c.cfg.MaxResponseBytes)
+	t, payload, rest, err := wire.SplitFrame(raw, c.cfg.MaxResponseBytes)
 	if err != nil {
 		if errors.Is(err, wire.ErrTooLarge) {
 			// The declared payload length exceeds our limit: resending the
@@ -303,12 +294,55 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 	default:
 		return 0, nil, fmt.Errorf("%w: unexpected response frame type %v", wire.ErrMalformed, t)
 	}
+	// The body is exactly one frame; bytes after it make the response
+	// malformed, as they make a request malformed at the server.
+	if err := wire.NoTrailing(rest); err != nil {
+		return 0, nil, err
+	}
 	// Surface retryable wire statuses before handing the payload back, so
 	// the retry loop sees them uniformly for single and batch responses.
 	if err := statusPeek(t, payload); err != nil {
 		return 0, nil, err
 	}
 	return t, payload, nil
+}
+
+// readBody reads one response body, at most HeaderSize+MaxResponseBytes
+// bytes. A declared Content-Length is read into one buffer of exactly that
+// size; a body of unknown length (chunked) is read to its end. A body over
+// the bound fails with ErrTooLarge, which no retry cures; a body cut short
+// of its length is a retryable transport error.
+func (c *Client) readBody(ctx context.Context, hres *http.Response) ([]byte, error) {
+	limit := int64(wire.HeaderSize) + int64(c.cfg.MaxResponseBytes)
+	tooLarge := func() error {
+		return fmt.Errorf("%w: response body exceeds MaxResponseBytes %d", wire.ErrTooLarge, c.cfg.MaxResponseBytes)
+	}
+	var raw []byte
+	var err error
+	if n := hres.ContentLength; n >= 0 {
+		if n > limit {
+			return nil, tooLarge()
+		}
+		raw = make([]byte, n)
+		_, err = io.ReadFull(hres.Body, raw)
+	} else {
+		// Read one byte past the limit so an oversized response is
+		// distinguishable from an exactly-full one: a LimitReader at the
+		// limit would silently truncate the body and misreport the
+		// deterministic size overrun as a retryable "truncated payload"
+		// transport error.
+		raw, err = io.ReadAll(io.LimitReader(hres.Body, limit+1))
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, &transportError{err: err}
+	}
+	if int64(len(raw)) > limit {
+		return nil, tooLarge()
+	}
+	return raw, nil
 }
 
 // statusPeek extracts a retry-relevant error from a response payload: for a

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ import (
 // mustFrame frames a canned test payload (test sizes cannot hit the
 // 32-bit frame limit, so the error is impossible).
 func mustFrame(typ wire.MsgType, payload []byte) []byte {
-	b, err := wire.AppendFrame(nil, typ, payload)
+	b, err := wire.AppendFrame(nil, typ, len(payload), func(dst []byte) []byte { return append(dst, payload...) })
 	if err != nil {
 		panic(err)
 	}
@@ -358,5 +360,110 @@ func TestRetryableClassification(t *testing.T) {
 		if got := retryable(tc.err); got != tc.want {
 			t.Errorf("retryable(%v) = %v, want %v", tc.err, got, tc.want)
 		}
+	}
+}
+
+// replyChunked streams frame without a Content-Length: the header is
+// flushed before the body, so the transfer is chunked and the client
+// cannot size the body in advance.
+func replyChunked(frame []byte) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/x-sketchsp-wire")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		w.Write(frame)
+	}
+}
+
+// replyDeclared sends frame under an explicit Content-Length of declared
+// bytes, which may disagree with len(frame).
+func replyDeclared(frame []byte, declared int) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/x-sketchsp-wire")
+		w.Header().Set("Content-Length", strconv.Itoa(declared))
+		w.WriteHeader(http.StatusOK)
+		w.Write(frame)
+	}
+}
+
+// lengthRecorder records the Content-Length of every response it passes
+// on (-1: unknown, the body is chunked).
+type lengthRecorder struct{ lengths []int64 }
+
+func (r *lengthRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	res, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		r.lengths = append(r.lengths, res.ContentLength)
+	}
+	return res, err
+}
+
+// TestSketchBodyReads pins how one attempt reads a response body: sized by
+// its Content-Length when the server declares one, read to the end when
+// it does not, and in both cases bounded by HeaderSize+MaxResponseBytes.
+func TestSketchBodyReads(t *testing.T) {
+	full := okResponseFrame(t)
+	exact := len(full) - wire.HeaderSize // MaxResponseBytes the frame fills exactly
+	cases := []struct {
+		name     string
+		replies  []func(http.ResponseWriter, *http.Request)
+		maxResp  int
+		sentinel error // nil: the sketch succeeds
+		attempts int64
+	}{
+		{name: "chunked", replies: []func(http.ResponseWriter, *http.Request){replyChunked(full)}, attempts: 1},
+		{name: "chunked-at-limit", replies: []func(http.ResponseWriter, *http.Request){replyChunked(full)},
+			maxResp: exact, attempts: 1},
+		{name: "chunked-over-limit", replies: []func(http.ResponseWriter, *http.Request){replyChunked(full)},
+			maxResp: exact - 1, sentinel: wire.ErrTooLarge, attempts: 1},
+		{name: "length-at-limit", replies: []func(http.ResponseWriter, *http.Request){replyDeclared(full, len(full))},
+			maxResp: exact, attempts: 1},
+		// The declared length alone refuses the body: no retry, since the
+		// same request draws the same oversized answer.
+		{name: "length-over-limit", replies: []func(http.ResponseWriter, *http.Request){replyDeclared(full, len(full))},
+			maxResp: exact - 1, sentinel: wire.ErrTooLarge, attempts: 1},
+		// A body that ends before its declared length is a broken
+		// transfer: retried, and the retry's whole body succeeds.
+		{name: "length-short-body", replies: []func(http.ResponseWriter, *http.Request){
+			replyDeclared(full, len(full)+10), replyDeclared(full, len(full))}, attempts: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, attempts := stubServer(t, tc.replies)
+			rec := new(lengthRecorder)
+			cfg := fastCfg()
+			cfg.MaxResponseBytes = tc.maxResp
+			cfg.HTTPClient = &http.Client{Transport: rec}
+			ahat, _, err := New(srv.URL, cfg).Sketch(context.Background(), testMatrix(t), 2, core.Options{})
+			if chunked := strings.HasPrefix(tc.name, "chunked"); len(rec.lengths) == 0 || (rec.lengths[0] < 0) != chunked {
+				t.Fatalf("response Content-Lengths %v: the case must be read with chunked=%v", rec.lengths, chunked)
+			}
+			switch {
+			case tc.sentinel == nil && err != nil:
+				t.Fatalf("Sketch: %v", err)
+			case tc.sentinel == nil && (ahat.Rows != 2 || ahat.Cols != 3 || ahat.At(1, 2) != 21):
+				t.Fatalf("decoded sketch %dx%d differs from the frame's", ahat.Rows, ahat.Cols)
+			case tc.sentinel != nil && !errors.Is(err, tc.sentinel):
+				t.Fatalf("err = %v, want Is(%v)", err, tc.sentinel)
+			}
+			if got := attempts.Load(); got != tc.attempts {
+				t.Errorf("attempts = %d, want %d", got, tc.attempts)
+			}
+		})
+	}
+}
+
+// TestSketchRejectsTrailingBytes: a response body is exactly one frame. A
+// valid frame followed by more bytes is malformed, and not retried.
+func TestSketchRejectsTrailingBytes(t *testing.T) {
+	srv, attempts := stubServer(t, []func(http.ResponseWriter, *http.Request){
+		replyFrame(append(okResponseFrame(t), 0), http.StatusOK),
+	})
+	_, _, err := New(srv.URL, fastCfg()).Sketch(context.Background(), testMatrix(t), 2, core.Options{})
+	if !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("err = %v, want Is(wire.ErrMalformed)", err)
+	}
+	if got := attempts.Load(); got != 1 {
+		t.Errorf("attempts = %d, want 1", got)
 	}
 }

@@ -351,10 +351,7 @@ func TestE2ERetiredShardFrameRejected(t *testing.T) {
 	payload := wire.AppendShardRequest(nil, &wire.ShardRequest{
 		NTotal: a.N, SketchRequest: wire.SketchRequest{D: 4, A: a},
 	})
-	frame, err := wire.AppendFrame(nil, wire.MsgType(7), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := mustFrame(t, wire.MsgType(7), payload)
 	res, err := http.Post(base+"/v1/sketch", "application/x-sketchsp-wire", bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,8 @@ var sketchResponseOf = map[wire.MsgType]wire.MsgType{
 // the handler must not panic and must not answer 500, and it must answer
 // with exactly one frame that decodes, of the response type the request's
 // frame type maps to — the single-response form when the body is no
-// /v1/sketch request frame at all.
+// /v1/sketch request frame at all. A body with bytes after its frame is
+// malformed: every item of the answer is StatusMalformed.
 func FuzzSketchHandler(f *testing.F) {
 	svc := service.New(service.Config{Capacity: 4})
 	srv := NewBackend(rowCapBackend{svc}, Config{MaxBodyBytes: fuzzMaxBody, MaxSketchBytes: contractMaxSketch})
@@ -87,6 +88,7 @@ func FuzzSketchHandler(f *testing.F) {
 	for _, typ := range []wire.MsgType{wire.MsgSketchRequest, wire.MsgSketchRef, wire.MsgBatchRequest, wire.MsgShardBatchRequest} {
 		seeds = append(seeds, fr.frame(f, typ, false, false), fr.frame(f, typ, true, false))
 	}
+	seeds = append(seeds, append(fr.frame(f, wire.MsgBatchRequest, false, false), 0))
 	for _, s := range seeds {
 		f.Add(s)
 		for _, n := range []int{len(s) - 1, len(s) / 2, wire.HeaderSize, 3} {
@@ -100,21 +102,25 @@ func FuzzSketchHandler(f *testing.F) {
 		if rec.Code == http.StatusInternalServerError {
 			t.Fatalf("HTTP 500 for % x", body)
 		}
-		want := wire.MsgSketchResponse
-		if typ, _, _, err := wire.SplitFrame(body, fuzzMaxBody); err == nil && len(body) <= fuzzMaxBody {
+		want, trailing := wire.MsgSketchResponse, false
+		if typ, _, rest, err := wire.SplitFrame(body, fuzzMaxBody); err == nil && len(body) <= fuzzMaxBody {
 			if resp, ok := sketchResponseOf[typ]; ok {
-				want = resp
+				want, trailing = resp, len(rest) != 0
 			}
 		}
-		if got, _ := itemStatuses(t, rec.Body.Bytes()); got != want {
+		got, sts := itemStatuses(t, rec.Body.Bytes())
+		if got != want {
 			t.Fatalf("answered %v, want %v", got, want)
+		}
+		if trailing && (rec.Code != http.StatusBadRequest || fmt.Sprint(sts) != fmt.Sprint([]wire.Status{wire.StatusMalformed})) {
+			t.Fatalf("frame with trailing bytes answered HTTP %d, %v; want 400, [malformed]", rec.Code, sts)
 		}
 	})
 }
 
 func mustFrame(tb testing.TB, typ wire.MsgType, payload []byte) []byte {
 	tb.Helper()
-	frame, err := wire.AppendFrame(nil, typ, payload)
+	frame, err := wire.AppendFrame(nil, typ, len(payload), func(dst []byte) []byte { return append(dst, payload...) })
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sketchsp/internal/core"
+	"sketchsp/internal/dense"
 	"sketchsp/internal/service"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/wire"
@@ -50,5 +51,37 @@ func BenchmarkHandlerSketch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSingleResponseFramesIntoWarmScratch pins the single answer's encode
+// to zero allocations once the pooled scratch has held a frame of its
+// size: the response is sized, then written once into sc.out.
+func TestSingleResponseFramesIntoWarmScratch(t *testing.T) {
+	ahat := dense.NewMatrix(16, 40)
+	for i := range ahat.Data {
+		ahat.Data[i] = float64(i) - 0.5
+	}
+	for name, it := range map[string]sketchItem{
+		"ok":    {resp: service.Response{Ahat: ahat, Stats: core.Stats{Samples: 640, Flops: 1280}}},
+		"error": {st: wire.StatusOverloaded, detail: "queue full"},
+	} {
+		sc := &reqScratch{items: []sketchItem{it}}
+		rt := sketchRoutes[wire.MsgSketchRequest]
+		want := it.sketchResponse()
+		first, err := rt.frame(sc, sc.items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, payload, _, err := wire.SplitFrame(first, 0); err != nil || !bytes.Equal(payload, wire.AppendResponse(nil, &want)) {
+			t.Fatalf("%s: framed response differs from its payload encoding (err %v)", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := rt.frame(sc, sc.items); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per single response into a warm scratch, want 0", name, n)
+		}
 	}
 }

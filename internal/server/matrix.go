@@ -136,7 +136,9 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeMatrixInfo(w http.ResponseWriter, sc *reqScratch, info store.Info) {
 	resp := wire.MatrixInfo{Status: wire.StatusOK, Fp: info.Fp, Bytes: info.Bytes, Created: info.Created}
 	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgMatrixInfo, wire.AppendMatrixInfo(nil, &resp))
+	out, err := wire.AppendFrame(sc.out[:0], wire.MsgMatrixInfo, wire.MatrixInfoSize(&resp), func(dst []byte) []byte {
+		return wire.AppendMatrixInfo(dst, &resp)
+	})
 	if err != nil {
 		esp.End()
 		s.writeError(w, wire.MsgMatrixInfo, wire.StatusInternal, "response too large to frame: "+err.Error())

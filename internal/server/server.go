@@ -276,7 +276,8 @@ func httpStatus(st wire.Status) int {
 }
 
 // decodeFrame is the decode stage of the endpoints that take one frame
-// type: the body, its one frame of type want, the payload by decode. A
+// type: the body, its one frame of type want with nothing after it, the
+// payload by decode. A
 // failure is answered in response type resp and counted as a bad request;
 // a decoded frame counts as a request.
 func decodeFrame[T any](s *Server, sc *reqScratch, w http.ResponseWriter, r *http.Request,
@@ -287,10 +288,11 @@ func decodeFrame[T any](s *Server, sc *reqScratch, w http.ResponseWriter, r *htt
 	if err == nil {
 		var typ wire.MsgType
 		var payload []byte
-		if typ, payload, _, err = wire.SplitFrame(body, int(s.cfg.MaxBodyBytes)); err == nil {
+		var rest []byte
+		if typ, payload, rest, err = wire.SplitFrame(body, int(s.cfg.MaxBodyBytes)); err == nil {
 			if typ != want {
 				err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
-			} else {
+			} else if err = wire.NoTrailing(rest); err == nil {
 				v, err = decode(payload)
 			}
 		}
@@ -340,7 +342,9 @@ func (s *Server) readBody(sc *reqScratch, w http.ResponseWriter, r *http.Request
 func (s *Server) writeError(w http.ResponseWriter, typ wire.MsgType, st wire.Status, detail string) {
 	// An error payload is a status byte plus a short detail string — it
 	// cannot reach the frame limit, so the framing error is impossible.
-	frame, _ := wire.AppendFrame(nil, typ, wire.AppendErrorPayload(nil, typ, st, detail))
+	frame, _ := wire.AppendFrame(nil, typ, wire.ErrorPayloadSize(typ, detail), func(dst []byte) []byte {
+		return wire.AppendErrorPayload(dst, typ, st, detail)
+	})
 	s.writeFrame(w, httpStatus(st), frame)
 }
 

@@ -19,9 +19,12 @@ import (
 // how their outcomes encode. Everything else is shared:
 //
 //   - counting: the items of a frame count as requests once the frame
-//     decodes; a frame that never reaches the backend (unreadable, a bad
-//     deadline header, a by-ref request to a backend without a store)
-//     counts one bad request;
+//     decodes; a frame that never reaches the backend (unreadable, bytes
+//     after the frame, a bad deadline header, a by-ref request to a
+//     backend without a store) counts one bad request;
+//   - the response form: once the frame's type names a row, every answer,
+//     errors included, is that row's response type; only a body that is
+//     no /v1/sketch frame at all is answered in the single-response form;
 //   - the outcome of every item, in order: the MaxSketchBytes check, the
 //     backend call, the context's verdict over a failed call (a deadline
 //     that raced the execute reads as the deadline), then wire.StatusOf;
@@ -38,8 +41,8 @@ type sketchRoute struct {
 	decode func(sc *reqScratch, payload []byte) error
 	// execute runs the items the size check admitted.
 	execute func(s *Server, ctx context.Context, items []sketchItem)
-	// encode appends the response payload of the settled items.
-	encode func(dst []byte, items []sketchItem) []byte
+	// encode frames the response of the settled items into dst.
+	encode func(dst []byte, items []sketchItem) ([]byte, error)
 }
 
 var sketchRoutes = map[wire.MsgType]*sketchRoute{
@@ -139,55 +142,64 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	for i := range items {
 		items[i].settle(ctx)
 	}
-	// A single answer mirrors its item's status and is framed into the
-	// pooled buffer. A batch answer is 200 and framed fresh: pooling the
-	// large, irregular batch frames would keep the largest one resident.
-	single := !rt.resp.IsBatch()
-	code, buf := http.StatusOK, []byte(nil)
-	if single {
-		code, buf = httpStatus(items[0].st), sc.out[:0]
+	code := http.StatusOK
+	if !rt.resp.IsBatch() {
+		code = httpStatus(items[0].st)
 	}
 	// A batch of near-MaxSketchBytes sketches can legitimately exceed the
 	// 32-bit frame length; answer with a framable error instead of a
 	// length-wrapped frame that would desync the client's decoder.
-	out, err := wire.AppendFrame(buf, rt.resp, rt.encode(nil, items))
+	out, err := rt.frame(sc, items)
 	if err != nil {
 		esp.End()
 		s.writeError(w, rt.resp, wire.StatusInternal, "response too large to frame: "+err.Error())
 		return
 	}
-	if single {
-		sc.out = out
-	}
 	s.writeFrame(w, code, out)
 	esp.End()
 }
 
+// frame encodes the answer to the settled items in one pass into a buffer
+// of its exact size. A single answer is framed into the pooled sc.out. A
+// batch answer gets one fresh allocation: pooling the large, irregular
+// batch frames would keep the largest one resident.
+func (rt *sketchRoute) frame(sc *reqScratch, items []sketchItem) ([]byte, error) {
+	if rt.resp.IsBatch() {
+		return rt.encode(nil, items)
+	}
+	out, err := rt.encode(sc.out[:0], items)
+	if err == nil {
+		sc.out = out
+	}
+	return out, err
+}
+
 // decodeSketch is the decode stage of /v1/sketch: the body under
-// MaxBodyBytes, the frame, the request deadline, then the payload into
-// sc.items by the frame type's row. The row is returned only once the
-// deadline header is accepted, so a failure before that is answered in the
-// single-response form whatever the frame type.
+// MaxBodyBytes, the frame and its row, nothing after the frame, the
+// request deadline, then the payload into sc.items by the row. The row is
+// returned as soon as the frame's type names one, so every later failure
+// is answered in that row's response form.
 func (s *Server) decodeSketch(sc *reqScratch, w http.ResponseWriter, r *http.Request) (*sketchRoute, context.Context, context.CancelFunc, error) {
 	body, err := s.readBody(sc, w, r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	typ, payload, _, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ctx, cancel, err := s.requestContext(r)
+	typ, payload, rest, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	rt := sketchRoutes[typ]
 	if rt == nil {
-		err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
-	} else {
-		err = rt.decode(sc, payload)
+		return nil, nil, nil, fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
 	}
+	if err := wire.NoTrailing(rest); err != nil {
+		return rt, nil, nil, err
+	}
+	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
+		return rt, nil, nil, err
+	}
+	if err := rt.decode(sc, payload); err != nil {
 		cancel()
 		return rt, nil, nil, err
 	}
@@ -280,26 +292,32 @@ func executeBatch(s *Server, ctx context.Context, items []sketchItem) {
 	}
 }
 
-func encodeSketch(dst []byte, items []sketchItem) []byte {
+func encodeSketch(dst []byte, items []sketchItem) ([]byte, error) {
 	r := items[0].sketchResponse()
-	return wire.AppendResponse(dst, &r)
+	return wire.AppendFrame(dst, wire.MsgSketchResponse, wire.ResponseSize(&r), func(dst []byte) []byte {
+		return wire.AppendResponse(dst, &r)
+	})
 }
 
-func encodeBatch(dst []byte, items []sketchItem) []byte {
+func encodeBatch(dst []byte, items []sketchItem) ([]byte, error) {
 	rs := make([]wire.SketchResponse, len(items))
 	for i := range items {
 		rs[i] = items[i].sketchResponse()
 	}
-	return wire.AppendBatchResponse(dst, rs)
+	return wire.AppendFrame(dst, wire.MsgBatchResponse, wire.BatchResponseSize(rs), func(dst []byte) []byte {
+		return wire.AppendBatchResponse(dst, rs)
+	})
 }
 
 // encodeShardBatch answers each shard with its J0 echo, which the
 // coordinator checks against the placement it sent.
-func encodeShardBatch(dst []byte, items []sketchItem) []byte {
+func encodeShardBatch(dst []byte, items []sketchItem) ([]byte, error) {
 	rs := make([]wire.ShardResponse, len(items))
 	for i := range items {
 		it := &items[i]
 		rs[i] = wire.ShardResponse{Status: it.st, Detail: it.detail, J0: it.j0, Stats: it.resp.Stats, Partial: it.resp.Ahat}
 	}
-	return wire.AppendShardBatchResponse(dst, rs)
+	return wire.AppendFrame(dst, wire.MsgShardBatchResponse, wire.ShardBatchResponseSize(rs), func(dst []byte) []byte {
+		return wire.AppendShardBatchResponse(dst, rs)
+	})
 }

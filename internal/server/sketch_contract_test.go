@@ -150,7 +150,9 @@ func TestSketchEndpointContract(t *testing.T) {
 		over    bool
 		broken  bool
 		timeout string
-		want    map[wire.MsgType]want
+		// trailing is appended after the frame.
+		trailing []byte
+		want     map[wire.MsgType]want
 	}
 	rows := []row{
 		{name: "valid", srv: full, want: map[wire.MsgType]want{
@@ -171,13 +173,27 @@ func TestSketchEndpointContract(t *testing.T) {
 			wire.MsgBatchRequest:      batch(wire.MsgBatchRequest, 200, []wire.Status{ok, badOpts}, 2, 0),
 			wire.MsgShardBatchRequest: batch(wire.MsgShardBatchRequest, 200, []wire.Status{ok, badOpts}, 2, 0),
 		}},
-		// The deadline header is read before the frame's type is looked
-		// up, so every type is answered in the single-response form.
+		// The frame's type is looked up before the deadline header is
+		// read, so every type is answered in its own response form.
 		{name: "bad-timeout-header", srv: full, timeout: "-5", want: map[wire.MsgType]want{
 			wire.MsgSketchRequest:     single(400, bad, 0, 1),
 			wire.MsgSketchRef:         single(400, bad, 0, 1),
-			wire.MsgBatchRequest:      single(400, bad, 0, 1),
-			wire.MsgShardBatchRequest: single(400, bad, 0, 1),
+			wire.MsgBatchRequest:      batch(wire.MsgBatchRequest, 400, []wire.Status{bad}, 0, 1),
+			wire.MsgShardBatchRequest: batch(wire.MsgShardBatchRequest, 400, []wire.Status{bad}, 0, 1),
+		}},
+		// A body must be exactly one frame: a valid frame followed by any
+		// byte is malformed, answered in the frame type's response form.
+		{name: "trailing-byte", srv: full, trailing: []byte{0}, want: map[wire.MsgType]want{
+			wire.MsgSketchRequest:     single(400, bad, 0, 1),
+			wire.MsgSketchRef:         single(400, bad, 0, 1),
+			wire.MsgBatchRequest:      batch(wire.MsgBatchRequest, 400, []wire.Status{bad}, 0, 1),
+			wire.MsgShardBatchRequest: batch(wire.MsgShardBatchRequest, 400, []wire.Status{bad}, 0, 1),
+		}},
+		{name: "trailing-frame", srv: full, trailing: f.frame(t, wire.MsgSketchRequest, false, false), want: map[wire.MsgType]want{
+			wire.MsgSketchRequest:     single(400, bad, 0, 1),
+			wire.MsgSketchRef:         single(400, bad, 0, 1),
+			wire.MsgBatchRequest:      batch(wire.MsgBatchRequest, 400, []wire.Status{bad}, 0, 1),
+			wire.MsgShardBatchRequest: batch(wire.MsgShardBatchRequest, 400, []wire.Status{bad}, 0, 1),
 		}},
 		{name: "plain-backend", srv: plain, want: map[wire.MsgType]want{
 			wire.MsgSketchRequest:     single(200, ok, 1, 0),
@@ -191,7 +207,8 @@ func TestSketchEndpointContract(t *testing.T) {
 		for _, typ := range types {
 			w := r.want[typ]
 			t.Run(fmt.Sprintf("%s/%v", r.name, typ), func(t *testing.T) {
-				req := httptest.NewRequest(http.MethodPost, "/v1/sketch", bytes.NewReader(f.frame(t, typ, r.over, r.broken)))
+				body := append(f.frame(t, typ, r.over, r.broken), r.trailing...)
+				req := httptest.NewRequest(http.MethodPost, "/v1/sketch", bytes.NewReader(body))
 				if r.timeout != "" {
 					req.Header.Set("X-Sketchsp-Timeout-Ms", r.timeout)
 				}

@@ -92,7 +92,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp = solveWireResp(res)
 	}
 	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSolveResponse, wire.AppendSolveResponse(nil, resp))
+	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSolveResponse, wire.SolveResponseSize(resp), func(dst []byte) []byte {
+		return wire.AppendSolveResponse(dst, resp)
+	})
 	if err != nil {
 		esp.End()
 		s.writeError(w, wire.MsgSolveResponse, wire.StatusInternal, "response too large to frame: "+err.Error())

@@ -43,7 +43,7 @@ func (c *Coordinator) launchBatch(ctx context.Context, p *peer, reqs []wire.Shar
 	c.met.batchSize.ObserveValue(int64(len(reqs)))
 	c.met.subrequests.Add(int64(len(reqs)))
 	p.met.requests.Inc()
-	p.met.bytes.Add(int64(wire.ShardBatchRequestWireSize(reqs)))
+	p.met.bytes.Add(int64(wire.HeaderSize + wire.ShardBatchRequestSize(reqs)))
 	go func() {
 		defer close(bc.done)
 		start := time.Now()

@@ -176,10 +176,13 @@ func overloadFrame(t *testing.T) []byte {
 	payload := wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{
 		Status: wire.StatusOverloaded, Detail: "test shed",
 	}})
-	frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return frameOf(wire.MsgShardBatchResponse, payload)
+}
+
+// frameOf frames a canned test payload; test sizes cannot reach the 32-bit
+// frame limit, so the framing error is impossible.
+func frameOf(typ wire.MsgType, payload []byte) []byte {
+	frame, _ := wire.AppendFrame(nil, typ, len(payload), func(dst []byte) []byte { return append(dst, payload...) })
 	return frame
 }
 

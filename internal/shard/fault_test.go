@@ -148,9 +148,7 @@ func TestDuplicateAnswerRejected(t *testing.T) {
 							rs[i].J0 += 3
 						}
 					}
-					if nb, ferr := wire.AppendFrame(nil, wire.MsgShardBatchResponse, wire.AppendShardBatchResponse(nil, rs)); ferr == nil {
-						body = nb
-					}
+					body = frameOf(wire.MsgShardBatchResponse, wire.AppendShardBatchResponse(nil, rs))
 				}
 			}
 			for k, vs := range rec.Header() {
@@ -392,10 +390,7 @@ func TestBatchRejectedFrameFailsFast(t *testing.T) {
 		payload := wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{
 			Status: wire.StatusMalformed, Detail: "rejected shard batch",
 		}})
-		frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, payload)
-		if err != nil {
-			panic(err)
-		}
+		frame := frameOf(wire.MsgShardBatchResponse, payload)
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			body, err := io.ReadAll(r.Body)
 			if err != nil {

@@ -42,9 +42,9 @@ func DecodeCSCInto(dst *sparse.CSC, payload []byte) error {
 	if len(payload) < 24 {
 		return fmt.Errorf("%w: CSC payload %d bytes, want >= 24", ErrMalformed, len(payload))
 	}
-	m := getU64(payload[0:])
-	n := getU64(payload[8:])
-	nnz := getU64(payload[16:])
+	m := le.Uint64(payload[0:])
+	n := le.Uint64(payload[8:])
+	nnz := le.Uint64(payload[16:])
 	rem := uint64(len(payload) - 24)
 	if m > MaxDim || n > MaxDim {
 		return fmt.Errorf("%w: CSC dims %dx%d exceed MaxDim", ErrMalformed, m, n)
@@ -61,19 +61,7 @@ func DecodeCSCInto(dst *sparse.CSC, payload []byte) error {
 	dst.ColPtr = intSliceInto(dst.ColPtr, int(n)+1)
 	dst.RowIdx = intSliceInto(dst.RowIdx, int(nnz))
 	dst.Val = f64SliceInto(dst.Val, int(nnz))
-	off := 24
-	for i := range dst.ColPtr {
-		dst.ColPtr[i] = int(int64(getU64(payload[off:])))
-		off += 8
-	}
-	for i := range dst.RowIdx {
-		dst.RowIdx[i] = int(int64(getU64(payload[off:])))
-		off += 8
-	}
-	for i := range dst.Val {
-		dst.Val[i] = math.Float64frombits(getU64(payload[off:]))
-		off += 8
-	}
+	getF64s(dst.Val, getInts(dst.RowIdx, getInts(dst.ColPtr, payload[24:])))
 	if err := dst.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
@@ -92,29 +80,53 @@ func DecodeDense(payload []byte) (*dense.Matrix, error) {
 // DecodeDenseInto decodes a dense payload into dst, reusing Data capacity.
 // The decoded matrix always has a tight stride.
 func DecodeDenseInto(dst *dense.Matrix, payload []byte) error {
-	if len(payload) < 16 {
-		return fmt.Errorf("%w: dense payload %d bytes, want >= 16", ErrMalformed, len(payload))
+	rows, cols, err := DenseDims(payload)
+	if err != nil {
+		return err
 	}
-	rows := getU64(payload[0:])
-	cols := getU64(payload[8:])
+	dst.Rows, dst.Cols = rows, cols
+	dst.Stride = rows
+	dst.Data = f64SliceInto(dst.Data, rows*cols)
+	getF64s(dst.Data, payload[16:])
+	return nil
+}
+
+// DenseDims returns a dense payload's dimensions once they are checked
+// against its length, without decoding the values.
+func DenseDims(payload []byte) (rows, cols int, err error) {
+	if len(payload) < 16 {
+		return 0, 0, fmt.Errorf("%w: dense payload %d bytes, want >= 16", ErrMalformed, len(payload))
+	}
+	r := le.Uint64(payload[0:])
+	c := le.Uint64(payload[8:])
 	rem := uint64(len(payload) - 16)
-	if rows > MaxDim || cols > MaxDim {
-		return fmt.Errorf("%w: dense dims %dx%d exceed MaxDim", ErrMalformed, rows, cols)
+	if r > MaxDim || c > MaxDim {
+		return 0, 0, fmt.Errorf("%w: dense dims %dx%d exceed MaxDim", ErrMalformed, r, c)
 	}
 	elems := rem / 8
-	if rows != 0 && cols != 0 && (rows > elems || cols > elems/rows) {
-		return fmt.Errorf("%w: dense %dx%d inconsistent with %d payload bytes", ErrMalformed, rows, cols, rem)
+	if r != 0 && c != 0 && (r > elems || c > elems/r) {
+		return 0, 0, fmt.Errorf("%w: dense %dx%d inconsistent with %d payload bytes", ErrMalformed, r, c, rem)
 	}
-	if need := rows * cols * 8; need != rem {
-		return fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, rem, need)
+	if need := r * c * 8; need != rem {
+		return 0, 0, fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, rem, need)
 	}
-	dst.Rows, dst.Cols = int(rows), int(cols)
-	dst.Stride = int(rows)
-	dst.Data = f64SliceInto(dst.Data, int(rows)*int(cols))
-	off := 16
-	for i := range dst.Data {
-		dst.Data[i] = math.Float64frombits(getU64(payload[off:]))
-		off += 8
+	return int(r), int(c), nil
+}
+
+// DecodeDenseColumns decodes a dense payload into columns [j0, j0+cols) of
+// dst, whose row count it must share: a partial sketch lands in its place
+// in the full one without a matrix of its own.
+func DecodeDenseColumns(dst *dense.Matrix, j0 int, payload []byte) error {
+	rows, cols, err := DenseDims(payload)
+	if err != nil {
+		return err
+	}
+	if rows != dst.Rows || j0 < 0 || j0+cols > dst.Cols {
+		return fmt.Errorf("%w: dense %dx%d does not fit columns from %d of a %dx%d matrix", ErrMalformed, rows, cols, j0, dst.Rows, dst.Cols)
+	}
+	src := payload[16:]
+	for j := j0; j < j0+cols; j++ {
+		src = getF64s(dst.Col(j), src)
 	}
 	return nil
 }
@@ -148,7 +160,7 @@ func DecodeRequestInto(dst *SketchRequest, payload []byte) error {
 // by MsgSketchRequest and MsgSketchRef payloads. The caller guarantees
 // len(payload) >= requestFixedSize.
 func decodeRequestFixed(payload []byte) (int, core.Options, error) {
-	d := getU64(payload[0:])
+	d := le.Uint64(payload[0:])
 	if d > MaxDim {
 		return 0, core.Options{}, fmt.Errorf("%w: sketch size %d exceeds MaxDim", ErrMalformed, d)
 	}
@@ -160,16 +172,16 @@ func decodeRequestFixed(payload []byte) (int, core.Options, error) {
 // guarantees len(payload) >= optsWireSize.
 func decodeSketchOpts(payload []byte) (core.Options, error) {
 	var opts core.Options
-	opts.Seed = getU64(payload[0:])
-	alg := int64(getU64(payload[8:]))
-	dist := int64(getU64(payload[16:]))
-	src := int64(getU64(payload[24:]))
-	blockD := int64(getU64(payload[32:]))
-	blockN := int64(getU64(payload[40:]))
-	workers := int64(getU64(payload[48:]))
-	sched := int64(getU64(payload[56:]))
-	sparsity := int64(getU64(payload[64:]))
-	rngCost := math.Float64frombits(getU64(payload[72:]))
+	opts.Seed = le.Uint64(payload[0:])
+	alg := int64(le.Uint64(payload[8:]))
+	dist := int64(le.Uint64(payload[16:]))
+	src := int64(le.Uint64(payload[24:]))
+	blockD := int64(le.Uint64(payload[32:]))
+	blockN := int64(le.Uint64(payload[40:]))
+	workers := int64(le.Uint64(payload[48:]))
+	sched := int64(le.Uint64(payload[56:]))
+	sparsity := int64(le.Uint64(payload[64:]))
+	rngCost := math.Float64frombits(le.Uint64(payload[72:]))
 	flags := payload[80]
 
 	// Enum domains. These guards are load-bearing, not cosmetic: an
@@ -250,11 +262,11 @@ func decodeStats(payload []byte) (core.Stats, error) {
 	}
 	var v [6]int64
 	for i := range v {
-		if v[i] = int64(getU64(payload[8*i:])); v[i] < 0 {
+		if v[i] = int64(le.Uint64(payload[8*i:])); v[i] < 0 {
 			return core.Stats{}, fmt.Errorf("%w: negative response stats", ErrMalformed)
 		}
 	}
-	imb := math.Float64frombits(getU64(payload[48:]))
+	imb := math.Float64frombits(le.Uint64(payload[48:]))
 	if math.IsNaN(imb) || math.IsInf(imb, 0) || imb < 0 {
 		return core.Stats{}, fmt.Errorf("%w: non-finite or negative imbalance", ErrMalformed)
 	}
@@ -301,7 +313,7 @@ func SplitBatchPayload(payload []byte) ([][]byte, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("%w: batch payload %d bytes, want >= 4", ErrMalformed, len(payload))
 	}
-	count := uint64(getU32(payload))
+	count := uint64(le.Uint32(payload))
 	rest := payload[4:]
 	// Each item costs at least its own 4-byte length prefix.
 	if count > uint64(len(rest))/4 {
@@ -312,7 +324,7 @@ func SplitBatchPayload(payload []byte) ([][]byte, error) {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: truncated batch item %d", ErrMalformed, i)
 		}
-		n := uint64(getU32(rest))
+		n := uint64(le.Uint32(rest))
 		rest = rest[4:]
 		if n > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: batch item %d claims %d of %d bytes", ErrMalformed, i, n, len(rest))

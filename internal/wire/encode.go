@@ -31,38 +31,45 @@ type SketchResponse struct {
 // unwrapping to the canonical sentinel of the status.
 func (r *SketchResponse) Err() error { return r.Status.Err(r.Detail) }
 
-// cscPayloadSize returns the encoded size of a's CSC payload.
-func cscPayloadSize(a *sparse.CSC) int {
+// CSCSize returns the encoded size of a's CSC payload (also the
+// MsgMatrixPut payload).
+func CSCSize(a *sparse.CSC) int {
 	return 24 + 8*(a.N+1) + 16*len(a.Val)
 }
 
-// AppendCSC appends a's CSC payload to dst. The matrix must be
-// structurally valid (DecodeCSC* re-validates on the way in).
+// AppendCSC appends a's CSC payload to dst, growing it at most once. The
+// matrix must be structurally valid (DecodeCSC* re-validates on the way
+// in).
 func AppendCSC(dst []byte, a *sparse.CSC) []byte {
-	dst = appendU64(dst, uint64(a.M))
-	dst = appendU64(dst, uint64(a.N))
-	dst = appendU64(dst, uint64(len(a.Val)))
-	for _, p := range a.ColPtr {
-		dst = appendU64(dst, uint64(p))
-	}
-	for _, r := range a.RowIdx {
-		dst = appendU64(dst, uint64(r))
-	}
-	for _, v := range a.Val {
-		dst = appendU64(dst, math.Float64bits(v))
-	}
+	dst, b := extend(dst, CSCSize(a))
+	le.PutUint64(b[0:], uint64(a.M))
+	le.PutUint64(b[8:], uint64(a.N))
+	le.PutUint64(b[16:], uint64(len(a.Val)))
+	b = putInts(b[24:], a.ColPtr)
+	b = putInts(b, a.RowIdx)
+	putF64s(b, a.Val)
 	return dst
 }
 
-// AppendDense appends m's dense payload to dst: dims then the column-major
-// values. Views with a loose stride encode identically to their tight copy.
+// DenseSize returns the encoded size of m's dense payload.
+func DenseSize(m *dense.Matrix) int {
+	return 16 + 8*m.Rows*m.Cols
+}
+
+// AppendDense appends m's dense payload to dst, growing it at most once:
+// dims then the column-major values. Views with a loose stride encode
+// identically to their tight copy.
 func AppendDense(dst []byte, m *dense.Matrix) []byte {
-	dst = appendU64(dst, uint64(m.Rows))
-	dst = appendU64(dst, uint64(m.Cols))
+	dst, b := extend(dst, DenseSize(m))
+	le.PutUint64(b[0:], uint64(m.Rows))
+	le.PutUint64(b[8:], uint64(m.Cols))
+	b = b[16:]
+	if m.Stride == m.Rows {
+		putF64s(b, m.Data[:m.Rows*m.Cols])
+		return dst
+	}
 	for j := 0; j < m.Cols; j++ {
-		for _, v := range m.Col(j) {
-			dst = appendU64(dst, math.Float64bits(v))
-		}
+		b = putF64s(b, m.Col(j))
 	}
 	return dst
 }
@@ -79,16 +86,16 @@ const optsWireSize = 8 + 8*8 + 8 + 1
 // appendSketchOpts appends the core.Options block shared by every request
 // payload.
 func appendSketchOpts(dst []byte, opts core.Options) []byte {
-	dst = appendU64(dst, opts.Seed)
-	dst = appendU64(dst, uint64(int64(opts.Algorithm)))
-	dst = appendU64(dst, uint64(int64(opts.Dist)))
-	dst = appendU64(dst, uint64(int64(opts.Source)))
-	dst = appendU64(dst, uint64(int64(opts.BlockD)))
-	dst = appendU64(dst, uint64(int64(opts.BlockN)))
-	dst = appendU64(dst, uint64(int64(opts.Workers)))
-	dst = appendU64(dst, uint64(int64(opts.Sched)))
-	dst = appendU64(dst, uint64(int64(opts.Sparsity)))
-	dst = appendU64(dst, math.Float64bits(opts.RNGCost))
+	dst = le.AppendUint64(dst, opts.Seed)
+	dst = le.AppendUint64(dst, uint64(int64(opts.Algorithm)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.Dist)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.Source)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.BlockD)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.BlockN)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.Workers)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.Sched)))
+	dst = le.AppendUint64(dst, uint64(int64(opts.Sparsity)))
+	dst = le.AppendUint64(dst, math.Float64bits(opts.RNGCost))
 	var flags byte
 	if opts.Timed {
 		flags |= 1
@@ -99,11 +106,22 @@ func appendSketchOpts(dst []byte, opts core.Options) []byte {
 	return append(dst, flags)
 }
 
+// RequestSize returns the encoded size of a single-request payload over a.
+func RequestSize(a *sparse.CSC) int { return requestFixedSize + CSCSize(a) }
+
 // AppendRequest appends the request payload for (d, opts, a) to dst.
 func AppendRequest(dst []byte, d int, opts core.Options, a *sparse.CSC) []byte {
-	dst = appendU64(dst, uint64(d))
+	dst = le.AppendUint64(dst, uint64(d))
 	dst = appendSketchOpts(dst, opts)
 	return AppendCSC(dst, a)
+}
+
+// ResponseSize returns the encoded size of r's response payload.
+func ResponseSize(r *SketchResponse) int {
+	if r.Status != StatusOK {
+		return ErrorSize(r.Detail)
+	}
+	return 1 + statsWireSize + DenseSize(r.Ahat)
 }
 
 // AppendResponse appends r's response payload to dst.
@@ -121,26 +139,44 @@ const statsWireSize = 6*8 + 8
 
 // appendStats appends the execute Stats block of an OK response.
 func appendStats(dst []byte, st core.Stats) []byte {
-	dst = appendU64(dst, uint64(st.Samples))
-	dst = appendU64(dst, uint64(st.Flops))
-	dst = appendU64(dst, uint64(st.SampleTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(st.ConvertTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(st.Total.Nanoseconds()))
-	dst = appendU64(dst, uint64(st.Steals))
-	return appendU64(dst, math.Float64bits(st.Imbalance))
+	dst = le.AppendUint64(dst, uint64(st.Samples))
+	dst = le.AppendUint64(dst, uint64(st.Flops))
+	dst = le.AppendUint64(dst, uint64(st.SampleTime.Nanoseconds()))
+	dst = le.AppendUint64(dst, uint64(st.ConvertTime.Nanoseconds()))
+	dst = le.AppendUint64(dst, uint64(st.Total.Nanoseconds()))
+	dst = le.AppendUint64(dst, uint64(st.Steals))
+	return le.AppendUint64(dst, math.Float64bits(st.Imbalance))
 }
 
 // appendBatch appends the envelope every batch payload shares: the item
 // count, then each item as item appends it, prefixed by its u32 length.
 func appendBatch(dst []byte, n int, item func(dst []byte, i int) []byte) []byte {
-	dst = appendU32(dst, uint32(n))
+	dst = le.AppendUint32(dst, uint32(n))
 	for i := 0; i < n; i++ {
 		mark := len(dst)
-		dst = item(appendU32(dst, 0), i) // length backpatched below
-		putU32(dst[mark:mark+4], uint32(len(dst)-mark-4))
+		dst = item(le.AppendUint32(dst, 0), i) // length backpatched below
+		le.PutUint32(dst[mark:mark+4], uint32(len(dst)-mark-4))
 	}
 	return dst
 }
+
+// batchSize returns the encoded size of a batch payload whose items have
+// the sizes size reports.
+func batchSize[T any](items []T, size func(*T) int) int {
+	n := 4
+	for i := range items {
+		n += 4 + size(&items[i])
+	}
+	return n
+}
+
+// BatchRequestSize returns the encoded size of a batch-request payload.
+func BatchRequestSize(reqs []SketchRequest) int {
+	return batchSize(reqs, func(r *SketchRequest) int { return RequestSize(r.A) })
+}
+
+// BatchResponseSize returns the encoded size of a batch-response payload.
+func BatchResponseSize(rs []SketchResponse) int { return batchSize(rs, ResponseSize) }
 
 // AppendBatchRequest appends a batch-request payload: count, then each
 // request length-prefixed.
@@ -157,11 +193,12 @@ func AppendBatchResponse(dst []byte, rs []SketchResponse) []byte {
 }
 
 // EncodeRequestFrame returns a complete single-request frame, ready for an
-// HTTP body. A matrix too large for the 32-bit frame length fails with
-// ErrTooLarge.
+// HTTP body, in one allocation of its exact size. A matrix too large for
+// the 32-bit frame length fails with ErrTooLarge.
 func EncodeRequestFrame(d int, opts core.Options, a *sparse.CSC) ([]byte, error) {
-	payload := AppendRequest(make([]byte, 0, requestFixedSize+cscPayloadSize(a)), d, opts, a)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgSketchRequest, payload)
+	return AppendFrame(nil, MsgSketchRequest, RequestSize(a), func(dst []byte) []byte {
+		return AppendRequest(dst, d, opts, a)
+	})
 }
 
 // EncodeBatchRequestFrame returns a complete batch-request frame. A batch
@@ -169,16 +206,7 @@ func EncodeRequestFrame(d int, opts core.Options, a *sparse.CSC) ([]byte, error)
 // ErrTooLarge (per-item u32 lengths are covered by the same check: an
 // oversized item makes the whole payload oversized).
 func EncodeBatchRequestFrame(reqs []SketchRequest) ([]byte, error) {
-	payload := AppendBatchRequest(nil, reqs)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgBatchRequest, payload)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	return AppendFrame(nil, MsgBatchRequest, BatchRequestSize(reqs), func(dst []byte) []byte {
+		return AppendBatchRequest(dst, reqs)
+	})
 }

@@ -75,20 +75,20 @@ type MatrixDelta struct {
 
 // appendFingerprint appends fp's wire form to dst.
 func appendFingerprint(dst []byte, fp sparse.Fingerprint) []byte {
-	dst = appendU64(dst, uint64(int64(fp.M)))
-	dst = appendU64(dst, uint64(int64(fp.N)))
-	dst = appendU64(dst, uint64(int64(fp.NNZ)))
-	return appendU64(dst, fp.Hash)
+	dst = le.AppendUint64(dst, uint64(int64(fp.M)))
+	dst = le.AppendUint64(dst, uint64(int64(fp.N)))
+	dst = le.AppendUint64(dst, uint64(int64(fp.NNZ)))
+	return le.AppendUint64(dst, fp.Hash)
 }
 
 // decodeFingerprint parses fingerprintWireSize bytes (caller guarantees the
 // length) and rejects out-of-domain dimensions, mirroring the CSC decoder's
 // guards so a reference can never name a shape an upload could not have.
 func decodeFingerprint(payload []byte) (sparse.Fingerprint, error) {
-	m := getU64(payload[0:])
-	n := getU64(payload[8:])
-	nnz := getU64(payload[16:])
-	hash := getU64(payload[24:])
+	m := le.Uint64(payload[0:])
+	n := le.Uint64(payload[8:])
+	nnz := le.Uint64(payload[16:])
+	hash := le.Uint64(payload[24:])
 	if m > MaxDim || n > MaxDim {
 		return sparse.Fingerprint{}, fmt.Errorf("%w: fingerprint dims %dx%d exceed MaxDim", ErrMalformed, m, n)
 	}
@@ -110,13 +110,25 @@ func DecodeMatrixPut(payload []byte) (*sparse.CSC, error) {
 	return DecodeCSC(payload)
 }
 
+// matrixInfoOKSize is the size of an OK matrix-info payload: status,
+// fingerprint, bytes, created flag.
+const matrixInfoOKSize = 1 + fingerprintWireSize + 8 + 1
+
+// MatrixInfoSize returns the encoded size of r's matrix-info payload.
+func MatrixInfoSize(r *MatrixInfo) int {
+	if r.Status != StatusOK {
+		return ErrorSize(r.Detail)
+	}
+	return matrixInfoOKSize
+}
+
 // AppendMatrixInfo appends r's matrix-info payload to dst.
 func AppendMatrixInfo(dst []byte, r *MatrixInfo) []byte {
 	if r.Status != StatusOK {
 		return AppendError(dst, r.Status, r.Detail)
 	}
 	dst = appendFingerprint(append(dst, byte(StatusOK)), r.Fp)
-	dst = appendU64(dst, uint64(r.Bytes))
+	dst = le.AppendUint64(dst, uint64(r.Bytes))
 	if r.Created {
 		return append(dst, 1)
 	}
@@ -133,24 +145,23 @@ func DecodeMatrixInfo(payload []byte) (*MatrixInfo, error) {
 	if st != StatusOK {
 		return r, nil
 	}
-	const okSize = 1 + fingerprintWireSize + 8 + 1
-	if len(payload) != okSize {
-		return nil, fmt.Errorf("%w: matrix-info payload %d bytes, want %d", ErrMalformed, len(payload), okSize)
+	if len(payload) != matrixInfoOKSize {
+		return nil, fmt.Errorf("%w: matrix-info payload %d bytes, want %d", ErrMalformed, len(payload), matrixInfoOKSize)
 	}
 	fp, err := decodeFingerprint(payload[1:])
 	if err != nil {
 		return nil, err
 	}
-	bytes := int64(getU64(payload[1+fingerprintWireSize:]))
+	bytes := int64(le.Uint64(payload[1+fingerprintWireSize:]))
 	if bytes < 0 {
 		return nil, fmt.Errorf("%w: negative matrix-info bytes", ErrMalformed)
 	}
-	switch payload[okSize-1] {
+	switch payload[matrixInfoOKSize-1] {
 	case 0:
 	case 1:
 		r.Created = true
 	default:
-		return nil, fmt.Errorf("%w: matrix-info created flag %d", ErrMalformed, payload[okSize-1])
+		return nil, fmt.Errorf("%w: matrix-info created flag %d", ErrMalformed, payload[matrixInfoOKSize-1])
 	}
 	r.Fp = fp
 	r.Bytes = bytes
@@ -161,14 +172,14 @@ func DecodeMatrixInfo(payload []byte) (*MatrixInfo, error) {
 // fixed (d, options) prefix as AppendRequest, then the fingerprint in place
 // of the matrix.
 func AppendSketchRef(dst []byte, r *SketchRefRequest) []byte {
-	dst = appendSketchOpts(appendU64(dst, uint64(r.D)), r.Opts)
+	dst = appendSketchOpts(le.AppendUint64(dst, uint64(r.D)), r.Opts)
 	return appendFingerprint(dst, r.Fp)
 }
 
 // DecodeSketchRef decodes a sketch-by-reference payload.
 func DecodeSketchRef(payload []byte) (*SketchRefRequest, error) {
-	if len(payload) != requestFixedSize+fingerprintWireSize {
-		return nil, fmt.Errorf("%w: sketch-ref payload %d bytes, want %d", ErrMalformed, len(payload), requestFixedSize+fingerprintWireSize)
+	if len(payload) != SketchRefSize {
+		return nil, fmt.Errorf("%w: sketch-ref payload %d bytes, want %d", ErrMalformed, len(payload), SketchRefSize)
 	}
 	d, opts, err := decodeRequestFixed(payload)
 	if err != nil {
@@ -180,6 +191,9 @@ func DecodeSketchRef(payload []byte) (*SketchRefRequest, error) {
 	}
 	return &SketchRefRequest{D: d, Opts: opts, Fp: fp}, nil
 }
+
+// MatrixDeltaSize returns the encoded size of r's matrix-delta payload.
+func MatrixDeltaSize(r *MatrixDelta) int { return fingerprintWireSize + CSCSize(r.Delta) }
 
 // AppendMatrixDelta appends r's matrix-delta payload to dst.
 func AppendMatrixDelta(dst []byte, r *MatrixDelta) []byte {
@@ -211,27 +225,28 @@ func DecodeMatrixDelta(payload []byte) (*MatrixDelta, error) {
 
 // EncodeMatrixPutFrame returns a complete matrix-put frame.
 func EncodeMatrixPutFrame(a *sparse.CSC) ([]byte, error) {
-	payload := AppendMatrixPut(make([]byte, 0, cscPayloadSize(a)), a)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgMatrixPut, payload)
+	return AppendFrame(nil, MsgMatrixPut, CSCSize(a), func(dst []byte) []byte { return AppendMatrixPut(dst, a) })
 }
+
+// SketchRefSize is the size of a sketch-by-reference payload: the fixed
+// request prefix and the fingerprint.
+const SketchRefSize = requestFixedSize + fingerprintWireSize
 
 // SketchRefWireSize is the size of a complete sketch-by-reference frame:
 // header + fixed request prefix + fingerprint, independent of nnz(A). The
 // coordinator's traffic accounting and the bench replay both quote it.
-const SketchRefWireSize = HeaderSize + requestFixedSize + fingerprintWireSize
+const SketchRefWireSize = HeaderSize + SketchRefSize
 
 // EncodeSketchRefFrame returns a complete sketch-by-reference frame — the
 // whole request is SketchRefWireSize bytes regardless of the matrix size,
 // which is the entire point of the by-reference protocol.
 func EncodeSketchRefFrame(r *SketchRefRequest) ([]byte, error) {
-	payload := AppendSketchRef(make([]byte, 0, requestFixedSize+fingerprintWireSize), r)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgSketchRef, payload)
+	return AppendFrame(nil, MsgSketchRef, SketchRefSize, func(dst []byte) []byte { return AppendSketchRef(dst, r) })
 }
 
 // EncodeMatrixDeltaFrame returns a complete matrix-delta frame.
 func EncodeMatrixDeltaFrame(r *MatrixDelta) ([]byte, error) {
-	payload := AppendMatrixDelta(make([]byte, 0, fingerprintWireSize+cscPayloadSize(r.Delta)), r)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgMatrixDelta, payload)
+	return AppendFrame(nil, MsgMatrixDelta, MatrixDeltaSize(r), func(dst []byte) []byte { return AppendMatrixDelta(dst, r) })
 }
 
 // FormatFingerprint renders fp for a URL path segment:

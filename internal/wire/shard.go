@@ -53,6 +53,11 @@ type ShardResponse struct {
 	J0      int
 	Stats   core.Stats
 	Partial *dense.Matrix
+	// PartialPayload is the deferred form of Partial, which
+	// DecodeShardBatchResponseDeferred leaves nil: the OK item's dense
+	// payload, its dims checked against its length, aliasing the decoded
+	// bytes. DecodeDenseColumns places it.
+	PartialPayload []byte
 }
 
 // Err converts the response outcome into an error (nil for StatusOK),
@@ -63,15 +68,15 @@ func (r *ShardResponse) Err() error { return r.Status.Err(r.Detail) }
 // single-request payload.
 const shardRequestFixedSize = 8 + 8
 
-// shardRequestSize is the encoded length of r's shard request item.
-func shardRequestSize(r *ShardRequest) int {
-	return shardRequestFixedSize + requestFixedSize + cscPayloadSize(r.A)
+// ShardRequestSize returns the encoded size of r's shard request item.
+func ShardRequestSize(r *ShardRequest) int {
+	return shardRequestFixedSize + RequestSize(r.A)
 }
 
 // AppendShardRequest appends r's shard request item to dst.
 func AppendShardRequest(dst []byte, r *ShardRequest) []byte {
-	dst = appendU64(dst, uint64(r.J0))
-	dst = appendU64(dst, uint64(r.NTotal))
+	dst = le.AppendUint64(dst, uint64(r.J0))
+	dst = le.AppendUint64(dst, uint64(r.NTotal))
 	return AppendRequest(dst, r.D, r.Opts, r.A)
 }
 
@@ -81,8 +86,8 @@ func DecodeShardRequestInto(dst *ShardRequest, payload []byte) error {
 	if len(payload) < shardRequestFixedSize {
 		return fmt.Errorf("%w: shard request payload %d bytes, want >= %d", ErrMalformed, len(payload), shardRequestFixedSize)
 	}
-	j0 := getU64(payload[0:])
-	nTotal := getU64(payload[8:])
+	j0 := le.Uint64(payload[0:])
+	nTotal := le.Uint64(payload[8:])
 	if j0 > MaxDim || nTotal > MaxDim {
 		return fmt.Errorf("%w: shard placement j0=%d nTotal=%d exceeds MaxDim", ErrMalformed, j0, nTotal)
 	}
@@ -97,23 +102,37 @@ func DecodeShardRequestInto(dst *ShardRequest, payload []byte) error {
 	return nil
 }
 
+// ShardResponseSize returns the encoded size of r's shard response item.
+func ShardResponseSize(r *ShardResponse) int {
+	if r.Status != StatusOK {
+		return ErrorSize(r.Detail)
+	}
+	return 1 + 8 + statsWireSize + DenseSize(r.Partial)
+}
+
 // AppendShardResponse appends r's shard response item to dst.
 func AppendShardResponse(dst []byte, r *ShardResponse) []byte {
 	if r.Status != StatusOK {
 		return AppendError(dst, r.Status, r.Detail)
 	}
-	dst = appendU64(append(dst, byte(StatusOK)), uint64(r.J0))
+	dst = le.AppendUint64(append(dst, byte(StatusOK)), uint64(r.J0))
 	return AppendDense(appendStats(dst, r.Stats), r.Partial)
 }
 
 // DecodeShardResponseInto decodes a shard response item into dst, reusing
 // dst.Partial's Data capacity when non-nil.
 func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
+	return decodeShardResponse(dst, payload, false)
+}
+
+// decodeShardResponse decodes a shard response item into dst; deferred
+// leaves an OK item's partial encoded in PartialPayload.
+func decodeShardResponse(dst *ShardResponse, payload []byte, deferred bool) error {
 	st, detail, err := DecodeError(payload)
 	if err != nil {
 		return err
 	}
-	dst.Status, dst.Detail = st, detail
+	dst.Status, dst.Detail, dst.PartialPayload = st, detail, nil
 	if st != StatusOK {
 		dst.J0, dst.Stats, dst.Partial = 0, core.Stats{}, nil
 		return nil
@@ -121,7 +140,7 @@ func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
 	if len(payload) < 1+8 {
 		return fmt.Errorf("%w: truncated shard response stats", ErrMalformed)
 	}
-	j0 := getU64(payload[1:])
+	j0 := le.Uint64(payload[1:])
 	if j0 > MaxDim {
 		return fmt.Errorf("%w: shard j0 %d exceeds MaxDim", ErrMalformed, j0)
 	}
@@ -129,8 +148,16 @@ func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
 	if dst.Stats, err = decodeStats(payload[9:]); err != nil {
 		return err
 	}
+	rest := payload[9+statsWireSize:]
+	if deferred {
+		if _, _, err := DenseDims(rest); err != nil {
+			return err
+		}
+		dst.Partial, dst.PartialPayload = nil, rest
+		return nil
+	}
 	if dst.Partial == nil {
 		dst.Partial = new(dense.Matrix)
 	}
-	return DecodeDenseInto(dst.Partial, payload[9+statsWireSize:])
+	return DecodeDenseInto(dst.Partial, rest)
 }

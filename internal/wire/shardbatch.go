@@ -81,21 +81,29 @@ func DecodeShardBatchResponse(payload []byte) ([]ShardResponse, error) {
 	return decodeBatch(payload, DecodeShardResponseInto)
 }
 
-// EncodeShardBatchRequestFrame returns a complete shard batch request
-// frame, ready for an HTTP body. A batch whose total payload exceeds the
-// 32-bit frame length fails with ErrTooLarge.
-func EncodeShardBatchRequestFrame(reqs []ShardRequest) ([]byte, error) {
-	payload := AppendShardBatchRequest(make([]byte, 0, ShardBatchRequestWireSize(reqs)-HeaderSize), reqs)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgShardBatchRequest, payload)
+// ShardBatchRequestSize returns the encoded size of a shard batch request
+// payload; the coordinator meters a peer's traffic as HeaderSize plus it.
+func ShardBatchRequestSize(reqs []ShardRequest) int { return batchSize(reqs, ShardRequestSize) }
+
+// ShardBatchResponseSize returns the encoded size of a shard batch
+// response payload.
+func ShardBatchResponseSize(rs []ShardResponse) int { return batchSize(rs, ShardResponseSize) }
+
+// DecodeShardBatchResponseDeferred decodes a shard batch response payload
+// as DecodeShardBatchResponse does, checking every item, but leaves each
+// OK item's partial sketch encoded: Partial is nil and PartialPayload
+// aliases payload. The coordinator decodes it once, into its place in the
+// merged sketch.
+func DecodeShardBatchResponseDeferred(payload []byte) ([]ShardResponse, error) {
+	return decodeBatch(payload, func(dst *ShardResponse, item []byte) error { return decodeShardResponse(dst, item, true) })
 }
 
-// ShardBatchRequestWireSize returns the exact on-the-wire frame size of a
-// shard batch — header plus payload — without encoding, for the
-// coordinator's per-peer byte metering.
-func ShardBatchRequestWireSize(reqs []ShardRequest) int {
-	size := HeaderSize + 4
-	for i := range reqs {
-		size += 4 + shardRequestSize(&reqs[i])
-	}
-	return size
+// EncodeShardBatchRequestFrame returns a complete shard batch request
+// frame, ready for an HTTP body, in one allocation of its exact size. A
+// batch whose total payload exceeds the 32-bit frame length fails with
+// ErrTooLarge.
+func EncodeShardBatchRequestFrame(reqs []ShardRequest) ([]byte, error) {
+	return AppendFrame(nil, MsgShardBatchRequest, ShardBatchRequestSize(reqs), func(dst []byte) []byte {
+		return AppendShardBatchRequest(dst, reqs)
+	})
 }

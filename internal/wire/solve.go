@@ -155,6 +155,22 @@ type SolveRequest struct {
 // solveFixedSize is the fixed-width prefix before the RHS values.
 const solveFixedSize = 1 + 1 + 3*8 + 4*8 + optsWireSize + 8
 
+// SolveRequestSize returns the encoded size of r's payload.
+func SolveRequestSize(r *SolveRequest) int {
+	n := solveFixedSize + 8*len(r.B)
+	if r.ByRef {
+		return n + fingerprintWireSize
+	}
+	return n + CSCSize(r.A)
+}
+
+// appendF64s appends vs as IEEE-754 bits, growing dst at most once.
+func appendF64s(dst []byte, vs []float64) []byte {
+	dst, b := extend(dst, 8*len(vs))
+	putF64s(b, vs)
+	return dst
+}
+
 // AppendSolveRequest appends r's payload to dst.
 func AppendSolveRequest(dst []byte, r *SolveRequest) []byte {
 	dst = append(dst, byte(r.Method))
@@ -166,18 +182,15 @@ func AppendSolveRequest(dst []byte, r *SolveRequest) []byte {
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	dst = appendU64(dst, math.Float64bits(r.Gamma))
-	dst = appendU64(dst, math.Float64bits(r.Atol))
-	dst = appendU64(dst, math.Float64bits(r.SVDDrop))
-	dst = appendU64(dst, uint64(r.MaxIters))
-	dst = appendU64(dst, uint64(r.Rank))
-	dst = appendU64(dst, uint64(r.Oversample))
-	dst = appendU64(dst, uint64(r.PowerIters))
+	dst = le.AppendUint64(dst, math.Float64bits(r.Gamma))
+	dst = le.AppendUint64(dst, math.Float64bits(r.Atol))
+	dst = le.AppendUint64(dst, math.Float64bits(r.SVDDrop))
+	dst = le.AppendUint64(dst, uint64(r.MaxIters))
+	dst = le.AppendUint64(dst, uint64(r.Rank))
+	dst = le.AppendUint64(dst, uint64(r.Oversample))
+	dst = le.AppendUint64(dst, uint64(r.PowerIters))
 	dst = appendSketchOpts(dst, r.Opts)
-	dst = appendU64(dst, uint64(len(r.B)))
-	for _, v := range r.B {
-		dst = appendU64(dst, math.Float64bits(v))
-	}
+	dst = appendF64s(le.AppendUint64(dst, uint64(len(r.B))), r.B)
 	if r.ByRef {
 		return appendFingerprint(dst, r.Fp)
 	}
@@ -201,13 +214,13 @@ func DecodeSolveRequest(payload []byte) (*SolveRequest, error) {
 	}
 	r.Async = flags&1 != 0
 	r.ByRef = flags&2 != 0
-	r.Gamma = math.Float64frombits(getU64(payload[2:]))
-	r.Atol = math.Float64frombits(getU64(payload[10:]))
-	r.SVDDrop = math.Float64frombits(getU64(payload[18:]))
-	maxIters := getU64(payload[26:])
-	rank := getU64(payload[34:])
-	oversample := getU64(payload[42:])
-	powerIters := getU64(payload[50:])
+	r.Gamma = math.Float64frombits(le.Uint64(payload[2:]))
+	r.Atol = math.Float64frombits(le.Uint64(payload[10:]))
+	r.SVDDrop = math.Float64frombits(le.Uint64(payload[18:]))
+	maxIters := le.Uint64(payload[26:])
+	rank := le.Uint64(payload[34:])
+	oversample := le.Uint64(payload[42:])
+	powerIters := le.Uint64(payload[50:])
 	switch {
 	case math.IsNaN(r.Gamma) || math.IsInf(r.Gamma, 0) || r.Gamma < 0 || r.Gamma > MaxDim:
 		return nil, fmt.Errorf("%w: gamma out of domain", ErrMalformed)
@@ -227,16 +240,13 @@ func DecodeSolveRequest(payload []byte) (*SolveRequest, error) {
 		return nil, err
 	}
 	r.Opts = opts
-	lenB := getU64(payload[solveFixedSize-8:])
+	lenB := le.Uint64(payload[solveFixedSize-8:])
 	rest := payload[solveFixedSize:]
 	if lenB > uint64(len(rest))/8 {
 		return nil, fmt.Errorf("%w: RHS length %d inconsistent with %d payload bytes", ErrMalformed, lenB, len(rest))
 	}
 	r.B = make([]float64, lenB)
-	for i := range r.B {
-		r.B[i] = math.Float64frombits(getU64(rest[8*i:]))
-	}
-	rest = rest[8*lenB:]
+	rest = getF64s(r.B, rest)
 	if r.ByRef {
 		if len(rest) != fingerprintWireSize {
 			return nil, fmt.Errorf("%w: solve fingerprint %d bytes, want %d", ErrMalformed, len(rest), fingerprintWireSize)
@@ -258,14 +268,7 @@ func DecodeSolveRequest(payload []byte) (*SolveRequest, error) {
 
 // EncodeSolveRequestFrame returns a complete solve-request frame.
 func EncodeSolveRequestFrame(r *SolveRequest) ([]byte, error) {
-	n := solveFixedSize + 8*len(r.B)
-	if r.ByRef {
-		n += fingerprintWireSize
-	} else if r.A != nil {
-		n += cscPayloadSize(r.A)
-	}
-	payload := AppendSolveRequest(make([]byte, 0, n), r)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgSolveRequest, payload)
+	return AppendFrame(nil, MsgSolveRequest, SolveRequestSize(r), func(dst []byte) []byte { return AppendSolveRequest(dst, r) })
 }
 
 // SolveInfo is the wire form of solver.Info plus serving-side annotations.
@@ -309,6 +312,18 @@ func (r *SolveResponse) Err() error { return r.Status.Err(r.Detail) }
 
 const solveInfoSize = 1 + 1 + 1 + 6*8 + 8 // kind, method, flags, 6 i64, residual
 
+// SolveResponseSize returns the encoded size of r's payload.
+func SolveResponseSize(r *SolveResponse) int {
+	if r.Status != StatusOK {
+		return ErrorSize(r.Detail)
+	}
+	n := 1 + solveInfoSize + 8
+	if f := r.Factors; f != nil {
+		return n + 8*len(f.Sigma) + 4 + DenseSize(f.U) + DenseSize(f.V)
+	}
+	return n + 8*len(r.X)
+}
+
 // AppendSolveResponse appends r's payload to dst.
 func AppendSolveResponse(dst []byte, r *SolveResponse) []byte {
 	if r.Status != StatusOK {
@@ -328,27 +343,19 @@ func AppendSolveResponse(dst []byte, r *SolveResponse) []byte {
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	dst = appendU64(dst, uint64(r.Info.SketchNS))
-	dst = appendU64(dst, uint64(r.Info.FactorNS))
-	dst = appendU64(dst, uint64(r.Info.IterNS))
-	dst = appendU64(dst, uint64(r.Info.TotalNS))
-	dst = appendU64(dst, uint64(int64(r.Info.Iters)))
-	dst = appendU64(dst, uint64(r.Info.MemoryBytes))
-	dst = appendU64(dst, math.Float64bits(r.Info.Residual))
+	dst = le.AppendUint64(dst, uint64(r.Info.SketchNS))
+	dst = le.AppendUint64(dst, uint64(r.Info.FactorNS))
+	dst = le.AppendUint64(dst, uint64(r.Info.IterNS))
+	dst = le.AppendUint64(dst, uint64(r.Info.TotalNS))
+	dst = le.AppendUint64(dst, uint64(int64(r.Info.Iters)))
+	dst = le.AppendUint64(dst, uint64(r.Info.MemoryBytes))
+	dst = le.AppendUint64(dst, math.Float64bits(r.Info.Residual))
 	if kind == 0 {
-		dst = appendU64(dst, uint64(len(r.X)))
-		for _, v := range r.X {
-			dst = appendU64(dst, math.Float64bits(v))
-		}
-		return dst
+		return appendF64s(le.AppendUint64(dst, uint64(len(r.X))), r.X)
 	}
 	f := r.Factors
-	dst = appendU64(dst, uint64(len(f.Sigma)))
-	for _, v := range f.Sigma {
-		dst = appendU64(dst, math.Float64bits(v))
-	}
-	uLen := 16 + 8*f.U.Rows*f.U.Cols
-	dst = appendU32(dst, uint32(uLen))
+	dst = appendF64s(le.AppendUint64(dst, uint64(len(f.Sigma))), f.Sigma)
+	dst = le.AppendUint32(dst, uint32(DenseSize(f.U)))
 	dst = AppendDense(dst, f.U)
 	return AppendDense(dst, f.V)
 }
@@ -381,13 +388,13 @@ func DecodeSolveResponse(payload []byte) (*SolveResponse, error) {
 	}
 	r.Info.Converged = flags&1 != 0
 	r.Info.PrecondCached = flags&2 != 0
-	r.Info.SketchNS = int64(getU64(payload[4:]))
-	r.Info.FactorNS = int64(getU64(payload[12:]))
-	r.Info.IterNS = int64(getU64(payload[20:]))
-	r.Info.TotalNS = int64(getU64(payload[28:]))
-	iters := int64(getU64(payload[36:]))
-	r.Info.MemoryBytes = int64(getU64(payload[44:]))
-	r.Info.Residual = math.Float64frombits(getU64(payload[52:]))
+	r.Info.SketchNS = int64(le.Uint64(payload[4:]))
+	r.Info.FactorNS = int64(le.Uint64(payload[12:]))
+	r.Info.IterNS = int64(le.Uint64(payload[20:]))
+	r.Info.TotalNS = int64(le.Uint64(payload[28:]))
+	iters := int64(le.Uint64(payload[36:]))
+	r.Info.MemoryBytes = int64(le.Uint64(payload[44:]))
+	r.Info.Residual = math.Float64frombits(le.Uint64(payload[52:]))
 	if r.Info.SketchNS < 0 || r.Info.FactorNS < 0 || r.Info.IterNS < 0 ||
 		r.Info.TotalNS < 0 || iters < 0 || iters > MaxDim || r.Info.MemoryBytes < 0 {
 		return nil, fmt.Errorf("%w: negative solve info fields", ErrMalformed)
@@ -401,32 +408,27 @@ func DecodeSolveResponse(payload []byte) (*SolveResponse, error) {
 		if len(rest) < 8 {
 			return nil, fmt.Errorf("%w: truncated solution length", ErrMalformed)
 		}
-		n := getU64(rest[0:])
+		n := le.Uint64(rest[0:])
 		if n != uint64(len(rest)-8)/8 || 8+8*n != uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: solution length %d inconsistent with %d bytes", ErrMalformed, n, len(rest))
 		}
 		r.X = make([]float64, n)
-		for i := range r.X {
-			r.X[i] = math.Float64frombits(getU64(rest[8+8*i:]))
-		}
+		getF64s(r.X, rest[8:])
 		return r, nil
 	}
 	if len(rest) < 8 {
 		return nil, fmt.Errorf("%w: truncated factor payload", ErrMalformed)
 	}
-	k := getU64(rest[0:])
+	k := le.Uint64(rest[0:])
 	if k > MaxDim || k > uint64(len(rest)-8)/8 {
 		return nil, fmt.Errorf("%w: factor count %d inconsistent with %d bytes", ErrMalformed, k, len(rest))
 	}
 	f := &RSVDFactors{Sigma: make([]float64, k)}
-	for i := range f.Sigma {
-		f.Sigma[i] = math.Float64frombits(getU64(rest[8+8*i:]))
-	}
-	rest = rest[8+8*k:]
+	rest = getF64s(f.Sigma, rest[8:])
 	if len(rest) < 4 {
 		return nil, fmt.Errorf("%w: truncated factor split", ErrMalformed)
 	}
-	uLen := uint64(getU32(rest[0:4]))
+	uLen := uint64(le.Uint32(rest[0:4]))
 	rest = rest[4:]
 	if uLen > uint64(len(rest)) {
 		return nil, fmt.Errorf("%w: U factor claims %d of %d bytes", ErrMalformed, uLen, len(rest))
@@ -468,6 +470,18 @@ func (j *JobStatus) Err() error { return j.Status.Err(j.Detail) }
 // hex characters.
 const maxJobIDLen = 64
 
+// JobStatusSize returns the encoded size of j's payload.
+func JobStatusSize(j *JobStatus) int {
+	if j.Status != StatusOK {
+		return ErrorSize(j.Detail)
+	}
+	n := 1 + 1 + 8 + 8 + 4 + len(j.ID) + 1
+	if j.Result != nil {
+		n += SolveResponseSize(j.Result)
+	}
+	return n
+}
+
 // AppendJobStatus appends j's payload to dst.
 func AppendJobStatus(dst []byte, j *JobStatus) []byte {
 	if j.Status != StatusOK {
@@ -475,9 +489,9 @@ func AppendJobStatus(dst []byte, j *JobStatus) []byte {
 	}
 	dst = append(dst, byte(StatusOK))
 	dst = append(dst, byte(j.State))
-	dst = appendU64(dst, uint64(int64(j.Iters)))
-	dst = appendU64(dst, math.Float64bits(j.Resid))
-	dst = appendU32(dst, uint32(len(j.ID)))
+	dst = le.AppendUint64(dst, uint64(int64(j.Iters)))
+	dst = le.AppendUint64(dst, math.Float64bits(j.Resid))
+	dst = le.AppendUint32(dst, uint32(len(j.ID)))
 	dst = append(dst, j.ID...)
 	if j.Result == nil {
 		return append(dst, 0)
@@ -505,16 +519,16 @@ func DecodeJobStatus(payload []byte) (*JobStatus, error) {
 		return nil, fmt.Errorf("%w: job state %d out of domain", ErrMalformed, state)
 	}
 	j.State = jobs.State(state)
-	iters := int64(getU64(payload[2:]))
+	iters := int64(le.Uint64(payload[2:]))
 	if iters < 0 || iters > MaxDim {
 		return nil, fmt.Errorf("%w: job iterations out of domain", ErrMalformed)
 	}
 	j.Iters = int(iters)
-	j.Resid = math.Float64frombits(getU64(payload[10:]))
+	j.Resid = math.Float64frombits(le.Uint64(payload[10:]))
 	if math.IsNaN(j.Resid) || math.IsInf(j.Resid, 0) || j.Resid < 0 {
 		return nil, fmt.Errorf("%w: non-finite or negative job residual", ErrMalformed)
 	}
-	idLen := uint64(getU32(payload[18:22]))
+	idLen := uint64(le.Uint32(payload[18:22]))
 	rest := payload[22:]
 	if idLen == 0 || idLen > maxJobIDLen || idLen > uint64(len(rest)) {
 		return nil, fmt.Errorf("%w: job ID length %d out of domain", ErrMalformed, idLen)
@@ -550,8 +564,7 @@ func DecodeJobStatus(payload []byte) (*JobStatus, error) {
 
 // EncodeJobStatusFrame returns a complete job-status frame.
 func EncodeJobStatusFrame(j *JobStatus) ([]byte, error) {
-	payload := AppendJobStatus(nil, j)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgJobStatus, payload)
+	return AppendFrame(nil, MsgJobStatus, JobStatusSize(j), func(dst []byte) []byte { return AppendJobStatus(dst, j) })
 }
 
 // SolveInfoOf converts a solver.Info into its wire form, attaching the

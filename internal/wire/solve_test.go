@@ -89,23 +89,23 @@ func TestSolveRequestRejectsDomainViolations(t *testing.T) {
 		{"bad-method", func(p []byte) []byte { p[0] = byte(maxSolveMethod) + 1; return p }},
 		{"bad-flags", func(p []byte) []byte { p[1] |= 4; return p }},
 		{"nan-gamma", func(p []byte) []byte {
-			copy(p[2:10], appendU64(nil, 0x7ff8000000000001))
+			copy(p[2:10], le.AppendUint64(nil, 0x7ff8000000000001))
 			return p
 		}},
 		{"negative-atol", func(p []byte) []byte {
-			copy(p[10:18], appendU64(nil, 0x8000000000000001))
+			copy(p[10:18], le.AppendUint64(nil, 0x8000000000000001))
 			return p
 		}},
 		{"svddrop-one", func(p []byte) []byte {
-			copy(p[18:26], appendU64(nil, 0x3ff0000000000000)) // 1.0
+			copy(p[18:26], le.AppendUint64(nil, 0x3ff0000000000000)) // 1.0
 			return p
 		}},
 		{"huge-maxiters", func(p []byte) []byte {
-			copy(p[26:34], appendU64(nil, MaxDim+1))
+			copy(p[26:34], le.AppendUint64(nil, MaxDim+1))
 			return p
 		}},
 		{"rhs-overclaim", func(p []byte) []byte {
-			copy(p[solveFixedSize-8:solveFixedSize], appendU64(nil, 1<<50))
+			copy(p[solveFixedSize-8:solveFixedSize], le.AppendUint64(nil, 1<<50))
 			return p
 		}},
 		{"truncated", func(p []byte) []byte { return p[:solveFixedSize-1] }},
@@ -186,15 +186,15 @@ func TestSolveResponseRejectsDomainViolations(t *testing.T) {
 		{"bad-method", func(p []byte) []byte { p[2] = byte(maxSolveMethod) + 1; return p }},
 		{"bad-flags", func(p []byte) []byte { p[3] |= 4; return p }},
 		{"negative-sketchns", func(p []byte) []byte {
-			copy(p[4:12], appendU64(nil, ^uint64(0)))
+			copy(p[4:12], le.AppendUint64(nil, ^uint64(0)))
 			return p
 		}},
 		{"nan-residual", func(p []byte) []byte {
-			copy(p[52:60], appendU64(nil, 0x7ff8000000000001))
+			copy(p[52:60], le.AppendUint64(nil, 0x7ff8000000000001))
 			return p
 		}},
 		{"solution-overclaim", func(p []byte) []byte {
-			copy(p[1+solveInfoSize:1+solveInfoSize+8], appendU64(nil, 99))
+			copy(p[1+solveInfoSize:1+solveInfoSize+8], le.AppendUint64(nil, 99))
 			return p
 		}},
 	}
@@ -217,7 +217,7 @@ func TestSolveResponseRejectsDomainViolations(t *testing.T) {
 	// bytes: the dense factors then decode at rank 2 ≠ 1.
 	off := 1 + solveInfoSize
 	trimmed := append([]byte(nil), bad[:off]...)
-	trimmed = appendU64(trimmed, 1)
+	trimmed = le.AppendUint64(trimmed, 1)
 	trimmed = append(trimmed, bad[off+8:off+16]...) // one sigma value
 	trimmed = append(trimmed, bad[off+8+16:]...)    // uLen + factors
 	if _, err := DecodeSolveResponse(trimmed); !errors.Is(err, ErrMalformed) {
@@ -279,11 +279,11 @@ func TestJobStatusRejectsDomainViolations(t *testing.T) {
 	}{
 		{"bad-state", func(p []byte) []byte { p[1] = 9; return p }},
 		{"negative-iters", func(p []byte) []byte {
-			copy(p[2:10], appendU64(nil, ^uint64(0)))
+			copy(p[2:10], le.AppendUint64(nil, ^uint64(0)))
 			return p
 		}},
 		{"nan-resid", func(p []byte) []byte {
-			copy(p[10:18], appendU64(nil, 0x7ff8000000000001))
+			copy(p[10:18], le.AppendUint64(nil, 0x7ff8000000000001))
 			return p
 		}},
 		{"zero-idlen", func(p []byte) []byte {

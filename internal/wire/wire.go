@@ -88,9 +88,11 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"sketchsp/internal/core"
 	"sketchsp/internal/jobs"
@@ -424,10 +426,13 @@ func (s Status) Err(detail string) error {
 // reader that knows just the status byte (the client's retry peek, a server
 // answering before it has decoded anything) handles every response alike.
 
+// ErrorSize returns the encoded size of an error form carrying detail.
+func ErrorSize(detail string) int { return 5 + len(detail) }
+
 // AppendError appends the error form of (st, detail) to dst.
 func AppendError(dst []byte, st Status, detail string) []byte {
 	dst = append(dst, byte(st))
-	dst = appendU32(dst, uint32(len(detail)))
+	dst = le.AppendUint32(dst, uint32(len(detail)))
 	return append(dst, detail...)
 }
 
@@ -443,7 +448,7 @@ func DecodeError(payload []byte) (Status, string, error) {
 	if len(payload) < 5 {
 		return 0, "", fmt.Errorf("%w: truncated error response", ErrMalformed)
 	}
-	if n := uint64(getU32(payload[1:5])); uint64(len(payload)-5) != n {
+	if n := uint64(le.Uint32(payload[1:5])); uint64(len(payload)-5) != n {
 		return 0, "", fmt.Errorf("%w: error detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
 	}
 	return st, string(payload[5:]), nil
@@ -473,6 +478,14 @@ func (t MsgType) IsBatch() bool {
 	return false
 }
 
+// ErrorPayloadSize returns the encoded size of AppendErrorPayload's answer.
+func ErrorPayloadSize(t MsgType, detail string) int {
+	if t.IsBatch() {
+		return 4 + 4 + ErrorSize(detail)
+	}
+	return ErrorSize(detail)
+}
+
 // AppendErrorPayload appends the error answer of response type t: the
 // error form, wrapped as a batch of one item for the batch response types
 // so the client's decoder still matches what it sent.
@@ -485,49 +498,88 @@ func AppendErrorPayload(dst []byte, t MsgType, st Status, detail string) []byte 
 
 // ---- frame I/O ----
 
-func putU32(dst []byte, v uint32) {
-	dst[0] = byte(v)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v >> 16)
-	dst[3] = byte(v >> 24)
-}
+// le is the byte order of every integer on the wire.
+var le = binary.LittleEndian
 
-func getU32(src []byte) uint32 {
-	return uint32(src[0]) | uint32(src[1])<<8 | uint32(src[2])<<16 | uint32(src[3])<<24
-}
-
-func putU64(dst []byte, v uint64) {
-	dst[0] = byte(v)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v >> 16)
-	dst[3] = byte(v >> 24)
-	dst[4] = byte(v >> 32)
-	dst[5] = byte(v >> 40)
-	dst[6] = byte(v >> 48)
-	dst[7] = byte(v >> 56)
-}
-
-func getU64(src []byte) uint64 {
-	return uint64(src[0]) | uint64(src[1])<<8 | uint64(src[2])<<16 |
-		uint64(src[3])<<24 | uint64(src[4])<<32 | uint64(src[5])<<40 |
-		uint64(src[6])<<48 | uint64(src[7])<<56
-}
-
-// AppendFrame appends a complete frame (header + payload) to dst and
-// returns the extended slice. A payload beyond MaxFramePayload cannot be
-// expressed in the 32-bit length field and fails with ErrTooLarge, leaving
-// dst unextended.
-func AppendFrame(dst []byte, t MsgType, payload []byte) ([]byte, error) {
-	if uint64(len(payload)) > MaxFramePayload {
-		return dst, fmt.Errorf("%w: payload %d bytes exceeds the %d-byte frame limit", ErrTooLarge, len(payload), uint64(MaxFramePayload))
+// extend grows dst by n bytes, reallocating at most once, and returns the
+// grown slice together with its n-byte tail for the caller to fill. Under
+// AppendFrame the room is already there and nothing is reallocated.
+func extend(dst []byte, n int) (grown, tail []byte) {
+	l := len(dst)
+	if cap(dst)-l < n {
+		nd := make([]byte, l, max(l+n, 2*cap(dst)))
+		copy(nd, dst)
+		dst = nd
 	}
-	var hdr [HeaderSize]byte
-	hdr[0], hdr[1], hdr[2] = 'S', 'K', 'W'
-	hdr[3] = Version
-	hdr[4] = byte(t)
-	putU32(hdr[8:12], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	dst = dst[:l+n]
+	return dst, dst[l:]
+}
+
+// putInts writes vs as u64 words at the head of b and returns the rest.
+func putInts(b []byte, vs []int) []byte {
+	for i, v := range vs {
+		le.PutUint64(b[8*i:], uint64(v))
+	}
+	return b[8*len(vs):]
+}
+
+// putF64s writes vs as IEEE-754 bits at the head of b and returns the rest.
+func putF64s(b []byte, vs []float64) []byte {
+	for i, v := range vs {
+		le.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b[8*len(vs):]
+}
+
+// getInts fills dst from the u64 words at the head of b, which the caller
+// has sized, and returns the rest.
+func getInts(dst []int, b []byte) []byte {
+	for i := range dst {
+		dst[i] = int(int64(le.Uint64(b[8*i:])))
+	}
+	return b[8*len(dst):]
+}
+
+// getF64s fills dst from the IEEE-754 bits at the head of b, which the
+// caller has sized, and returns the rest.
+func getF64s(dst []float64, b []byte) []byte {
+	for i := range dst {
+		dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+	}
+	return b[8*len(dst):]
+}
+
+// appendHeader appends the frame header of a t frame whose payload is n
+// bytes long.
+func appendHeader(dst []byte, t MsgType, n uint32) []byte {
+	return le.AppendUint32(append(dst, 'S', 'K', 'W', Version, byte(t), 0, 0, 0), n)
+}
+
+// errFrameLimit is the ErrTooLarge of a payload the 32-bit length field
+// cannot express.
+func errFrameLimit(size uint64) error {
+	return fmt.Errorf("%w: payload %d bytes exceeds the %d-byte frame limit", ErrTooLarge, size, uint64(MaxFramePayload))
+}
+
+// AppendFrame appends one complete frame of type t to dst and returns the
+// extended slice. It is the package's one framing rule: size is the exact
+// encoded length of the payload, from the payload type's size function,
+// and is checked against MaxFramePayload before anything is allocated;
+// dst then grows once, to exactly the header plus size bytes, payload
+// appends the payload in place behind the header, and the header's length
+// field is filled in last. A size beyond MaxFramePayload fails with
+// ErrTooLarge and leaves dst unextended.
+func AppendFrame(dst []byte, t MsgType, size int, payload func(dst []byte) []byte) ([]byte, error) {
+	if size < 0 || uint64(size) > MaxFramePayload {
+		return dst, errFrameLimit(uint64(size))
+	}
+	if need := HeaderSize + size; cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	mark := len(dst)
+	dst = payload(appendHeader(dst, t, 0))
+	le.PutUint32(dst[mark+8:], uint32(len(dst)-mark-HeaderSize))
+	return dst, nil
 }
 
 // SplitFrame parses one frame from buf without copying: the returned
@@ -549,7 +601,7 @@ func SplitFrame(buf []byte, maxPayload int) (t MsgType, payload, rest []byte, er
 	if buf[5] != 0 || buf[6] != 0 || buf[7] != 0 {
 		return 0, nil, nil, fmt.Errorf("%w: nonzero reserved header bytes", ErrMalformed)
 	}
-	n := int64(getU32(buf[8:12]))
+	n := int64(le.Uint32(buf[8:12]))
 	if n > int64(maxPayload) {
 		return 0, nil, nil, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, n, maxPayload)
 	}
@@ -560,18 +612,24 @@ func SplitFrame(buf []byte, maxPayload int) (t MsgType, payload, rest []byte, er
 	return MsgType(buf[4]), buf[HeaderSize:end], buf[end:], nil
 }
 
+// NoTrailing rejects the rest SplitFrame returns when the buffer must hold
+// exactly one frame, as an HTTP body does: a valid frame followed by
+// anything is malformed, not a frame plus noise to ignore.
+func NoTrailing(rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after the frame", ErrMalformed, len(rest))
+	}
+	return nil
+}
+
 // WriteMessage writes one frame to w. Like AppendFrame, a payload beyond
 // MaxFramePayload fails with ErrTooLarge before anything is written.
 func WriteMessage(w io.Writer, t MsgType, payload []byte) error {
 	if uint64(len(payload)) > MaxFramePayload {
-		return fmt.Errorf("%w: payload %d bytes exceeds the %d-byte frame limit", ErrTooLarge, len(payload), uint64(MaxFramePayload))
+		return errFrameLimit(uint64(len(payload)))
 	}
 	var hdr [HeaderSize]byte
-	hdr[0], hdr[1], hdr[2] = 'S', 'K', 'W'
-	hdr[3] = Version
-	hdr[4] = byte(t)
-	putU32(hdr[8:12], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(hdr[:0], t, uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -601,7 +659,7 @@ func ReadMessage(r io.Reader, maxPayload int) (MsgType, []byte, error) {
 	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
 		return 0, nil, fmt.Errorf("%w: nonzero reserved header bytes", ErrMalformed)
 	}
-	n := int64(getU32(hdr[8:12]))
+	n := int64(le.Uint32(hdr[8:12]))
 	if n > int64(maxPayload) {
 		return 0, nil, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, n, maxPayload)
 	}

@@ -42,12 +42,18 @@ func testCSCs() map[string]*sparse.CSC {
 // mustFrame frames a test payload, panicking on the (impossible for test
 // sizes) frame-limit error so call sites stay expressions.
 func mustFrame(t MsgType, payload []byte) []byte {
-	b, err := AppendFrame(nil, t, payload)
+	b, err := AppendFrame(nil, t, len(payload), func(dst []byte) []byte { return append(dst, payload...) })
 	if err != nil {
 		panic(err)
 	}
 	return b
 }
+
+// appendU64 and appendU32 append little-endian words; the corpus generator
+// patches seed payloads with them.
+func appendU64(dst []byte, v uint64) []byte { return le.AppendUint64(dst, v) }
+
+func appendU32(dst []byte, v uint32) []byte { return le.AppendUint32(dst, v) }
 
 func TestCSCRoundtrip(t *testing.T) {
 	for name, a := range testCSCs() {
@@ -269,10 +275,12 @@ func TestEncodeRejectsOversizedPayload(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("cannot build an oversized payload on a 32-bit platform")
 	}
-	huge := make([]byte, int64(MaxFramePayload)+1)
-	if _, err := AppendFrame(nil, MsgCSC, huge); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("AppendFrame: err = %v, want ErrTooLarge", err)
+	called := false
+	dst, err := AppendFrame(nil, MsgCSC, MaxFramePayload+1, func(dst []byte) []byte { called = true; return dst })
+	if !errors.Is(err, ErrTooLarge) || called || dst != nil {
+		t.Errorf("AppendFrame: err = %v, encoder called %v, dst %d bytes; want ErrTooLarge before encoding", err, called, len(dst))
 	}
+	huge := make([]byte, int64(MaxFramePayload)+1)
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, MsgCSC, huge); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("WriteMessage: err = %v, want ErrTooLarge", err)
@@ -324,7 +332,7 @@ func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 	base := AppendCSC(nil, a)
 	// Claimed nnz larger than the bytes back.
 	huge := append([]byte{}, base...)
-	putU64(huge[16:], 1<<40)
+	le.PutUint64(huge[16:], 1<<40)
 	if _, err := DecodeCSC(huge); !errors.Is(err, ErrMalformed) {
 		t.Errorf("huge nnz: %v", err)
 	}
@@ -351,7 +359,7 @@ func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 	req := AppendRequest(nil, 8, core.Options{}, a)
 	for _, off := range []int{16, 24, 32, 64} { // algorithm, dist, source, sched
 		mut := append([]byte{}, req...)
-		putU64(mut[off:], uint64(int64(99)))
+		le.PutUint64(mut[off:], uint64(int64(99)))
 		if _, err := DecodeRequest(mut); !errors.Is(err, ErrMalformed) {
 			t.Errorf("enum at offset %d: %v", off, err)
 		}
@@ -359,14 +367,14 @@ func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 	// Distribution one past the last member of the sparse family must be
 	// rejected as malformed, never fall back to a default distribution.
 	distMut := append([]byte{}, req...)
-	putU64(distMut[24:], uint64(int64(rng.CountSketch)+1))
+	le.PutUint64(distMut[24:], uint64(int64(rng.CountSketch)+1))
 	if _, err := DecodeRequest(distMut); !errors.Is(err, ErrMalformed) {
 		t.Errorf("dist past CountSketch: %v", err)
 	}
 	// ... while every in-domain distribution decodes.
 	for d := rng.Uniform11; d <= rng.CountSketch; d++ {
 		ok := append([]byte{}, req...)
-		putU64(ok[24:], uint64(int64(d)))
+		le.PutUint64(ok[24:], uint64(int64(d)))
 		if _, err := DecodeRequest(ok); err != nil {
 			t.Errorf("dist %v rejected: %v", d, err)
 		}
@@ -374,7 +382,7 @@ func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 	// Negative or absurd sparsity is out of domain.
 	for _, sp := range []int64{-1, int64(MaxDim) + 1} {
 		mut := append([]byte{}, req...)
-		putU64(mut[72:], uint64(sp))
+		le.PutUint64(mut[72:], uint64(sp))
 		if _, err := DecodeRequest(mut); !errors.Is(err, ErrMalformed) {
 			t.Errorf("sparsity %d: %v", sp, err)
 		}
