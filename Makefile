@@ -73,14 +73,16 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # Appends WORKLOAD's perfbench medians to the append-only BENCH.json
-# ledger: RUNS untraced runs of RUN_SECONDS each on this checkout, summarized
-# by cmd/benchledger into one {rev, host, workload, metric, median, iqr, n}
-# record per end-to-end metric. The raw runs stay in .bench_build.
+# ledger: RUNS untraced 20 s runs (the benchmark's own length) of this
+# checkout, summarized by cmd/benchledger into one {rev, host, workload,
+# metric, median, iqr, n} record per end-to-end metric, rev being HEAD's
+# short hash. It refuses to start on a tree with uncommitted changes to
+# tracked files other than the ledger. The raw runs stay in .bench_build.
 WORKLOAD ?= serve
 RUNS ?= 5
-RUN_SECONDS ?= 20
 
 bench-ledger:
+	@git diff --quiet HEAD -- . ':!BENCH.json' || { echo "bench-ledger: commit the working tree's changes first"; exit 1; }
 	@mkdir -p .bench_build
-	for i in $$(seq $(RUNS)); do bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds $(RUN_SECONDS) --trace 0; done > .bench_build/ledger-$(WORKLOAD).txt
+	for i in $$(seq $(RUNS)); do bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds 20 --trace 0; done > .bench_build/ledger-$(WORKLOAD).txt
 	$(GO) run ./cmd/benchledger -workload $(WORKLOAD) .bench_build/ledger-$(WORKLOAD).txt

@@ -5,8 +5,10 @@
 //
 // It reads the standard output of the runs — each run's "# host:" line and
 // its final JSON result line — from the files named on the command line,
-// or from standard input. The records already in the ledger are never
-// rewritten; new ones are added at the end.
+// or from standard input. A run whose answers were wrong (correct=false)
+// or whose operations failed (failed>0) is refused, with the whole input:
+// the ledger holds only measurements of working code. The records already
+// in the ledger are never rewritten; new ones are added at the end.
 //
 // Usage, from the repository root:
 //
@@ -16,8 +18,9 @@
 //	go run ./cmd/benchledger -workload serve runs.txt
 //
 // `make bench-ledger WORKLOAD=serve` does both steps. The revision defaults
-// to the short hash of HEAD, with a "+" appended when the working tree has
-// changes on top of it (the runs then measured that working tree).
+// to the short hash of HEAD, and appending refuses a working tree with
+// changes to tracked files other than BENCH.json, since no revision names
+// what such runs measured; runs saved from elsewhere name theirs with -rev.
 package main
 
 import (
@@ -46,19 +49,23 @@ type Record struct {
 	N        int     `json:"n"`
 }
 
+// ledgerFile is the ledger, at the repository root.
+const ledgerFile = "BENCH.json"
+
 // result is the part of perfbench's final JSON line the ledger reads.
 type result struct {
+	Correct bool  `json:"correct"`
+	Failed  int64 `json:"failed"`
 	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
 
 func main() {
-	ledger := flag.String("ledger", "BENCH.json", "ledger file to append to")
 	workload := flag.String("workload", "", "workload the runs measured (kernel, serve, shard or solve)")
-	rev := flag.String("rev", "", "revision the runs measured (default: HEAD's short hash, with \"+\" when the tree has changes)")
+	rev := flag.String("rev", "", "revision the runs measured (default: HEAD's short hash; the tree must then be clean)")
 	flag.Parse()
-	if err := run(*ledger, *workload, *rev, flag.Args()); err != nil {
+	if err := run(ledgerFile, *workload, *rev, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "benchledger:", err)
 		os.Exit(1)
 	}
@@ -99,26 +106,27 @@ func run(ledger, workload, rev string, files []string) error {
 	return writeLedger(ledger, recs)
 }
 
-// gitRev names the checkout: HEAD's short hash, plus "+" when the working
-// tree differs from it.
+// gitRev names the checkout: HEAD's short hash. A working tree whose
+// tracked files differ from HEAD, the ledger aside, has no such name.
 func gitRev() (string, error) {
 	head, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "", fmt.Errorf("git rev-parse: %w (pass -rev)", err)
 	}
 	rev := strings.TrimSpace(string(head))
-	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no", "--", ".", ":!"+ledgerFile).Output()
 	if err != nil {
 		return "", fmt.Errorf("git status: %w (pass -rev)", err)
 	}
 	if len(bytes.TrimSpace(status)) > 0 {
-		rev += "+"
+		return "", fmt.Errorf("the working tree has changes on top of %s: commit them, or pass -rev", rev)
 	}
 	return rev, nil
 }
 
 // parseRuns reads the concatenated output of perfbench runs: every run's
-// "# host:" line must agree, and every JSON line is one run's result.
+// "# host:" line must agree, and every JSON line is one run's result, which
+// must be correct and without failed operations.
 func parseRuns(r io.Reader) (string, []result, error) {
 	var host string
 	var runs []result
@@ -137,6 +145,9 @@ func parseRuns(r io.Reader) (string, []result, error) {
 			var res result
 			if err := json.Unmarshal([]byte(line), &res); err != nil {
 				return "", nil, fmt.Errorf("result line: %w", err)
+			}
+			if !res.Correct || res.Failed > 0 {
+				return "", nil, fmt.Errorf("run %d: correct=%v failed=%d; only runs of working code are recorded", len(runs)+1, res.Correct, res.Failed)
 			}
 			runs = append(runs, res)
 		}

@@ -8,14 +8,19 @@ import (
 )
 
 func perfbenchRun(host, throughput string) string {
+	return perfbenchResult(host, `"correct":true,"attempted":10,"failed":0`, throughput)
+}
+
+func perfbenchResult(host, outcome, throughput string) string {
 	return "# host: " + host + "\n# serve: set-up ...\n" +
-		`{"correct":true,"attempted":10,"failed":0,"metrics":{"throughput_ops_s":{"value":` + throughput +
+		`{` + outcome + `,"metrics":{"throughput_ops_s":{"value":` + throughput +
 		`,"unit":"1/s"},"success_ratio":{"value":1,"unit":"ratio"}}}` + "\n"
 }
 
 // TestLedgerAppends: the runs summarize to one record per metric (median
-// and interquartile range by linear interpolation), and a second append
-// keeps the first records as they were.
+// and interquartile range by linear interpolation), a second append keeps
+// the first records as they were, and runs with a wrong answer or a failed
+// operation are refused without touching the ledger.
 func TestLedgerAppends(t *testing.T) {
 	dir := t.TempDir()
 	ledger := filepath.Join(dir, "BENCH.json")
@@ -58,6 +63,21 @@ func TestLedgerAppends(t *testing.T) {
 	head := strings.TrimSuffix(string(first), "\n]\n")
 	if !strings.HasPrefix(string(after), head) {
 		t.Error("the second append rewrote the first records")
+	}
+	for _, outcome := range []string{
+		`"correct":false,"attempted":10,"failed":0`,
+		`"correct":true,"attempted":10,"failed":1`,
+	} {
+		bad := perfbenchRun("nproc=2", "10") + perfbenchResult("nproc=2", outcome, "20")
+		if err := os.WriteFile(runs, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(ledger, "serve", "0123abc", []string{runs}); err == nil {
+			t.Errorf("runs with {%s} were recorded", outcome)
+		}
+		if now, err := os.ReadFile(ledger); err != nil || string(now) != string(after) {
+			t.Errorf("refused runs {%s} changed the ledger (read err %v)", outcome, err)
+		}
 	}
 }
 

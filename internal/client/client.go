@@ -166,9 +166,7 @@ func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]
 // MsgShardBatchRequest — the coordinator's only shard frame, one per peer
 // and request (a lone shard is a batch of one) — and returns the
 // index-aligned shard responses. It shares Sketch's error taxonomy and
-// SketchBatch's retry and count rules. An OK response's partial sketch
-// comes back encoded in PartialPayload (wire.DecodeShardBatchResponseDeferred),
-// for the coordinator to decode straight into the merged sketch.
+// SketchBatch's retry and count rules.
 func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest) ([]wire.ShardResponse, error) {
 	for i := range reqs {
 		if reqs[i].A == nil {
@@ -176,7 +174,7 @@ func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest)
 		}
 	}
 	return postBatch(c, ctx, len(reqs), func() ([]byte, error) { return wire.EncodeShardBatchRequestFrame(reqs) },
-		wire.DecodeShardBatchResponseDeferred, (*wire.ShardResponse).Err)
+		wire.DecodeShardBatchResponse, (*wire.ShardResponse).Err)
 }
 
 // postBatch posts the frame encode builds for n batch items and decodes the
@@ -308,10 +306,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 }
 
 // readBody reads one response body, at most HeaderSize+MaxResponseBytes
-// bytes. A declared Content-Length is read into one buffer of exactly that
-// size; a body of unknown length (chunked) is read to its end. A body over
-// the bound fails with ErrTooLarge, which no retry cures; a body cut short
-// of its length is a retryable transport error.
+// bytes. A declared Content-Length is read by readDeclared, which needs one
+// allocation when the length is at most bodyChunk; a body of unknown length
+// (chunked) is read to its end. A body over the bound fails with
+// ErrTooLarge, which no retry cures; a body cut short of its length is a
+// retryable transport error.
 func (c *Client) readBody(ctx context.Context, hres *http.Response) ([]byte, error) {
 	limit := int64(wire.HeaderSize) + int64(c.cfg.MaxResponseBytes)
 	tooLarge := func() error {
@@ -323,8 +322,7 @@ func (c *Client) readBody(ctx context.Context, hres *http.Response) ([]byte, err
 		if n > limit {
 			return nil, tooLarge()
 		}
-		raw = make([]byte, n)
-		_, err = io.ReadFull(hres.Body, raw)
+		raw, err = readDeclared(hres.Body, n)
 	} else {
 		// Read one byte past the limit so an oversized response is
 		// distinguishable from an exactly-full one: a LimitReader at the
@@ -343,6 +341,31 @@ func (c *Client) readBody(ctx context.Context, hres *http.Response) ([]byte, err
 		return nil, tooLarge()
 	}
 	return raw, nil
+}
+
+// bodyChunk is the most readDeclared allocates before any byte arrives.
+const bodyChunk = 1 << 20
+
+// readDeclared reads a body of exactly n declared bytes. It allocates at
+// most bodyChunk up front and doubles the buffer, never past n, only as
+// bytes arrive: a body that declares far more than it sends costs what was
+// sent, not what was declared.
+func readDeclared(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, bodyChunk))
+	for int64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*int64(cap(buf)))), buf...)
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF && int64(len(buf)) < n {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // statusPeek extracts a retry-relevant error from a response payload: for a

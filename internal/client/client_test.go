@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -402,6 +403,7 @@ func (r *lengthRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 // its Content-Length when the server declares one, read to the end when
 // it does not, and in both cases bounded by HeaderSize+MaxResponseBytes.
 func TestSketchBodyReads(t *testing.T) {
+	const lyingLimit = 64 << 20 // MaxResponseBytes of the lying-length case
 	full := okResponseFrame(t)
 	exact := len(full) - wire.HeaderSize // MaxResponseBytes the frame fills exactly
 	cases := []struct {
@@ -410,6 +412,7 @@ func TestSketchBodyReads(t *testing.T) {
 		maxResp  int
 		sentinel error // nil: the sketch succeeds
 		attempts int64
+		maxAlloc uint64 // > 0: bound on the bytes allocated per attempt
 	}{
 		{name: "chunked", replies: []func(http.ResponseWriter, *http.Request){replyChunked(full)}, attempts: 1},
 		{name: "chunked-at-limit", replies: []func(http.ResponseWriter, *http.Request){replyChunked(full)},
@@ -426,6 +429,11 @@ func TestSketchBodyReads(t *testing.T) {
 		// transfer: retried, and the retry's whole body succeeds.
 		{name: "length-short-body", replies: []func(http.ResponseWriter, *http.Request){
 			replyDeclared(full, len(full)+10), replyDeclared(full, len(full))}, attempts: 2},
+		// A length just under the limit over a body of a few bytes costs
+		// what arrived, not what was declared, on every attempt.
+		{name: "length-lying-near-limit", replies: []func(http.ResponseWriter, *http.Request){
+			replyDeclared(full, wire.HeaderSize+lyingLimit), replyDeclared(full, wire.HeaderSize+lyingLimit),
+			replyDeclared(full, len(full))}, maxResp: lyingLimit, attempts: 3, maxAlloc: 4 << 20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -434,7 +442,13 @@ func TestSketchBodyReads(t *testing.T) {
 			cfg := fastCfg()
 			cfg.MaxResponseBytes = tc.maxResp
 			cfg.HTTPClient = &http.Client{Transport: rec}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			ahat, _, err := New(srv.URL, cfg).Sketch(context.Background(), testMatrix(t), 2, core.Options{})
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; tc.maxAlloc > 0 && alloc > tc.maxAlloc*uint64(tc.attempts) {
+				t.Errorf("%d attempts allocated %d bytes, want <= %d per attempt", tc.attempts, alloc, tc.maxAlloc)
+			}
 			if chunked := strings.HasPrefix(tc.name, "chunked"); len(rec.lengths) == 0 || (rec.lengths[0] < 0) != chunked {
 				t.Fatalf("response Content-Lengths %v: the case must be read with chunked=%v", rec.lengths, chunked)
 			}

@@ -335,24 +335,14 @@ func (c *Coordinator) place(acc *Accumulator, sh *Shard, resp *wire.ShardRespons
 	if resp.J0 != sh.J0 {
 		return fmt.Errorf("shard: response echoes j0=%d for shard [%d:%d)", resp.J0, sh.J0, sh.J1)
 	}
-	cols := -1
-	switch {
-	case resp.Partial != nil:
-		cols = resp.Partial.Cols
-	case resp.PartialPayload != nil:
-		if _, n, err := wire.DenseDims(resp.PartialPayload); err == nil {
-			cols = n
+	if resp.Partial == nil || resp.Partial.Cols != width {
+		cols := -1
+		if resp.Partial != nil {
+			cols = resp.Partial.Cols
 		}
-	}
-	if cols != width {
 		return fmt.Errorf("shard: partial has %d columns for shard [%d:%d)", cols, sh.J0, sh.J1)
 	}
-	if resp.Partial != nil {
-		return acc.Add(sh.J0, resp.Partial)
-	}
-	// A batch answer's partial is still encoded: it is decoded once,
-	// into its columns of Â.
-	return acc.AddEncoded(sh.J0, resp.PartialPayload)
+	return acc.Add(sh.J0, resp.Partial)
 }
 
 // failFast reports whether err is an input-class failure that no failover

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sketchsp/internal/dense"
-	"sketchsp/internal/wire"
 )
 
 // Accumulator assembles the full sketch Â from per-shard partials. The
@@ -42,49 +41,24 @@ func (ac *Accumulator) Add(j0 int, partial *dense.Matrix) error {
 	if partial == nil {
 		return fmt.Errorf("shard: nil partial for columns at %d", j0)
 	}
-	if err := ac.claim(j0, partial.Rows, partial.Cols); err != nil {
-		return err
+	if partial.Rows != ac.dst.Rows {
+		return fmt.Errorf("shard: partial has %d rows, sketch is %d×%d",
+			partial.Rows, ac.dst.Rows, ac.dst.Cols)
+	}
+	if j0 < 0 || j0+partial.Cols > ac.dst.Cols {
+		return fmt.Errorf("shard: partial [%d:%d) outside sketch columns [0:%d)",
+			j0, j0+partial.Cols, ac.dst.Cols)
+	}
+	for j := 0; j < partial.Cols; j++ {
+		if ac.covered[j0+j] {
+			return fmt.Errorf("shard: column %d delivered twice", j0+j)
+		}
 	}
 	for j := 0; j < partial.Cols; j++ {
 		copy(ac.dst.Col(j0+j), partial.Col(j))
+		ac.covered[j0+j] = true
 	}
-	return nil
-}
-
-// AddEncoded places a partial that is still a dense wire payload, decoding
-// it straight into its columns of the destination: no partial matrix is
-// built and no column is copied twice.
-func (ac *Accumulator) AddEncoded(j0 int, payload []byte) error {
-	rows, cols, err := wire.DenseDims(payload)
-	if err != nil {
-		return err
-	}
-	if err := ac.claim(j0, rows, cols); err != nil {
-		return err
-	}
-	return wire.DecodeDenseColumns(ac.dst, j0, payload)
-}
-
-// claim checks that a rows×cols partial at column j0 fits the sketch and
-// delivers only uncovered columns, then marks those columns covered.
-func (ac *Accumulator) claim(j0, rows, cols int) error {
-	if rows != ac.dst.Rows {
-		return fmt.Errorf("shard: partial has %d rows, sketch is %d×%d",
-			rows, ac.dst.Rows, ac.dst.Cols)
-	}
-	if j0 < 0 || j0+cols > ac.dst.Cols {
-		return fmt.Errorf("shard: partial [%d:%d) outside sketch columns [0:%d)",
-			j0, j0+cols, ac.dst.Cols)
-	}
-	for j := j0; j < j0+cols; j++ {
-		if ac.covered[j] {
-			return fmt.Errorf("shard: column %d delivered twice", j)
-		}
-	}
-	for j := j0; j < j0+cols; j++ {
-		ac.covered[j] = true
-	}
-	ac.remaining -= cols
+	ac.remaining -= partial.Cols
 	return nil
 }
 

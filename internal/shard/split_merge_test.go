@@ -7,7 +7,6 @@ import (
 
 	"sketchsp/internal/dense"
 	"sketchsp/internal/sparse"
-	"sketchsp/internal/wire"
 )
 
 // TestSplitTiles checks the shards tile the columns exactly, carry the
@@ -108,43 +107,5 @@ func TestAccumulatorRejections(t *testing.T) {
 	}
 	if _, err := acc.Complete(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAccumulatorAddEncoded: a partial still in its dense wire form merges
-// bit-exactly (negative zero included) beside decoded ones, under the same
-// guard rails as Add.
-func TestAccumulatorAddEncoded(t *testing.T) {
-	part := dense.NewMatrixFrom(2, 2, []float64{1, math.Copysign(0, -1), 3, 4})
-	acc := NewAccumulator(2, 5)
-	if err := acc.AddEncoded(1, wire.AppendDense(nil, part)); err != nil {
-		t.Fatal(err)
-	}
-	for name, payload := range map[string][]byte{
-		"overlapping":    wire.AppendDense(nil, dense.NewMatrix(2, 2)),
-		"row-mismatched": wire.AppendDense(nil, dense.NewMatrix(3, 1)),
-		"overhanging":    wire.AppendDense(nil, dense.NewMatrix(2, 5)),
-		"truncated":      wire.AppendDense(nil, part)[:20],
-	} {
-		if err := acc.AddEncoded(0, payload); err == nil {
-			t.Fatalf("%s encoded add accepted", name)
-		}
-	}
-	if err := acc.Add(0, dense.NewMatrix(2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.AddEncoded(3, wire.AppendDense(nil, dense.NewMatrix(2, 2))); err != nil {
-		t.Fatal(err)
-	}
-	got, err := acc.Complete()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 2; j++ {
-		for i := 0; i < 2; i++ {
-			if math.Float64bits(got.At(i, 1+j)) != math.Float64bits(part.At(i, j)) {
-				t.Fatalf("(%d,%d) = %v, want %v", i, 1+j, got.At(i, 1+j), part.At(i, j))
-			}
-		}
 	}
 }

@@ -80,54 +80,26 @@ func DecodeDense(payload []byte) (*dense.Matrix, error) {
 // DecodeDenseInto decodes a dense payload into dst, reusing Data capacity.
 // The decoded matrix always has a tight stride.
 func DecodeDenseInto(dst *dense.Matrix, payload []byte) error {
-	rows, cols, err := DenseDims(payload)
-	if err != nil {
-		return err
-	}
-	dst.Rows, dst.Cols = rows, cols
-	dst.Stride = rows
-	dst.Data = f64SliceInto(dst.Data, rows*cols)
-	getF64s(dst.Data, payload[16:])
-	return nil
-}
-
-// DenseDims returns a dense payload's dimensions once they are checked
-// against its length, without decoding the values.
-func DenseDims(payload []byte) (rows, cols int, err error) {
 	if len(payload) < 16 {
-		return 0, 0, fmt.Errorf("%w: dense payload %d bytes, want >= 16", ErrMalformed, len(payload))
+		return fmt.Errorf("%w: dense payload %d bytes, want >= 16", ErrMalformed, len(payload))
 	}
-	r := le.Uint64(payload[0:])
-	c := le.Uint64(payload[8:])
+	rows := le.Uint64(payload[0:])
+	cols := le.Uint64(payload[8:])
 	rem := uint64(len(payload) - 16)
-	if r > MaxDim || c > MaxDim {
-		return 0, 0, fmt.Errorf("%w: dense dims %dx%d exceed MaxDim", ErrMalformed, r, c)
+	if rows > MaxDim || cols > MaxDim {
+		return fmt.Errorf("%w: dense dims %dx%d exceed MaxDim", ErrMalformed, rows, cols)
 	}
 	elems := rem / 8
-	if r != 0 && c != 0 && (r > elems || c > elems/r) {
-		return 0, 0, fmt.Errorf("%w: dense %dx%d inconsistent with %d payload bytes", ErrMalformed, r, c, rem)
+	if rows != 0 && cols != 0 && (rows > elems || cols > elems/rows) {
+		return fmt.Errorf("%w: dense %dx%d inconsistent with %d payload bytes", ErrMalformed, rows, cols, rem)
 	}
-	if need := r * c * 8; need != rem {
-		return 0, 0, fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, rem, need)
+	if need := rows * cols * 8; need != rem {
+		return fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, rem, need)
 	}
-	return int(r), int(c), nil
-}
-
-// DecodeDenseColumns decodes a dense payload into columns [j0, j0+cols) of
-// dst, whose row count it must share: a partial sketch lands in its place
-// in the full one without a matrix of its own.
-func DecodeDenseColumns(dst *dense.Matrix, j0 int, payload []byte) error {
-	rows, cols, err := DenseDims(payload)
-	if err != nil {
-		return err
-	}
-	if rows != dst.Rows || j0 < 0 || j0+cols > dst.Cols {
-		return fmt.Errorf("%w: dense %dx%d does not fit columns from %d of a %dx%d matrix", ErrMalformed, rows, cols, j0, dst.Rows, dst.Cols)
-	}
-	src := payload[16:]
-	for j := j0; j < j0+cols; j++ {
-		src = getF64s(dst.Col(j), src)
-	}
+	dst.Rows, dst.Cols = int(rows), int(cols)
+	dst.Stride = int(rows)
+	dst.Data = f64SliceInto(dst.Data, int(rows)*int(cols))
+	getF64s(dst.Data, payload[16:])
 	return nil
 }
 

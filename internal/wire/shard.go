@@ -53,11 +53,6 @@ type ShardResponse struct {
 	J0      int
 	Stats   core.Stats
 	Partial *dense.Matrix
-	// PartialPayload is the deferred form of Partial, which
-	// DecodeShardBatchResponseDeferred leaves nil: the OK item's dense
-	// payload, its dims checked against its length, aliasing the decoded
-	// bytes. DecodeDenseColumns places it.
-	PartialPayload []byte
 }
 
 // Err converts the response outcome into an error (nil for StatusOK),
@@ -122,17 +117,11 @@ func AppendShardResponse(dst []byte, r *ShardResponse) []byte {
 // DecodeShardResponseInto decodes a shard response item into dst, reusing
 // dst.Partial's Data capacity when non-nil.
 func DecodeShardResponseInto(dst *ShardResponse, payload []byte) error {
-	return decodeShardResponse(dst, payload, false)
-}
-
-// decodeShardResponse decodes a shard response item into dst; deferred
-// leaves an OK item's partial encoded in PartialPayload.
-func decodeShardResponse(dst *ShardResponse, payload []byte, deferred bool) error {
 	st, detail, err := DecodeError(payload)
 	if err != nil {
 		return err
 	}
-	dst.Status, dst.Detail, dst.PartialPayload = st, detail, nil
+	dst.Status, dst.Detail = st, detail
 	if st != StatusOK {
 		dst.J0, dst.Stats, dst.Partial = 0, core.Stats{}, nil
 		return nil
@@ -148,16 +137,8 @@ func decodeShardResponse(dst *ShardResponse, payload []byte, deferred bool) erro
 	if dst.Stats, err = decodeStats(payload[9:]); err != nil {
 		return err
 	}
-	rest := payload[9+statsWireSize:]
-	if deferred {
-		if _, _, err := DenseDims(rest); err != nil {
-			return err
-		}
-		dst.Partial, dst.PartialPayload = nil, rest
-		return nil
-	}
 	if dst.Partial == nil {
 		dst.Partial = new(dense.Matrix)
 	}
-	return DecodeDenseInto(dst.Partial, rest)
+	return DecodeDenseInto(dst.Partial, payload[9+statsWireSize:])
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
 
 	"sketchsp/internal/core"
@@ -222,64 +221,5 @@ func TestShardBatchResponseRoundtrip(t *testing.T) {
 		if err != nil || st != rs[i].Status {
 			t.Fatalf("item %d: peek = %v, %v", i, st, err)
 		}
-	}
-}
-
-// TestShardBatchResponseDeferred: the deferred decode checks every item as
-// the full decode does but leaves each OK partial encoded, and
-// DecodeDenseColumns places it bit for bit into its columns of a wider
-// matrix, refusing a partial whose rows or columns do not fit.
-func TestShardBatchResponseDeferred(t *testing.T) {
-	rs := []ShardResponse{
-		{Status: StatusOK, J0: 1, Stats: core.Stats{Samples: 8}, Partial: dense.NewMatrixFrom(2, 2, []float64{1, math.Copysign(0, -1), 0, 3})},
-		{Status: StatusOverloaded, Detail: "queue full"},
-		{Status: StatusOK, J0: 3, Partial: dense.NewMatrix(2, 0)},
-	}
-	payload := AppendShardBatchResponse(nil, rs)
-	full, err := DecodeShardBatchResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeShardBatchResponseDeferred(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := dense.NewMatrix(2, 4)
-	for i := range got {
-		g, f := got[i], full[i]
-		if g.Status != f.Status || g.Detail != f.Detail || g.J0 != f.J0 || g.Stats.Samples != f.Stats.Samples || g.Partial != nil {
-			t.Fatalf("item %d: deferred %+v, full %+v", i, g, f)
-		}
-		if (g.PartialPayload != nil) != (f.Status == StatusOK) {
-			t.Fatalf("item %d: partial payload %v for status %v", i, g.PartialPayload, f.Status)
-		}
-		if g.PartialPayload != nil {
-			if err := DecodeDenseColumns(dst, g.J0, g.PartialPayload); err != nil {
-				t.Fatalf("item %d: %v", i, err)
-			}
-		}
-	}
-	for j := 0; j < 2; j++ {
-		for i := 0; i < 2; i++ {
-			if math.Float64bits(dst.At(i, 1+j)) != math.Float64bits(full[0].Partial.At(i, j)) {
-				t.Fatalf("column %d row %d: placed %v, decoded %v", 1+j, i, dst.At(i, 1+j), full[0].Partial.At(i, j))
-			}
-		}
-	}
-	for _, c := range []struct {
-		dst *dense.Matrix
-		j0  int
-	}{{dense.NewMatrix(3, 4), 0}, {dense.NewMatrix(2, 4), 3}, {dense.NewMatrix(2, 4), -1}} {
-		if err := DecodeDenseColumns(c.dst, c.j0, got[0].PartialPayload); !errors.Is(err, ErrMalformed) {
-			t.Errorf("2x2 partial into %dx%d at %d: err = %v, want ErrMalformed", c.dst.Rows, c.dst.Cols, c.j0, err)
-		}
-	}
-	// A dense payload whose dims disagree with its length fails the
-	// deferred decode just as it fails the full one.
-	broken := append([]byte(nil), payload...)
-	items, _ := SplitBatchPayload(broken)
-	le.PutUint64(items[0][1+8+statsWireSize:], 3) // rows 2 → 3
-	if _, err := DecodeShardBatchResponseDeferred(broken); !errors.Is(err, ErrMalformed) {
-		t.Errorf("inconsistent dims: err = %v, want ErrMalformed", err)
 	}
 }

@@ -89,15 +89,6 @@ func ShardBatchRequestSize(reqs []ShardRequest) int { return batchSize(reqs, Sha
 // response payload.
 func ShardBatchResponseSize(rs []ShardResponse) int { return batchSize(rs, ShardResponseSize) }
 
-// DecodeShardBatchResponseDeferred decodes a shard batch response payload
-// as DecodeShardBatchResponse does, checking every item, but leaves each
-// OK item's partial sketch encoded: Partial is nil and PartialPayload
-// aliases payload. The coordinator decodes it once, into its place in the
-// merged sketch.
-func DecodeShardBatchResponseDeferred(payload []byte) ([]ShardResponse, error) {
-	return decodeBatch(payload, func(dst *ShardResponse, item []byte) error { return decodeShardResponse(dst, item, true) })
-}
-
 // EncodeShardBatchRequestFrame returns a complete shard batch request
 // frame, ready for an HTTP body, in one allocation of its exact size. A
 // batch whose total payload exceeds the 32-bit frame length fails with
