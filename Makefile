@@ -55,11 +55,11 @@ test-shard-faults:
 # Short coverage-guided runs of the wire fuzzer (v4 frames: solve and
 # job-status messages included) and of the POST /v1/sketch handler fuzzer;
 # the committed corpus and seeds always replay, this adds a few seconds of
-# mutation on top as a PR smoke. The handler's new inputs are minimized for
-# at most 100 runs each: at the default 60 s budget the 5 s smoke would
-# spend its time minimizing instead of mutating.
+# mutation on top as a PR smoke. Both fuzzers minimize a new input for at
+# most 100 runs: at the default 60 s budget a 5 s smoke would spend its
+# time minimizing instead of mutating.
 fuzz-smoke:
-	$(GO) test ./internal/wire -run FuzzWireRoundtrip -fuzz FuzzWireRoundtrip -fuzztime 5s
+	$(GO) test ./internal/wire -run FuzzWireRoundtrip -fuzz FuzzWireRoundtrip -fuzztime 5s -fuzzminimizetime 100x
 	$(GO) test ./internal/server -run FuzzSketchHandler -fuzz FuzzSketchHandler -fuzztime 5s -fuzzminimizetime 100x
 
 # One iteration of the paper-table benchmarks that drive the pre-generated

@@ -27,15 +27,10 @@ func (c *Client) PutMatrix(ctx context.Context, a *sparse.CSC) (store.Info, erro
 	if a == nil {
 		return store.Info{}, core.ErrNilMatrix
 	}
-	body, err := wire.EncodeMatrixPutFrame(a)
-	if err != nil {
-		return store.Info{}, err
-	}
-	payload, err := c.do(ctx, http.MethodPut, "/v1/matrix", body)
-	if err != nil {
-		return store.Info{}, err
-	}
-	return decodeInfo(payload)
+	var info store.Info
+	err := c.do(ctx, http.MethodPut, "/v1/matrix", func(dst []byte) ([]byte, error) { return wire.AppendMatrixPutFrame(dst, a) },
+		into(&info, decodeInfo))
+	return info, err
 }
 
 // SketchRef computes Â = S·A on the server for the already-uploaded matrix
@@ -43,11 +38,9 @@ func (c *Client) PutMatrix(ctx context.Context, a *sparse.CSC) (store.Info, erro
 // that no longer holds fp fails with an error unwrapping to
 // store.ErrNotFound — use SketchCached for the self-curing path.
 func (c *Client) SketchRef(ctx context.Context, fp sparse.Fingerprint, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
-	body, err := wire.EncodeSketchRefFrame(&wire.SketchRefRequest{D: d, Opts: opts, Fp: fp})
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return c.postSketch(ctx, body)
+	return c.postSketch(ctx, func(dst []byte) ([]byte, error) {
+		return wire.AppendSketchRefFrame(dst, &wire.SketchRefRequest{D: d, Opts: opts, Fp: fp})
+	})
 }
 
 // SketchCached sketches a by reference, uploading it first only when the
@@ -81,15 +74,11 @@ func (c *Client) PatchMatrix(ctx context.Context, fp sparse.Fingerprint, delta *
 	if delta == nil {
 		return store.Info{}, core.ErrNilMatrix
 	}
-	body, err := wire.EncodeMatrixDeltaFrame(&wire.MatrixDelta{Fp: fp, Delta: delta})
-	if err != nil {
-		return store.Info{}, err
-	}
-	payload, err := c.do(ctx, http.MethodPatch, "/v1/matrix/"+wire.FormatFingerprint(fp), body)
-	if err != nil {
-		return store.Info{}, err
-	}
-	return decodeInfo(payload)
+	var info store.Info
+	err := c.do(ctx, http.MethodPatch, "/v1/matrix/"+wire.FormatFingerprint(fp), func(dst []byte) ([]byte, error) {
+		return wire.AppendMatrixDeltaFrame(dst, &wire.MatrixDelta{Fp: fp, Delta: delta})
+	}, into(&info, decodeInfo))
+	return info, err
 }
 
 func decodeInfo(payload []byte) (store.Info, error) {

@@ -24,11 +24,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/obs"
+	"sketchsp/internal/pool"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/wire"
 )
@@ -124,22 +126,14 @@ func (c *Client) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Opt
 	if a == nil {
 		return nil, core.Stats{}, core.ErrNilMatrix
 	}
-	body, err := wire.EncodeRequestFrame(d, opts, a)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return c.postSketch(ctx, body)
+	return c.postSketch(ctx, func(dst []byte) ([]byte, error) { return wire.AppendRequestFrame(dst, d, opts, a) })
 }
 
 // postSketch posts a single sketch request frame (inline or by-ref) and
 // decodes the MsgSketchResponse both answer with.
-func (c *Client) postSketch(ctx context.Context, body []byte) (*dense.Matrix, core.Stats, error) {
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	resp, err := wire.DecodeResponse(payload)
-	if err != nil {
+func (c *Client) postSketch(ctx context.Context, encode frameFunc) (*dense.Matrix, core.Stats, error) {
+	var resp *wire.SketchResponse
+	if err := c.do(ctx, http.MethodPost, "/v1/sketch", encode, into(&resp, wire.DecodeResponse)); err != nil {
 		return nil, core.Stats{}, err
 	}
 	if err := resp.Err(); err != nil {
@@ -158,44 +152,42 @@ func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]
 			return nil, fmt.Errorf("%w: batch item %d", core.ErrNilMatrix, i)
 		}
 	}
-	return postBatch(c, ctx, len(reqs), func() ([]byte, error) { return wire.EncodeBatchRequestFrame(reqs) },
+	return postBatch(c, ctx, len(reqs), func(dst []byte) ([]byte, error) { return wire.AppendBatchRequestFrame(dst, reqs) },
 		wire.DecodeBatchResponse, (*wire.SketchResponse).Err)
 }
 
 // SketchShardBatch issues column shards of one sketch as a single
 // MsgShardBatchRequest — the coordinator's only shard frame, one per peer
-// and request (a lone shard is a batch of one) — and returns the
-// index-aligned shard responses. It shares Sketch's error taxonomy and
-// SketchBatch's retry and count rules.
-func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest) ([]wire.ShardResponse, error) {
+// and request (a lone shard is a batch of one) — and decodes the
+// index-aligned shard responses into rs, reusing the capacity of its
+// partials. It shares Sketch's error taxonomy and SketchBatch's retry and
+// count rules. The returned slice carries rs's scratch even on an error.
+func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest, rs []wire.ShardResponse) ([]wire.ShardResponse, error) {
 	for i := range reqs {
 		if reqs[i].A == nil {
-			return nil, fmt.Errorf("%w: shard batch item %d", core.ErrNilMatrix, i)
+			return rs, fmt.Errorf("%w: shard batch item %d", core.ErrNilMatrix, i)
 		}
 	}
-	return postBatch(c, ctx, len(reqs), func() ([]byte, error) { return wire.EncodeShardBatchRequestFrame(reqs) },
-		wire.DecodeShardBatchResponse, (*wire.ShardResponse).Err)
+	_, err := postBatch(c, ctx, len(reqs), func(dst []byte) ([]byte, error) { return wire.AppendShardBatchRequestFrame(dst, reqs) },
+		func(payload []byte) ([]wire.ShardResponse, error) {
+			var err error
+			rs, err = wire.DecodeShardBatchResponseInto(rs, payload)
+			return rs, err
+		}, (*wire.ShardResponse).Err)
+	return rs, err
 }
 
 // postBatch posts the frame encode builds for n batch items and decodes the
 // index-aligned answer. A server that fails before per-item decoding
 // (malformed bytes, response too large to frame) answers with a single
 // error item; that status is surfaced instead of a count-mismatch artifact.
-func postBatch[R any](c *Client, ctx context.Context, n int, encode func() ([]byte, error),
+func postBatch[R any](c *Client, ctx context.Context, n int, encode frameFunc,
 	decode func([]byte) ([]R, error), errOf func(*R) error) ([]R, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	body, err := encode()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := decode(payload)
-	if err != nil {
+	var rs []R
+	if err := c.do(ctx, http.MethodPost, "/v1/sketch", encode, into(&rs, decode)); err != nil {
 		return nil, err
 	}
 	if len(rs) != n {
@@ -209,52 +201,75 @@ func postBatch[R any](c *Client, ctx context.Context, n int, encode func() ([]by
 	return rs, nil
 }
 
-// do sends the frame in body to path until it gets a decodable
-// response payload, a non-retryable failure, or runs out of retries. The
-// response payload is returned undecoded so single and batch callers share
-// the retry loop.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	_, payload, err := c.doTyped(ctx, method, path, body)
-	return payload, err
+// frameFunc appends one request frame to dst.
+type frameFunc func(dst []byte) ([]byte, error)
+
+// into returns a response decoder that stores decode's result in *dst.
+func into[T any](dst *T, decode func([]byte) (T, error)) func(wire.MsgType, []byte) error {
+	return func(_ wire.MsgType, payload []byte) (err error) {
+		*dst, err = decode(payload)
+		return err
+	}
 }
 
-// doTyped is do for callers that dispatch on the response frame type —
-// POST /v1/solve answers MsgSolveResponse when it solved inline and
-// MsgJobStatus when it queued a job.
-func (c *Client) doTyped(ctx context.Context, method, path string, body []byte) (wire.MsgType, []byte, error) {
+// do sends the frame encode builds (no body when encode is nil) to path
+// until it gets a decodable response payload, a non-retryable failure, or
+// runs out of retries, and hands the payload and its frame type to decode
+// — POST /v1/solve, for one, answers MsgSolveResponse when it solved
+// inline and MsgJobStatus when it queued a job. The request frame and the
+// response body live in pooled buffers: decode must copy out whatever it
+// keeps, because the body's buffer is reused once decode returns. A
+// decode error is returned as it is, never retried.
+func (c *Client) do(ctx context.Context, method, path string, encode frameFunc, decode func(wire.MsgType, []byte) error) error {
+	body, err := newFrameBody(encode)
+	if err != nil {
+		return err
+	}
+	defer body.release()
 	c.met.request()
 	sp := c.met.span()
 	defer sp.End()
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		typ, payload, err := c.attempt(ctx, method, path, body)
+		typ, payload, buf, err := c.attempt(ctx, method, path, body)
 		if err == nil {
-			return typ, payload, nil
+			err = decode(typ, payload)
+			putBuf(buf)
+			return err
 		}
+		putBuf(buf)
 		c.met.attemptFailed(err)
-		lastErr = err
 		if attempt >= c.cfg.MaxRetries || !retryable(err) || ctx.Err() != nil {
-			return 0, nil, lastErr
+			return err
 		}
-		if err := c.sleep(ctx, c.backoff(attempt)); err != nil {
-			return 0, nil, lastErr
+		if c.sleep(ctx, c.backoff(attempt)) != nil {
+			return err
 		}
 		c.met.retry()
 	}
 }
 
-// attempt performs one HTTP exchange. Failures a retry could cure (transport errors,
-// StatusOverloaded responses) come back retryable; everything else is final.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte) (wire.MsgType, []byte, error) {
+// attempt performs one HTTP exchange. Failures a retry could cure
+// (transport errors, StatusOverloaded responses) come back retryable;
+// everything else is final. The response body is read into a pooled
+// buffer, which is returned, to be recycled by the caller once done with
+// the payload, whenever one was taken, failures included.
+func (c *Client) attempt(ctx context.Context, method, path string, body *frameBody) (wire.MsgType, []byte, *[]byte, error) {
 	actx := ctx
 	if c.cfg.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(actx, method, c.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, method, c.base+path, nil)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
+	}
+	if body != nil {
+		if req.Body, err = body.reader(); err != nil {
+			return 0, nil, nil, err
+		}
+		req.GetBody = body.reader
+		req.ContentLength = int64(len(*body.buf))
 	}
 	req.Header.Set("Content-Type", "application/x-sketchsp-wire")
 	if dl, ok := actx.Deadline(); ok {
@@ -265,14 +280,16 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 	hres, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return 0, nil, ctx.Err() // caller gave up; do not dress it as transport
+			return 0, nil, nil, ctx.Err() // caller gave up; do not dress it as transport
 		}
-		return 0, nil, &transportError{err: err}
+		return 0, nil, nil, &transportError{err: err}
 	}
 	defer hres.Body.Close()
-	raw, err := c.readBody(ctx, hres)
+	buf := getBuf()
+	raw, err := c.readBody(ctx, hres, (*buf)[:0])
+	*buf = raw[:0]
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
 	t, payload, rest, err := wire.SplitFrame(raw, c.cfg.MaxResponseBytes)
 	if err != nil {
@@ -280,92 +297,208 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 			// The declared payload length exceeds our limit: resending the
 			// same request gets the same oversized answer, so fail final
 			// instead of dressing it as a retryable transport problem.
-			return 0, nil, err
+			return 0, nil, buf, err
 		}
 		// The server always answers in wire frames; anything else (a proxy
 		// error page, a truncated stream) is a transport-level problem.
-		return 0, nil, &transportError{err: fmt.Errorf("http %d: %w", hres.StatusCode, err)}
+		return 0, nil, buf, &transportError{err: fmt.Errorf("http %d: %w", hres.StatusCode, err)}
 	}
 	switch t {
 	case wire.MsgSketchResponse, wire.MsgBatchResponse, wire.MsgShardBatchResponse,
 		wire.MsgMatrixInfo, wire.MsgSolveResponse, wire.MsgJobStatus:
 	default:
-		return 0, nil, fmt.Errorf("%w: unexpected response frame type %v", wire.ErrMalformed, t)
+		return 0, nil, buf, fmt.Errorf("%w: unexpected response frame type %v", wire.ErrMalformed, t)
 	}
 	// The body is exactly one frame; bytes after it make the response
 	// malformed, as they make a request malformed at the server.
 	if err := wire.NoTrailing(rest); err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
 	// Surface retryable wire statuses before handing the payload back, so
 	// the retry loop sees them uniformly for single and batch responses.
 	if err := statusPeek(t, payload); err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
-	return t, payload, nil
+	return t, payload, buf, nil
 }
 
 // readBody reads one response body, at most HeaderSize+MaxResponseBytes
-// bytes. A declared Content-Length is read by readDeclared, which needs one
-// allocation when the length is at most bodyChunk; a body of unknown length
-// (chunked) is read to its end. A body over the bound fails with
-// ErrTooLarge, which no retry cures; a body cut short of its length is a
-// retryable transport error.
-func (c *Client) readBody(ctx context.Context, hres *http.Response) ([]byte, error) {
+// bytes, into buf's capacity. A declared Content-Length is read by
+// readDeclared, which allocates nothing when buf holds the length and at
+// most bodyChunk when it does not; a body of unknown length (chunked) is
+// read to its end. A body over the bound fails with ErrTooLarge, which no
+// retry cures; a body cut short of its length is a retryable transport
+// error. The returned slice is the buffer read into, even on an error.
+func (c *Client) readBody(ctx context.Context, hres *http.Response, buf []byte) ([]byte, error) {
 	limit := int64(wire.HeaderSize) + int64(c.cfg.MaxResponseBytes)
 	tooLarge := func() error {
 		return fmt.Errorf("%w: response body exceeds MaxResponseBytes %d", wire.ErrTooLarge, c.cfg.MaxResponseBytes)
 	}
-	var raw []byte
 	var err error
 	if n := hres.ContentLength; n >= 0 {
 		if n > limit {
-			return nil, tooLarge()
+			return buf, tooLarge()
 		}
-		raw, err = readDeclared(hres.Body, n)
+		buf, err = readDeclared(hres.Body, n, buf)
 	} else {
 		// Read one byte past the limit so an oversized response is
 		// distinguishable from an exactly-full one: a LimitReader at the
 		// limit would silently truncate the body and misreport the
 		// deterministic size overrun as a retryable "truncated payload"
 		// transport error.
-		raw, err = io.ReadAll(io.LimitReader(hres.Body, limit+1))
+		buf, err = readAll(io.LimitReader(hres.Body, limit+1), buf)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return buf, ctx.Err()
 		}
-		return nil, &transportError{err: err}
+		return buf, &transportError{err: err}
 	}
-	if int64(len(raw)) > limit {
-		return nil, tooLarge()
+	if int64(len(buf)) > limit {
+		return buf, tooLarge()
 	}
-	return raw, nil
+	return buf, nil
 }
 
 // bodyChunk is the most readDeclared allocates before any byte arrives.
 const bodyChunk = 1 << 20
 
-// readDeclared reads a body of exactly n declared bytes. It allocates at
-// most bodyChunk up front and doubles the buffer, never past n, only as
-// bytes arrive: a body that declares far more than it sends costs what was
-// sent, not what was declared.
-func readDeclared(r io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, 0, min(n, bodyChunk))
+// readDeclared reads a body of exactly n declared bytes into buf's
+// capacity. When that is short it allocates at most bodyChunk up front
+// and doubles the buffer, never past n, only as bytes arrive: a body that
+// declares far more than it sends costs what was sent, not what was
+// declared.
+func readDeclared(r io.Reader, n int64, buf []byte) ([]byte, error) {
+	if first := int(min(n, bodyChunk)); cap(buf) < first {
+		buf = make([]byte, 0, first)
+	}
+	buf = buf[:0]
 	for int64(len(buf)) < n {
 		if len(buf) == cap(buf) {
 			buf = append(make([]byte, 0, min(n, 2*int64(cap(buf)))), buf...)
 		}
-		m, err := r.Read(buf[len(buf):cap(buf)])
+		m, err := r.Read(buf[len(buf):min(cap(buf), int(n))])
 		buf = buf[:len(buf)+m]
 		if err == io.EOF && int64(len(buf)) < n {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil && err != io.EOF {
-			return nil, err
+			return buf, err
 		}
 	}
 	return buf, nil
+}
+
+// readAll reads r to its end into buf's capacity, growing it as needed.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// bufPool holds the request frames and response bodies of finished calls
+// for later calls to reuse.
+var bufPool = pool.FreeList[*[]byte]{New: func() *[]byte { return new([]byte) }}
+
+func getBuf() *[]byte { return bufPool.Get() }
+
+// putBuf returns b to the pool unless it has grown past
+// wire.MaxPooledBytes: one huge frame must not stay resident.
+func putBuf(b *[]byte) {
+	if b != nil && cap(*b) <= wire.MaxPooledBytes {
+		*b = (*b)[:0]
+		bufPool.Put(b)
+	}
+}
+
+// frameBody is a request frame in a pooled buffer. net/http is handed a
+// reader over it per attempt (and per rewind, through GetBody), and it may
+// still read a body after Do has returned — on some error paths RoundTrip
+// returns before its write loop is done with the body — so the buffer
+// goes back to the pool only once the call has released it and every
+// reader has been closed.
+type frameBody struct {
+	buf  *[]byte
+	refs atomic.Int32 // the call's reference plus one per open reader
+}
+
+// newFrameBody encodes a frame into a pooled buffer; a nil encode is a
+// request without a body (nil).
+func newFrameBody(encode frameFunc) (*frameBody, error) {
+	if encode == nil {
+		return nil, nil
+	}
+	buf := getBuf()
+	frame, err := encode((*buf)[:0])
+	if err != nil {
+		putBuf(buf)
+		return nil, err
+	}
+	*buf = frame
+	fb := &frameBody{buf: buf}
+	fb.refs.Store(1)
+	return fb, nil
+}
+
+// reader opens a reader over the frame for net/http to send and close.
+func (fb *frameBody) reader() (io.ReadCloser, error) {
+	for {
+		n := fb.refs.Load()
+		if n == 0 {
+			return nil, errors.New("client: request body reopened after its call ended")
+		}
+		if fb.refs.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	r := &frameReader{body: fb}
+	r.r.Reset(*fb.buf)
+	return r, nil
+}
+
+// release drops one reference; the last one recycles the buffer.
+func (fb *frameBody) release() {
+	if fb != nil && fb.refs.Add(-1) == 0 {
+		putBuf(fb.buf)
+	}
+}
+
+// frameReader is one reader over a frameBody. Read and Close exclude each
+// other, so the buffer cannot be recycled under a Read that net/http runs
+// concurrently with a Close, and a Read after Close reads nothing.
+type frameReader struct {
+	mu   sync.Mutex
+	r    bytes.Reader
+	body *frameBody // nil once closed
+}
+
+func (fr *frameReader) Read(p []byte) (int, error) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if fr.body == nil {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	return fr.r.Read(p)
+}
+
+func (fr *frameReader) Close() error {
+	fr.mu.Lock()
+	fb := fr.body
+	fr.body = nil
+	fr.mu.Unlock()
+	fb.release()
+	return nil
 }
 
 // statusPeek extracts a retry-relevant error from a response payload: for a
@@ -378,16 +511,21 @@ func readDeclared(r io.Reader, n int64) ([]byte, error) {
 func statusPeek(t wire.MsgType, payload []byte) error {
 	if t.IsBatch() {
 		items, err := wire.SplitBatchPayload(payload)
-		if err != nil || len(items) == 0 {
+		if err != nil || items.Count == 0 {
 			return err
 		}
-		for _, item := range items {
+		var first []byte
+		for i := 0; i < items.Count; i++ {
+			item := items.Next()
+			if i == 0 {
+				first = item
+			}
 			st, err := wire.PeekStatus(item)
 			if err != nil || !st.Retryable() {
 				return err
 			}
 		}
-		payload = items[0] // whole batch shed → retry the whole batch
+		payload = first // whole batch shed → retry the whole batch
 	}
 	st, err := wire.PeekStatus(payload)
 	if err != nil || !st.Retryable() {

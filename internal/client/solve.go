@@ -28,19 +28,21 @@ const DefaultJobPoll = 50 * time.Millisecond
 // status has already been checked: a non-nil *wire.SolveResponse is
 // StatusOK.
 func (c *Client) Solve(ctx context.Context, req *wire.SolveRequest) (*wire.SolveResponse, error) {
-	typ, payload, err := c.postSolve(ctx, req)
+	var resp *wire.SolveResponse
+	var js *wire.JobStatus
+	err := c.postSolve(ctx, req, func(typ wire.MsgType, payload []byte) (err error) {
+		if typ == wire.MsgSolveResponse {
+			resp, err = decodeSolve(payload)
+		} else {
+			js, err = decodeJob(payload)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if typ == wire.MsgSolveResponse {
-		return decodeSolve(payload)
-	}
-	js, err := wire.DecodeJobStatus(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := js.Err(); err != nil {
-		return nil, err
+	if resp != nil {
+		return resp, nil
 	}
 	return c.JobWait(ctx, js.ID, 0)
 }
@@ -51,18 +53,15 @@ func (c *Client) Solve(ctx context.Context, req *wire.SolveRequest) (*wire.Solve
 func (c *Client) SolveAsync(ctx context.Context, req *wire.SolveRequest) (string, error) {
 	r := *req
 	r.Async = true
-	typ, payload, err := c.postSolve(ctx, &r)
+	var js *wire.JobStatus
+	err := c.postSolve(ctx, &r, func(typ wire.MsgType, payload []byte) (err error) {
+		if typ != wire.MsgJobStatus {
+			return fmt.Errorf("%w: expected job status for async solve, got frame type %v", wire.ErrMalformed, typ)
+		}
+		js, err = decodeJob(payload)
+		return err
+	})
 	if err != nil {
-		return "", err
-	}
-	if typ != wire.MsgJobStatus {
-		return "", fmt.Errorf("%w: expected job status for async solve, got frame type %v", wire.ErrMalformed, typ)
-	}
-	js, err := wire.DecodeJobStatus(payload)
-	if err != nil {
-		return "", err
-	}
-	if err := js.Err(); err != nil {
 		return "", err
 	}
 	return js.ID, nil
@@ -72,11 +71,11 @@ func (c *Client) SolveAsync(ctx context.Context, req *wire.SolveRequest) (string
 // runs, the embedded solve response once done. Unknown or expired IDs fail
 // with an error unwrapping to jobs.ErrNotFound.
 func (c *Client) JobStatus(ctx context.Context, id string) (*wire.JobStatus, error) {
-	payload, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-	if err != nil {
+	var js *wire.JobStatus
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, into(&js, decodeJob)); err != nil {
 		return nil, err
 	}
-	return decodeJob(payload)
+	return js, nil
 }
 
 // CancelJob asks the server to cancel a job and returns its post-cancel
@@ -84,11 +83,11 @@ func (c *Client) JobStatus(ctx context.Context, id string) (*wire.JobStatus, err
 // state; the caller distinguishes "cancelled" from "finished first" by the
 // returned State.
 func (c *Client) CancelJob(ctx context.Context, id string) (*wire.JobStatus, error) {
-	payload, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
-	if err != nil {
+	var js *wire.JobStatus
+	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, into(&js, decodeJob)); err != nil {
 		return nil, err
 	}
-	return decodeJob(payload)
+	return js, nil
 }
 
 // JobWait polls the job every poll (0 selects DefaultJobPoll) until it
@@ -113,17 +112,13 @@ func (c *Client) JobWait(ctx context.Context, id string, poll time.Duration) (*w
 	}
 }
 
-// postSolve ships the request frame to /v1/solve; the caller dispatches on
-// the returned frame type (inline answer vs queued job).
-func (c *Client) postSolve(ctx context.Context, req *wire.SolveRequest) (wire.MsgType, []byte, error) {
+// postSolve ships the request frame to /v1/solve; decode dispatches on
+// the response frame type (inline answer vs queued job).
+func (c *Client) postSolve(ctx context.Context, req *wire.SolveRequest, decode func(wire.MsgType, []byte) error) error {
 	if req == nil || (!req.ByRef && req.A == nil) {
-		return 0, nil, core.ErrNilMatrix
+		return core.ErrNilMatrix
 	}
-	body, err := wire.EncodeSolveRequestFrame(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	return c.doTyped(ctx, http.MethodPost, "/v1/solve", body)
+	return c.do(ctx, http.MethodPost, "/v1/solve", func(dst []byte) ([]byte, error) { return wire.AppendSolveRequestFrame(dst, req) }, decode)
 }
 
 // jobResult converts a terminal job status into the Solve return form.

@@ -253,7 +253,7 @@ func TestE2EPatchPathFrameMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := &sparse.CSC{M: 50, N: 10, ColPtr: make([]int, 11)}
-	body, err := wire.EncodeMatrixDeltaFrame(&wire.MatrixDelta{Fp: a.Fingerprint(), Delta: delta})
+	body, err := wire.AppendMatrixDeltaFrame(nil, &wire.MatrixDelta{Fp: a.Fingerprint(), Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}

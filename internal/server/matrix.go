@@ -56,8 +56,8 @@ func (s *Server) handleMatrixPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
+	sc := s.scratch.Get()
+	defer s.putScratch(sc)
 
 	a, ok := decodeFrame(s, sc, w, r, wire.MsgMatrixPut, wire.MsgMatrixInfo, wire.DecodeMatrixPut)
 	if !ok {
@@ -96,8 +96,8 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, wire.MsgMatrixInfo, wire.StatusMalformed, err.Error())
 		return
 	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
+	sc := s.scratch.Get()
+	defer s.putScratch(sc)
 
 	delta, ok := decodeFrame(s, sc, w, r, wire.MsgMatrixDelta, wire.MsgMatrixInfo, wire.DecodeMatrixDelta)
 	if !ok {
@@ -136,7 +136,7 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeMatrixInfo(w http.ResponseWriter, sc *reqScratch, info store.Info) {
 	resp := wire.MatrixInfo{Status: wire.StatusOK, Fp: info.Fp, Bytes: info.Bytes, Created: info.Created}
 	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgMatrixInfo, wire.MatrixInfoSize(&resp), func(dst []byte) []byte {
+	out, err := wire.AppendFrame(sc.buf[:0], wire.MsgMatrixInfo, wire.MatrixInfoSize(&resp), func(dst []byte) []byte {
 		return wire.AppendMatrixInfo(dst, &resp)
 	})
 	if err != nil {
@@ -144,11 +144,11 @@ func (s *Server) writeMatrixInfo(w http.ResponseWriter, sc *reqScratch, info sto
 		s.writeError(w, wire.MsgMatrixInfo, wire.StatusInternal, "response too large to frame: "+err.Error())
 		return
 	}
-	sc.out = out
+	sc.buf = out
 	httpCode := http.StatusOK
 	if info.Created {
 		httpCode = http.StatusCreated
 	}
-	s.writeFrame(w, httpCode, sc.out)
+	s.writeFrame(w, httpCode, sc.buf)
 	esp.End()
 }

@@ -50,11 +50,11 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	a2 := sparse.PowerLaw(400, 50, 3000, 1.0, 2)
 	opts := core.Options{Dist: rng.Rademacher, Seed: 7, Workers: 2}
 
-	frame1, err := wire.EncodeRequestFrame(24, opts, a1)
+	frame1, err := wire.AppendRequestFrame(nil, 24, opts, a1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame2, err := wire.EncodeRequestFrame(16, opts, a2)
+	frame2, err := wire.AppendRequestFrame(nil, 16, opts, a2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,17 +271,17 @@ func TestE2EResponseCodesHaveTheirOwnSeries(t *testing.T) {
 		}
 	}
 	a, b := solveE2E(5, 200, 10)
-	put, err := wire.EncodeMatrixPutFrame(a)
+	put, err := wire.AppendMatrixPutFrame(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	send(http.MethodPut, "/v1/matrix", put, http.StatusCreated)
-	ref, err := wire.EncodeSketchRefFrame(&wire.SketchRefRequest{D: 4, Fp: sparse.RandomUniform(30, 5, 0.2, 9).Fingerprint()})
+	ref, err := wire.AppendSketchRefFrame(nil, &wire.SketchRefRequest{D: 4, Fp: sparse.RandomUniform(30, 5, 0.2, 9).Fingerprint()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	send(http.MethodPost, "/v1/sketch", ref, http.StatusNotFound)
-	solve, err := wire.EncodeSolveRequestFrame(&wire.SolveRequest{Method: wire.SolveSAPQR, Async: true, A: a, B: b, Opts: e2eSketchOpts()})
+	solve, err := wire.AppendSolveRequestFrame(nil, &wire.SolveRequest{Method: wire.SolveSAPQR, Async: true, A: a, B: b, Opts: e2eSketchOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sketchsp/internal/dense"
 	"sketchsp/internal/jobs"
 	"sketchsp/internal/obs"
+	"sketchsp/internal/pool"
 	"sketchsp/internal/service"
+	"sketchsp/internal/sparse"
 	"sketchsp/internal/wire"
 )
 
@@ -119,17 +122,96 @@ type Server struct {
 	// implements service.SolveBackend, nil otherwise.
 	jobs *jobs.Manager
 
-	scratch sync.Pool // *reqScratch
+	scratch pool.FreeList[*reqScratch]
 }
 
-// reqScratch is the pooled per-request workspace: the body buffer, the
-// decoded single request (whose CSC slices are reused across requests),
-// the /v1/sketch items, and the single-response frame buffer.
+// reqScratch is the pooled per-request workspace. Every buffer a request
+// needs lives here and serves the next request the scratch is handed to:
+// the body, the decoded /v1/sketch items (whose matrices keep their
+// capacity), the items' outputs, the backend and encoder views of the
+// items, and the response frame. putScratch drops any buffer that has
+// grown past wire.MaxPooledBytes before the scratch goes back to the pool.
 type reqScratch struct {
-	body  []byte
-	req   wire.SketchRequest
-	items []sketchItem
-	out   []byte
+	// buf holds the request body, then the response frame: every decoder
+	// copies what it keeps out of the body, so the body is dead by the
+	// time the answer is framed, and one buffer serves both.
+	buf        []byte
+	req        wire.SketchRequest   // single inline request
+	batch      []wire.SketchRequest // batch items
+	shards     []wire.ShardRequest  // shard batch items
+	items      []sketchItem
+	ahats      []dense.Matrix // items' outputs, index-aligned
+	breqs      []service.Request
+	resps      []wire.SketchResponse
+	shardResps []wire.ShardResponse
+}
+
+// maxScratchBytes bounds what one pooled scratch holds in all: a batch
+// of many items, each under wire.MaxPooledBytes, must not stay resident
+// either.
+const maxScratchBytes = 4 * wire.MaxPooledBytes
+
+// putScratch returns sc to the pool. The request's views are cleared so
+// the pool holds no backend matrix or detail string, every buffer over
+// wire.MaxPooledBytes is dropped, and a scratch still holding more than
+// maxScratchBytes is dropped whole: one huge request must not stay
+// resident through the pool.
+func (s *Server) putScratch(sc *reqScratch) {
+	clear(sc.items[:cap(sc.items)])
+	sc.items = sc.items[:0]
+	clear(sc.breqs[:cap(sc.breqs)])
+	clear(sc.resps[:cap(sc.resps)])
+	clear(sc.shardResps[:cap(sc.shardResps)])
+	held := 0
+	keep := func(bytes int) bool {
+		if bytes > wire.MaxPooledBytes {
+			return false
+		}
+		held += bytes
+		return true
+	}
+	keepCSC := func(a **sparse.CSC) {
+		if m := *a; m != nil && !keep(8*(cap(m.ColPtr)+cap(m.RowIdx)+cap(m.Val))) {
+			*a = nil
+		}
+	}
+	if !keep(cap(sc.buf)) {
+		sc.buf = nil
+	}
+	keepCSC(&sc.req.A)
+	for i, batch := 0, sc.batch[:cap(sc.batch)]; i < len(batch); i++ {
+		keepCSC(&batch[i].A)
+	}
+	for i, shards := 0, sc.shards[:cap(sc.shards)]; i < len(shards); i++ {
+		keepCSC(&shards[i].A)
+	}
+	for i, ahats := 0, sc.ahats[:cap(sc.ahats)]; i < len(ahats); i++ {
+		if !keep(8 * cap(ahats[i].Data)) {
+			ahats[i] = dense.Matrix{}
+		}
+	}
+	if held <= maxScratchBytes {
+		s.scratch.Put(sc)
+	}
+}
+
+// resize returns s with length n. The elements s's capacity held keep
+// their values, and with them the buffers they own.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// reshape makes m a tight d×n matrix over m's own data when it is large
+// enough. The values are left as they were: the backend overwrites them.
+func reshape(m *dense.Matrix, d, n int) *dense.Matrix {
+	if cap(m.Data) < d*n {
+		m.Data = make([]float64, d*n)
+	}
+	m.Rows, m.Cols, m.Stride, m.Data = d, n, d, m.Data[:d*n]
+	return m
 }
 
 // New returns a Server fronting the local plan-cache service svc.
@@ -163,7 +245,7 @@ func newServer(b service.Backend, cfg Config) *Server {
 	}
 	s := &Server{backend: b, cfg: cfg, mux: http.NewServeMux(),
 		met: newHTTPMetrics(cfg.Metrics)}
-	s.scratch.New = func() interface{} { return new(reqScratch) }
+	s.scratch.New = func() *reqScratch { return new(reqScratch) }
 	if _, ok := b.(service.SolveBackend); ok {
 		jcfg := cfg.Jobs
 		if jcfg.Metrics == nil {
@@ -308,19 +390,23 @@ func decodeFrame[T any](s *Server, sc *reqScratch, w http.ResponseWriter, r *htt
 }
 
 // readBody consumes the request body into the pooled buffer under the
-// MaxBodyBytes bound.
+// MaxBodyBytes bound. A body of declared length is read into a buffer of
+// that length, reused when the pooled one is large enough.
 func (s *Server) readBody(sc *reqScratch, w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	buf := sc.body[:0]
-	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes && int64(cap(buf)) < n {
+	buf := sc.buf[:0]
+	n := r.ContentLength
+	if n > 0 && n <= s.cfg.MaxBodyBytes && int64(cap(buf)) < n {
 		buf = make([]byte, 0, n)
 	}
-	for {
+	// net/http ends a body of declared length after that many bytes, so
+	// the read stops there instead of growing the buffer to see EOF.
+	for int64(len(buf)) != n {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := lr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+		m, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
 		if err == io.EOF {
 			break
 		}
@@ -332,7 +418,7 @@ func (s *Server) readBody(sc *reqScratch, w http.ResponseWriter, r *http.Request
 			return nil, fmt.Errorf("%w: reading body: %v", wire.ErrMalformed, err)
 		}
 	}
-	sc.body = buf
+	sc.buf = buf
 	s.met.bytesIn.Add(int64(len(buf)))
 	return buf, nil
 }

@@ -37,17 +37,18 @@ import (
 type sketchRoute struct {
 	resp  wire.MsgType // the response frame type
 	byRef bool         // items name stored matrices: needs a RefBackend
-	// decode appends the payload's items to sc.items.
+	// decode decodes the payload's items into sc's item scratch and
+	// appends them to sc.items.
 	decode func(sc *reqScratch, payload []byte) error
 	// execute runs the items the size check admitted.
-	execute func(s *Server, ctx context.Context, items []sketchItem)
+	execute func(s *Server, ctx context.Context, sc *reqScratch)
 	// encode frames the response of the settled items into dst.
-	encode func(dst []byte, items []sketchItem) ([]byte, error)
+	encode func(dst []byte, sc *reqScratch) ([]byte, error)
 }
 
 var sketchRoutes = map[wire.MsgType]*sketchRoute{
 	wire.MsgSketchRequest: {resp: wire.MsgSketchResponse,
-		decode: decodeInline, execute: executeInline, encode: encodeSketch},
+		decode: decodeInline, execute: executeBatch, encode: encodeSketch},
 	wire.MsgSketchRef: {resp: wire.MsgSketchResponse, byRef: true,
 		decode: decodeRef, execute: executeRef, encode: encodeSketch},
 	wire.MsgBatchRequest: {resp: wire.MsgBatchResponse,
@@ -59,7 +60,7 @@ var sketchRoutes = map[wire.MsgType]*sketchRoute{
 // sketchItem is one sketch of a /v1/sketch frame on its way through the
 // handler.
 type sketchItem struct {
-	req     service.Request    // A (nil when by-ref), D, Opts
+	req     service.Request    // A (nil when by-ref), D, Opts, and Ahat from the scratch
 	fp      sparse.Fingerprint // by-ref: the stored matrix
 	j0      int                // shard: the placement the response echoes
 	refused error              // the MaxSketchBytes check's verdict
@@ -90,7 +91,8 @@ func (it *sketchItem) sketchResponse() wire.SketchResponse {
 
 // handleSketch serves POST /v1/sketch. Every request message type takes
 // the same path — decode, execute, encode, one span each — and differs
-// only in its sketchRoutes row.
+// only in its sketchRoutes row. Every buffer on the path is the pooled
+// scratch's: the body, the decoded items, the outputs and the frame.
 func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -98,12 +100,8 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer func() {
-		clear(sc.items) // drop the matrices before the scratch is pooled
-		sc.items = sc.items[:0]
-		s.scratch.Put(sc)
-	}()
+	sc := s.scratch.Get()
+	defer s.putScratch(sc)
 
 	dsp := obs.StartSpan(s.met.decode)
 	rt, ctx, cancel, err := s.decodeSketch(sc, w, r)
@@ -127,15 +125,21 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	xsp := obs.StartSpan(s.met.execute)
+	sc.ahats = resize(sc.ahats, len(items))
 	for i := range items {
 		it := &items[i]
 		n := it.fp.N
 		if it.req.A != nil {
 			n = it.req.A.N
 		}
-		it.refused = s.checkSketchSize(it.req.D, n)
+		// An admitted inline item sketches into its scratch output; a
+		// by-ref answer comes from RefBackend.SketchRef, which has no
+		// destination form.
+		if it.refused = s.checkSketchSize(it.req.D, n); it.refused == nil && it.req.A != nil && it.req.D > 0 {
+			it.req.Ahat = reshape(&sc.ahats[i], it.req.D, n)
+		}
 	}
-	rt.execute(s, ctx, items)
+	rt.execute(s, ctx, sc)
 	xsp.End()
 
 	esp := obs.StartSpan(s.met.encode)
@@ -149,7 +153,7 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	// A batch of near-MaxSketchBytes sketches can legitimately exceed the
 	// 32-bit frame length; answer with a framable error instead of a
 	// length-wrapped frame that would desync the client's decoder.
-	out, err := rt.frame(sc, items)
+	out, err := rt.frame(sc)
 	if err != nil {
 		esp.End()
 		s.writeError(w, rt.resp, wire.StatusInternal, "response too large to frame: "+err.Error())
@@ -159,17 +163,12 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	esp.End()
 }
 
-// frame encodes the answer to the settled items in one pass into a buffer
-// of its exact size. A single answer is framed into the pooled sc.out. A
-// batch answer gets one fresh allocation: pooling the large, irregular
-// batch frames would keep the largest one resident.
-func (rt *sketchRoute) frame(sc *reqScratch, items []sketchItem) ([]byte, error) {
-	if rt.resp.IsBatch() {
-		return rt.encode(nil, items)
-	}
-	out, err := rt.encode(sc.out[:0], items)
+// frame encodes the answer to the settled items in one pass into the
+// pooled sc.buf, grown once to the answer's exact size when it is short.
+func (rt *sketchRoute) frame(sc *reqScratch) ([]byte, error) {
+	out, err := rt.encode(sc.buf[:0], sc)
 	if err == nil {
-		sc.out = out
+		sc.buf = out
 	}
 	return out, err
 }
@@ -217,8 +216,8 @@ func (s *Server) checkSketchSize(d, n int) error {
 	return nil
 }
 
-// decodeInline decodes a MsgSketchRequest on the pooled path: the matrix
-// reuses the scratch request's slices.
+// decodeInline decodes a MsgSketchRequest: the matrix reuses the scratch
+// request's slices.
 func decodeInline(sc *reqScratch, payload []byte) error {
 	if err := wire.DecodeRequestInto(&sc.req, payload); err != nil {
 		return err
@@ -239,85 +238,82 @@ func decodeRef(sc *reqScratch, payload []byte) error {
 	return nil
 }
 
+// decodeBatch decodes a MsgBatchRequest into the scratch batch requests.
 func decodeBatch(sc *reqScratch, payload []byte) error {
-	reqs, err := wire.DecodeBatchRequest(payload)
-	for _, r := range reqs {
+	var err error
+	sc.batch, err = wire.DecodeBatchRequestInto(sc.batch, payload)
+	for _, r := range sc.batch {
 		sc.items = append(sc.items, sketchItem{req: service.Request{A: r.A, D: r.D, Opts: r.Opts}})
 	}
 	return err
 }
 
 // decodeShardBatch decodes the column shards of one sketch that a
-// coordinator routed here; any sketchd answers them. A frame that fails
-// the strict decode (corrupt envelope or item, mixed matrices, overlapping
-// column ranges) is rejected whole, which the coordinator fails fast.
+// coordinator routed here into the scratch shard requests; any sketchd
+// answers them. A frame that fails the strict decode (corrupt envelope or
+// item, mixed matrices, overlapping column ranges) is rejected whole,
+// which the coordinator fails fast.
 func decodeShardBatch(sc *reqScratch, payload []byte) error {
-	reqs, err := wire.DecodeShardBatchRequest(payload)
-	for _, r := range reqs {
+	var err error
+	sc.shards, err = wire.DecodeShardBatchRequestInto(sc.shards, payload)
+	for _, r := range sc.shards {
 		sc.items = append(sc.items, sketchItem{req: service.Request{A: r.A, D: r.D, Opts: r.Opts}, j0: r.J0})
 	}
 	return err
 }
 
-func executeInline(s *Server, ctx context.Context, items []sketchItem) {
-	for i := range items {
-		if it := &items[i]; it.refused == nil {
-			it.resp.Ahat, it.resp.Stats, it.resp.Err = s.backend.Sketch(ctx, it.req.A, it.req.D, it.req.Opts)
-		}
-	}
-}
-
-func executeRef(s *Server, ctx context.Context, items []sketchItem) {
+func executeRef(s *Server, ctx context.Context, sc *reqScratch) {
 	rb := s.backend.(service.RefBackend) // the handler checked it
-	for i := range items {
-		if it := &items[i]; it.refused == nil {
-			it.resp.Ahat, it.resp.Stats, it.resp.Err = rb.SketchRef(ctx, it.fp, it.req.D, it.req.Opts)
-		}
+	if it := &sc.items[0]; it.refused == nil {
+		it.resp.Ahat, it.resp.Stats, it.resp.Err = rb.SketchRef(ctx, it.fp, it.req.D, it.req.Opts)
 	}
 }
 
-// executeBatch runs the items through one SketchBatch call, which groups
-// them by plan key so same-matrix items resolve the cache once and execute
-// back-to-back on the hot plan. Refused items ride along as empty requests
-// and keep their refusal.
-func executeBatch(s *Server, ctx context.Context, items []sketchItem) {
-	reqs := make([]service.Request, len(items))
+// executeBatch runs the inline items — a single request is a batch of
+// one — through one SketchBatch call, which groups them by plan key so
+// same-matrix items resolve the cache once and execute back-to-back on the
+// hot plan, each into its scratch output (Request.Ahat). Refused items
+// ride along as empty requests and keep their refusal.
+func executeBatch(s *Server, ctx context.Context, sc *reqScratch) {
+	items := sc.items
+	sc.breqs = resize(sc.breqs, len(items))
 	for i := range items {
+		sc.breqs[i] = service.Request{}
 		if items[i].refused == nil {
-			reqs[i] = items[i].req
+			sc.breqs[i] = items[i].req
 		}
 	}
-	for i, r := range s.backend.SketchBatch(ctx, reqs) {
+	for i, r := range s.backend.SketchBatch(ctx, sc.breqs) {
 		items[i].resp = r
 	}
 }
 
-func encodeSketch(dst []byte, items []sketchItem) ([]byte, error) {
-	r := items[0].sketchResponse()
+func encodeSketch(dst []byte, sc *reqScratch) ([]byte, error) {
+	r := sc.items[0].sketchResponse()
 	return wire.AppendFrame(dst, wire.MsgSketchResponse, wire.ResponseSize(&r), func(dst []byte) []byte {
 		return wire.AppendResponse(dst, &r)
 	})
 }
 
-func encodeBatch(dst []byte, items []sketchItem) ([]byte, error) {
-	rs := make([]wire.SketchResponse, len(items))
-	for i := range items {
-		rs[i] = items[i].sketchResponse()
+func encodeBatch(dst []byte, sc *reqScratch) ([]byte, error) {
+	sc.resps = resize(sc.resps, len(sc.items))
+	for i := range sc.items {
+		sc.resps[i] = sc.items[i].sketchResponse()
 	}
-	return wire.AppendFrame(dst, wire.MsgBatchResponse, wire.BatchResponseSize(rs), func(dst []byte) []byte {
-		return wire.AppendBatchResponse(dst, rs)
+	return wire.AppendFrame(dst, wire.MsgBatchResponse, wire.BatchResponseSize(sc.resps), func(dst []byte) []byte {
+		return wire.AppendBatchResponse(dst, sc.resps)
 	})
 }
 
 // encodeShardBatch answers each shard with its J0 echo, which the
 // coordinator checks against the placement it sent.
-func encodeShardBatch(dst []byte, items []sketchItem) ([]byte, error) {
-	rs := make([]wire.ShardResponse, len(items))
-	for i := range items {
-		it := &items[i]
-		rs[i] = wire.ShardResponse{Status: it.st, Detail: it.detail, J0: it.j0, Stats: it.resp.Stats, Partial: it.resp.Ahat}
+func encodeShardBatch(dst []byte, sc *reqScratch) ([]byte, error) {
+	sc.shardResps = resize(sc.shardResps, len(sc.items))
+	for i := range sc.items {
+		it := &sc.items[i]
+		sc.shardResps[i] = wire.ShardResponse{Status: it.st, Detail: it.detail, J0: it.j0, Stats: it.resp.Stats, Partial: it.resp.Ahat}
 	}
-	return wire.AppendFrame(dst, wire.MsgShardBatchResponse, wire.ShardBatchResponseSize(rs), func(dst []byte) []byte {
-		return wire.AppendShardBatchResponse(dst, rs)
+	return wire.AppendFrame(dst, wire.MsgShardBatchResponse, wire.ShardBatchResponseSize(sc.shardResps), func(dst []byte) []byte {
+		return wire.AppendShardBatchResponse(dst, sc.shardResps)
 	})
 }

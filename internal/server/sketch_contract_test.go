@@ -318,7 +318,7 @@ func TestSketchSizeCheckCountsOneColumn(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	empty := &sparse.CSC{M: 40, N: 0, ColPtr: []int{0}}
 	for d, want := range map[int]wire.Status{contractMaxSketch / 8: wire.StatusOK, contractMaxSketch/8 + 1: wire.StatusBadOptions} {
-		frame, err := wire.EncodeRequestFrame(d, core.Options{Seed: 1}, empty)
+		frame, err := wire.AppendRequestFrame(nil, d, core.Options{Seed: 1}, empty)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
+	sc := s.scratch.Get()
+	defer s.putScratch(sc)
 
 	req, ok := decodeFrame(s, sc, w, r, wire.MsgSolveRequest, wire.MsgSolveResponse, wire.DecodeSolveRequest)
 	if !ok {
@@ -92,7 +92,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp = solveWireResp(res)
 	}
 	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSolveResponse, wire.SolveResponseSize(resp), func(dst []byte) []byte {
+	out, err := wire.AppendFrame(sc.buf[:0], wire.MsgSolveResponse, wire.SolveResponseSize(resp), func(dst []byte) []byte {
 		return wire.AppendSolveResponse(dst, resp)
 	})
 	if err != nil {
@@ -100,8 +100,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, wire.MsgSolveResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
 		return
 	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
+	sc.buf = out
+	s.writeFrame(w, httpStatus(resp.Status), sc.buf)
 	esp.End()
 }
 
@@ -129,7 +129,7 @@ func (s *Server) serveSolveAsync(w http.ResponseWriter, sb service.SolveBackend,
 	}
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	js := &wire.JobStatus{Status: wire.StatusOK, ID: id, State: jobs.StatePending}
-	frame, _ := wire.EncodeJobStatusFrame(js)
+	frame, _ := wire.AppendJobStatusFrame(nil, js)
 	s.writeFrame(w, http.StatusAccepted, frame)
 }
 
@@ -165,7 +165,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no job %q (unknown, expired, or evicted)", id))
 		return
 	}
-	frame, err := wire.EncodeJobStatusFrame(jobWireStatus(snap))
+	frame, err := wire.AppendJobStatusFrame(nil, jobWireStatus(snap))
 	if err != nil {
 		s.writeError(w, wire.MsgJobStatus, wire.StatusInternal, "status too large to frame: "+err.Error())
 		return

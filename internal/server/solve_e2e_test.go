@@ -170,7 +170,7 @@ func TestE2ESolveAsyncThreshold(t *testing.T) {
 
 	// Raw handshake: a large-by-threshold solve answers 202 with the job's
 	// URL in Location and a pending JobStatus frame in the body.
-	frame, err := wire.EncodeSolveRequestFrame(req)
+	frame, err := wire.AppendSolveRequestFrame(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}

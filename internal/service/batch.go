@@ -63,52 +63,60 @@ func (s *Service) SketchBatch(ctx context.Context, reqs []Request) []Response {
 		g.idxs = append(g.idxs, i)
 	}
 
+	run := func(k planKey, idxs []int) {
+		fail := func(err error) {
+			for _, i := range idxs {
+				out[i].Err = err
+			}
+		}
+		gctx := ctx
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			gctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
+		if err := s.admit(gctx); err != nil {
+			fail(err)
+			return
+		}
+		defer s.exit()
+		p, e, err := s.plan(gctx, k, planSrc{a: reqs[idxs[0]].A})
+		if err != nil {
+			fail(err)
+			return
+		}
+		defer p.Release()
+		for _, i := range idxs {
+			ahat := reqs[i].Ahat
+			if ahat == nil {
+				ahat = dense.NewMatrix(k.d, reqs[i].A.N)
+			}
+			st, err := p.ExecuteContext(gctx, ahat)
+			if err != nil {
+				if gctx.Err() != nil {
+					s.met.cancels.Inc()
+				}
+				out[i].Err = err
+				continue
+			}
+			e.record(st)
+			s.met.latency.Observe(time.Since(start))
+			out[i] = Response{Ahat: ahat, Stats: st}
+		}
+	}
+	// A lone group — a single request, or a batch over one plan — runs on
+	// the caller's goroutine.
+	if len(order) == 1 {
+		run(order[0], groups[order[0]].idxs)
+		return out
+	}
 	var wg sync.WaitGroup
 	for _, k := range order {
-		g := groups[k]
 		wg.Add(1)
 		go func(k planKey, idxs []int) {
 			defer wg.Done()
-			fail := func(err error) {
-				for _, i := range idxs {
-					out[i].Err = err
-				}
-			}
-			gctx := ctx
-			if s.cfg.RequestTimeout > 0 {
-				var cancel context.CancelFunc
-				gctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-				defer cancel()
-			}
-			if err := s.admit(gctx); err != nil {
-				fail(err)
-				return
-			}
-			defer s.exit()
-			p, e, err := s.plan(gctx, k, planSrc{a: reqs[idxs[0]].A})
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer p.Release()
-			for _, i := range idxs {
-				ahat := reqs[i].Ahat
-				if ahat == nil {
-					ahat = dense.NewMatrix(k.d, reqs[i].A.N)
-				}
-				st, err := p.ExecuteContext(gctx, ahat)
-				if err != nil {
-					if gctx.Err() != nil {
-						s.met.cancels.Inc()
-					}
-					out[i].Err = err
-					continue
-				}
-				e.record(st)
-				s.met.latency.Observe(time.Since(start))
-				out[i] = Response{Ahat: ahat, Stats: st}
-			}
-		}(k, g.idxs)
+			run(k, idxs)
+		}(k, groups[k].idxs)
 	}
 	wg.Wait()
 	return out

@@ -60,7 +60,9 @@ func (c *Coordinator) SketchRef(ctx context.Context, fp sparse.Fingerprint, d in
 		return nil, core.Stats{}, err
 	}
 	defer h.Release()
-	ahat, stats, err := c.fanMerge(ctx, h.Matrix(), d, c.byRefCaller(d, opts))
+	a := h.Matrix()
+	ahat := dense.NewMatrix(d, a.N)
+	stats, err := c.fanMerge(ctx, ahat, a, c.byRefCaller(d, opts))
 	if err != nil {
 		c.met.failures.Inc()
 		return nil, core.Stats{}, err

@@ -12,6 +12,7 @@ import (
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/obs"
+	"sketchsp/internal/pool"
 	"sketchsp/internal/service"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/store"
@@ -92,6 +93,8 @@ type Coordinator struct {
 	met     *metrics
 	store   *store.Store // content-addressed surface (byref.go)
 	closed  atomic.Bool
+	// partials pools the decode scratch of batch responses (batch.go).
+	partials pool.FreeList[*partials]
 }
 
 var _ service.Backend = (*Coordinator)(nil)
@@ -115,6 +118,7 @@ func New(cfg Config) (*Coordinator, error) {
 		met:     newMetrics(cfg.Metrics),
 		store:   store.New(store.Config{MaxBytes: cfg.StoreBytes, Metrics: cfg.Metrics}),
 	}
+	c.partials.New = func() *partials { return new(partials) }
 	if _, err := c.setPeersLocked(cfg.Peers); err != nil {
 		return nil, err
 	}
@@ -153,9 +157,17 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // never on which columns share a request — pinned end to end by the
 // coordinator tests.
 func (c *Coordinator) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
+	return c.sketch(ctx, nil, a, d, opts)
+}
+
+// sketch merges the sketch into ahat, which must be d×n, or into a fresh
+// matrix when ahat is nil (the service.Request.Ahat rule). The partials
+// overwrite ahat column by column; after a failure it holds a partial,
+// unusable sketch.
+func (c *Coordinator) sketch(ctx context.Context, ahat *dense.Matrix, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
 	start := time.Now()
 	c.met.requests.Inc()
-	ahat, stats, err := c.sketch(ctx, a, d, opts)
+	ahat, stats, err := c.sketchInline(ctx, ahat, a, d, opts)
 	if err != nil {
 		c.met.failures.Inc()
 		return nil, core.Stats{}, err
@@ -164,7 +176,7 @@ func (c *Coordinator) Sketch(ctx context.Context, a *sparse.CSC, d int, opts cor
 	return ahat, stats, nil
 }
 
-func (c *Coordinator) sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
+func (c *Coordinator) sketchInline(ctx context.Context, ahat *dense.Matrix, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
 	if c.closed.Load() {
 		return nil, core.Stats{}, service.ErrClosed
 	}
@@ -176,6 +188,11 @@ func (c *Coordinator) sketch(ctx context.Context, a *sparse.CSC, d int, opts cor
 	}
 	if err := a.Validate(); err != nil {
 		return nil, core.Stats{}, fmt.Errorf("%w: %v", core.ErrInvalidMatrix, err)
+	}
+	if ahat == nil {
+		ahat = dense.NewMatrix(d, a.N)
+	} else if ahat.Rows != d || ahat.Cols != a.N {
+		return nil, core.Stats{}, fmt.Errorf("shard: Â is %dx%d, want %dx%d", ahat.Rows, ahat.Cols, d, a.N)
 	}
 
 	caller := &shardCaller{
@@ -195,7 +212,8 @@ func (c *Coordinator) sketch(ctx context.Context, a *sparse.CSC, d int, opts cor
 			return c.launchBatch(ctx, p, reqs)
 		},
 	}
-	return c.fanMerge(ctx, a, d, caller)
+	stats, err := c.fanMerge(ctx, ahat, a, caller)
+	return ahat, stats, err
 }
 
 // shardCaller is the per-path RPC strategy fanMerge hands to runShard.
@@ -215,10 +233,10 @@ type shardCaller struct {
 // nnz-balanced column shards, resolve each shard's candidate peers,
 // group same-primary shards into one batch frame per peer where the
 // caller batches, run every shard through runShard concurrently, and
-// accumulate the partials into Â. The whole fan-out completes against the
+// place the partials into ahat. The whole fan-out completes against the
 // snapshot it loaded — membership changes re-route only subsequent
 // requests.
-func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller *shardCaller) (*dense.Matrix, core.Stats, error) {
+func (c *Coordinator) fanMerge(ctx context.Context, ahat *dense.Matrix, a *sparse.CSC, caller *shardCaller) (core.Stats, error) {
 	mem := c.mem.Load()
 	k := c.cfg.Shards
 	if k <= 0 {
@@ -264,20 +282,21 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 	type result struct {
 		idx  int
 		resp *wire.ShardResponse
+		bc   *batchCall // the answer's batch, released once it is placed
 		err  error
 	}
 	results := make(chan result, len(shards))
 	for i := range shards {
 		go func(i int) {
 			br := batchOf[i]
-			resp, err := c.runShard(fctx, &shards[i], cands[i], caller, br.bc, br.idx)
-			results <- result{i, resp, err}
+			resp, bc, err := c.runShard(fctx, &shards[i], cands[i], caller, br.bc, br.idx)
+			results <- result{i, resp, bc, err}
 		}(i)
 	}
 	var (
 		firstErr error
 		stats    core.Stats
-		acc      = NewAccumulator(d, a.N)
+		acc      = NewAccumulator(ahat)
 	)
 	for range shards {
 		r := <-results
@@ -289,24 +308,27 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 			continue
 		}
 		if firstErr != nil {
+			r.bc.release()
 			continue // draining after failure
 		}
 		sh := &shards[r.idx]
 		msp := obs.StartSpan(c.met.merge)
 		err := c.place(acc, sh, r.resp)
 		msp.End()
+		st := r.resp.Stats
+		r.bc.release()
 		if err != nil {
 			firstErr = err
 			cancel()
 			continue
 		}
-		stats.Samples += r.resp.Stats.Samples
-		stats.Flops += r.resp.Stats.Flops
-		stats.SampleTime += r.resp.Stats.SampleTime
-		stats.ConvertTime += r.resp.Stats.ConvertTime
-		stats.Steals += r.resp.Stats.Steals
-		if r.resp.Stats.Imbalance > stats.Imbalance {
-			stats.Imbalance = r.resp.Stats.Imbalance
+		stats.Samples += st.Samples
+		stats.Flops += st.Flops
+		stats.SampleTime += st.SampleTime
+		stats.ConvertTime += st.ConvertTime
+		stats.Steals += st.Steals
+		if st.Imbalance > stats.Imbalance {
+			stats.Imbalance = st.Imbalance
 		}
 	}
 	fsp.End()
@@ -315,15 +337,14 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 		// raced the fan-out — the shard that lost the race reports a
 		// cancellation artifact, not the cause.
 		if ctx.Err() != nil {
-			return nil, core.Stats{}, ctx.Err()
+			return core.Stats{}, ctx.Err()
 		}
-		return nil, core.Stats{}, firstErr
+		return core.Stats{}, firstErr
 	}
-	ahat, err := acc.Complete()
-	if err != nil {
-		return nil, core.Stats{}, err
+	if err := acc.Complete(); err != nil {
+		return core.Stats{}, err
 	}
-	return ahat, stats, nil
+	return stats, nil
 }
 
 // place validates one worker's partial against its shard and merges it.
@@ -369,9 +390,11 @@ func failFast(err error) bool {
 }
 
 // SketchBatch serves the items concurrently, each through the sharded
-// Sketch path. Per-item outcomes land in the index-aligned responses;
-// batch-level grouping happens downstream on each worker (the shard RPCs
-// of different items hit the workers' plan caches independently).
+// Sketch path, merging into the item's Request.Ahat when it is set and
+// into a fresh matrix otherwise. Per-item outcomes land in the
+// index-aligned responses; batch-level grouping happens downstream on each
+// worker (the shard RPCs of different items hit the workers' plan caches
+// independently).
 func (c *Coordinator) SketchBatch(ctx context.Context, reqs []service.Request) []service.Response {
 	resps := make([]service.Response, len(reqs))
 	// Modest parallelism across items: the per-item fan-out already uses
@@ -383,7 +406,7 @@ func (c *Coordinator) SketchBatch(ctx context.Context, reqs []service.Request) [
 			sem <- struct{}{}
 			defer func() { <-sem; done <- i }()
 			r := &reqs[i]
-			ahat, st, err := c.Sketch(ctx, r.A, r.D, r.Opts)
+			ahat, st, err := c.sketch(ctx, r.Ahat, r.A, r.D, r.Opts)
 			if err != nil {
 				resps[i] = service.Response{Err: err}
 				return

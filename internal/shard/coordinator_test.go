@@ -37,7 +37,7 @@ func (w *worker) stop() {
 
 // startWorkers brings up n full-stack workers, optionally wrapping each
 // handler (wrap may be nil). Cleanup is registered on t.
-func startWorkers(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler) ([]*worker, []string) {
+func startWorkers(t testing.TB, n int, wrap func(i int, h http.Handler) http.Handler) ([]*worker, []string) {
 	t.Helper()
 	workers := make([]*worker, n)
 	urls := make([]string, n)
@@ -167,6 +167,51 @@ func TestCoordinatorBatch(t *testing.T) {
 			t.Fatalf("item %d: %v", i, resps[i].Err)
 		}
 		assertBitIdentical(t, resps[i].Ahat, directSketch(t, a, 12, opts))
+	}
+}
+
+// TestSketchBatchWritesRequestAhat pins the Backend contract's
+// destination for both backends: an item with Request.Ahat set gets its
+// sketch in that very matrix, whatever it held before, and an item without
+// one gets a fresh matrix.
+func TestSketchBatchWritesRequestAhat(t *testing.T) {
+	_, urls := startWorkers(t, 2, nil)
+	coord, err := New(Config{Peers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	svc := service.New(service.Config{})
+	defer svc.Close()
+
+	a1 := sparse.RandomUniform(200, 30, 0.1, 23)
+	a2 := sparse.PowerLaw(200, 45, 900, 1.2, 24)
+	opts := core.Options{Dist: rng.Rademacher, Seed: 8, Workers: 1}
+	for _, b := range []struct {
+		name    string
+		backend service.Backend
+	}{{"service", svc}, {"coordinator", coord}} {
+		t.Run(b.name, func(t *testing.T) {
+			dst := dense.NewMatrix(12, a1.N)
+			dst.Fill(math.NaN()) // a reused destination: nothing of it may survive
+			resps := b.backend.SketchBatch(context.Background(), []service.Request{
+				{A: a1, D: 12, Opts: opts, Ahat: dst},
+				{A: a2, D: 12, Opts: opts},
+			})
+			for i, r := range resps {
+				if r.Err != nil {
+					t.Fatalf("item %d: %v", i, r.Err)
+				}
+			}
+			if resps[0].Ahat != dst {
+				t.Error("the item with Request.Ahat set was answered in another matrix")
+			}
+			assertBitIdentical(t, dst, directSketch(t, a1, 12, opts))
+			if resps[1].Ahat == nil || resps[1].Ahat == dst {
+				t.Fatal("the item without Request.Ahat got no fresh matrix")
+			}
+			assertBitIdentical(t, resps[1].Ahat, directSketch(t, a2, 12, opts))
+		})
 	}
 }
 

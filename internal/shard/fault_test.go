@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -425,5 +426,75 @@ func TestBatchRejectedFrameFailsFast(t *testing.T) {
 	}
 	if v := counterValue(t, c, "sketchsp_shard_failovers_total"); v != 0 {
 		t.Fatalf("failovers_total = %v, want 0: a rejected frame must fail fast", v)
+	}
+}
+
+// TestHedgeBufferLifetimes delays some calls on every worker well past the
+// hedge delay and fails some on one worker fast enough to fail over,
+// while four callers sketch three same-shaped matrices. Every answer must
+// be bit-identical to its direct plan: a pooled request frame, response
+// body or partial recycled while a losing or failed attempt still reads or
+// writes it would hand one request another's bits — or, under -race, trip
+// the detector.
+func TestHedgeBufferLifetimes(t *testing.T) {
+	script := func(i int) faultScript {
+		return func(call int64, _ *sparse.CSC, _ int) Fault {
+			switch {
+			case i == 0 && call%4 == 1:
+				return Fault{Err: errors.New("scripted worker failure")} // fails the shard over
+			case call%4 == 2:
+				return Fault{Delay: 30 * time.Millisecond} // a straggler, hedged
+			}
+			return Fault{}
+		}
+	}
+	_, urls := startFlakyWorkers(t, 3, script)
+	c, err := New(Config{
+		Peers:         urls,
+		Shards:        4,
+		HedgeQuantile: 0.9,
+		HedgeMaxDelay: 10 * time.Millisecond,
+		PeerCooldown:  time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	opts := core.Options{Dist: rng.Gaussian, Seed: 21, Workers: 1}
+	const d = 12
+	mats := make([]*sparse.CSC, 3)
+	want := make([]*dense.Matrix, len(mats))
+	for k := range mats {
+		mats[k] = sparse.RandomUniform(300, 60, 0.05, int64(40+k))
+		want[k] = directSketch(t, mats[k], d, opts)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (g + i) % len(mats)
+				got, _, err := c.Sketch(context.Background(), mats[k], d, opts)
+				if err != nil {
+					t.Errorf("caller %d, sketch %d: %v", g, i, err)
+					return
+				}
+				for j := range want[k].Data {
+					if math.Float64bits(got.Data[j]) != math.Float64bits(want[k].Data[j]) {
+						t.Errorf("caller %d, sketch %d of matrix %d: Â differs from the direct plan at %d", g, i, k, j)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if v := counterValue(t, c, "sketchsp_shard_hedges_total"); v < 1 {
+		t.Errorf("hedges_total = %v: no hedge fired", v)
+	}
+	if v := counterValue(t, c, "sketchsp_shard_failovers_total"); v < 1 {
+		t.Errorf("failovers_total = %v: no failover happened", v)
 	}
 }

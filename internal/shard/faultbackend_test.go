@@ -66,14 +66,16 @@ func (f *FlakyBackend) Calls() int64 { return f.calls.Load() }
 // context cancellation.
 func (f *FlakyBackend) Canceled() int64 { return f.canceled.Load() }
 
-func (f *FlakyBackend) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
+// fault runs the script for one call: it sleeps or hangs as scripted
+// (released early by ctx) and returns the scripted error, if any.
+func (f *FlakyBackend) fault(ctx context.Context, a *sparse.CSC, d int) error {
 	call := f.calls.Add(1) - 1
 	fault := (*f.script.Load())(call, a, d)
 	if fault.Hang {
 		f.hangs.Add(1)
 		<-ctx.Done()
 		f.canceled.Add(1)
-		return nil, core.Stats{}, ctx.Err()
+		return ctx.Err()
 	}
 	if fault.Delay > 0 {
 		t := time.NewTimer(fault.Delay)
@@ -81,28 +83,32 @@ func (f *FlakyBackend) Sketch(ctx context.Context, a *sparse.CSC, d int, opts co
 		case <-ctx.Done():
 			t.Stop()
 			f.canceled.Add(1)
-			return nil, core.Stats{}, ctx.Err()
+			return ctx.Err()
 		case <-t.C:
 		}
 	}
-	if fault.Err != nil {
-		return nil, core.Stats{}, fault.Err
+	return fault.Err
+}
+
+func (f *FlakyBackend) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
+	if err := f.fault(ctx, a, d); err != nil {
+		return nil, core.Stats{}, err
 	}
 	return f.inner.Sketch(ctx, a, d, opts)
 }
 
-// SketchBatch applies the script per item through Sketch, so batch-borne
-// shards hit the same faults as single RPCs.
+// SketchBatch applies the script per item, so batch-borne shards hit the
+// same faults as single RPCs, and writes each result into the item's
+// Ahat when it is set, as the Backend contract asks.
 func (f *FlakyBackend) SketchBatch(ctx context.Context, reqs []service.Request) []service.Response {
 	resps := make([]service.Response, len(reqs))
 	for i := range reqs {
 		r := &reqs[i]
-		ahat, st, err := f.Sketch(ctx, r.A, r.D, r.Opts)
-		if err != nil {
+		if err := f.fault(ctx, r.A, r.D); err != nil {
 			resps[i] = service.Response{Err: err}
 			continue
 		}
-		resps[i] = service.Response{Ahat: ahat, Stats: st}
+		resps[i] = f.inner.SketchBatch(ctx, []service.Request{*r})[0]
 	}
 	return resps
 }

@@ -97,25 +97,40 @@ func (c *Coordinator) hedgeDelay(backup *peer) time.Duration {
 // before an answer, fail over on peer-health errors, and cancel every
 // losing attempt on return. Input-class failures (failFast) abort
 // immediately — no peer can cure a bad request.
-func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, caller *shardCaller, bc *batchCall, bcIdx int) (*wire.ShardResponse, error) {
+//
+// The answer is returned with the batch it came from (nil on the
+// by-reference path); the caller releases that batch once it has placed
+// the answer. runShard itself releases every other attempt's batch, each
+// only after the attempt has stopped reading it.
+func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, caller *shardCaller, bc *batchCall, bcIdx int) (*wire.ShardResponse, *batchCall, error) {
 	type attemptResult struct {
 		idx   int
 		resp  *wire.ShardResponse
+		bc    *batchCall
 		err   error
 		hedge bool
 	}
 	results := make(chan attemptResult, len(cands))
 	cancels := make([]context.CancelFunc, 0, len(cands))
+	var inflight int
 	defer func() {
 		// Loser cancellation: whichever attempts did not produce the
-		// returned answer are torn down with their contexts.
+		// returned answer are torn down with their contexts. A batch
+		// attempt's wait returns as soon as its context ends; it is
+		// released once its result is in, so its partials are not
+		// recycled under a wait still reading them. By-reference attempts
+		// own nothing pooled and are left to finish on their own.
 		for _, cancel := range cancels {
 			cancel()
+		}
+		if caller.batch != nil {
+			for ; inflight > 0; inflight-- {
+				(<-results).bc.release()
+			}
 		}
 	}()
 
 	var (
-		inflight int
 		next     int
 		lastErr  error
 		lastPeer = cands[0].name
@@ -143,7 +158,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, ca
 			}
 			go func() {
 				resp, err := b.wait(actx, j)
-				results <- attemptResult{i, resp, err, hedge}
+				results <- attemptResult{i, resp, b, err, hedge}
 			}()
 			return
 		}
@@ -156,7 +171,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, ca
 			if err == nil {
 				p.lat.Record(time.Since(start))
 			}
-			results <- attemptResult{i, resp, err, hedge}
+			results <- attemptResult{i, resp, nil, err, hedge}
 		}()
 	}
 
@@ -190,7 +205,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, ca
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-timerC:
 			launch(true)
 			armHedge()
@@ -200,20 +215,21 @@ func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, ca
 				if r.hedge {
 					c.met.hedgeWins.Inc()
 				}
-				return r.resp, nil
+				return r.resp, r.bc, nil
 			}
+			r.bc.release()
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 			if failFast(r.err) {
-				return nil, &ShardError{J0: sh.J0, J1: sh.J1, Peer: cands[r.idx].name, Err: r.err}
+				return nil, nil, &ShardError{J0: sh.J0, J1: sh.J1, Peer: cands[r.idx].name, Err: r.err}
 			}
 			cands[r.idx].downUntil.Store(time.Now().Add(c.cfg.PeerCooldown).UnixNano())
 			lastErr = r.err
 			lastPeer = cands[r.idx].name
 			if inflight == 0 {
 				if next >= len(cands) {
-					return nil, &ShardError{J0: sh.J0, J1: sh.J1, Peer: lastPeer, Err: lastErr}
+					return nil, nil, &ShardError{J0: sh.J0, J1: sh.J1, Peer: lastPeer, Err: lastErr}
 				}
 				launch(false)
 				armHedge()

@@ -26,12 +26,13 @@ type Accumulator struct {
 	remaining int
 }
 
-// NewAccumulator prepares a zeroed d×n destination.
-func NewAccumulator(d, n int) *Accumulator {
+// NewAccumulator prepares to merge into dst, whose columns the partials
+// overwrite; its prior values are never read.
+func NewAccumulator(dst *dense.Matrix) *Accumulator {
 	return &Accumulator{
-		dst:       dense.NewMatrix(d, n),
-		covered:   make([]bool, n),
-		remaining: n,
+		dst:       dst,
+		covered:   make([]bool, dst.Cols),
+		remaining: dst.Cols,
 	}
 }
 
@@ -62,11 +63,11 @@ func (ac *Accumulator) Add(j0 int, partial *dense.Matrix) error {
 	return nil
 }
 
-// Complete returns the merged sketch once every column is covered.
-func (ac *Accumulator) Complete() (*dense.Matrix, error) {
+// Complete reports whether every column of the destination is covered.
+func (ac *Accumulator) Complete() error {
 	if ac.remaining != 0 {
-		return nil, fmt.Errorf("shard: %d of %d sketch columns never delivered",
+		return fmt.Errorf("shard: %d of %d sketch columns never delivered",
 			ac.remaining, ac.dst.Cols)
 	}
-	return ac.dst, nil
+	return nil
 }

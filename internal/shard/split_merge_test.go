@@ -44,8 +44,9 @@ func TestSplitTiles(t *testing.T) {
 	}
 }
 
-// TestAccumulatorExact assembles out-of-order partials and checks the
-// result is the bit-exact source, including negative zeros.
+// TestAccumulatorExact assembles out-of-order partials into a dirty
+// destination and checks the result is the bit-exact source, including
+// negative zeros.
 func TestAccumulatorExact(t *testing.T) {
 	const d, n = 3, 7
 	src := dense.NewMatrix(d, n)
@@ -56,7 +57,9 @@ func TestAccumulatorExact(t *testing.T) {
 	}
 	src.Set(1, 4, math.Copysign(0, -1)) // -0.0 must survive the merge
 	cuts := []int{0, 2, 5, 7}
-	acc := NewAccumulator(d, n)
+	got := dense.NewMatrix(d, n)
+	got.Fill(math.NaN()) // a reused destination: its old values must not leak through
+	acc := NewAccumulator(got)
 	for _, idx := range []int{2, 0, 1} { // deliberately out of order
 		j0, j1 := cuts[idx], cuts[idx+1]
 		part := dense.NewMatrix(d, j1-j0)
@@ -67,8 +70,7 @@ func TestAccumulatorExact(t *testing.T) {
 			t.Fatalf("add [%d:%d): %v", j0, j1, err)
 		}
 	}
-	got, err := acc.Complete()
-	if err != nil {
+	if err := acc.Complete(); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < n; j++ {
@@ -83,8 +85,8 @@ func TestAccumulatorExact(t *testing.T) {
 // TestAccumulatorRejections covers the merge guard rails: double
 // delivery, row mismatch, out-of-bounds placement, early Complete.
 func TestAccumulatorRejections(t *testing.T) {
-	acc := NewAccumulator(2, 5)
-	if _, err := acc.Complete(); err == nil || !strings.Contains(err.Error(), "never delivered") {
+	acc := NewAccumulator(dense.NewMatrix(2, 5))
+	if err := acc.Complete(); err == nil || !strings.Contains(err.Error(), "never delivered") {
 		t.Fatalf("empty Complete: %v", err)
 	}
 	if err := acc.Add(0, dense.NewMatrix(2, 2)); err != nil {
@@ -105,7 +107,7 @@ func TestAccumulatorRejections(t *testing.T) {
 	if err := acc.Add(2, dense.NewMatrix(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc.Complete(); err != nil {
+	if err := acc.Complete(); err != nil {
 		t.Fatal(err)
 	}
 }

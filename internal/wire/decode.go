@@ -253,59 +253,96 @@ func decodeStats(payload []byte) (core.Stats, error) {
 	}, nil
 }
 
-// DecodeBatchRequest decodes a batch-request payload.
+// DecodeBatchRequest decodes a batch-request payload into fresh requests.
 func DecodeBatchRequest(payload []byte) ([]SketchRequest, error) {
-	return decodeBatch(payload, DecodeRequestInto)
+	reqs, err := DecodeBatchRequestInto(nil, payload)
+	if err != nil {
+		return nil, err
+	}
+	return reqs, nil
+}
+
+// DecodeBatchRequestInto decodes a batch-request payload into dst's
+// requests, reusing the capacity of their matrices (the server's pooled
+// path). On an error the returned slice is empty but keeps dst's scratch
+// for the next decode.
+func DecodeBatchRequestInto(dst []SketchRequest, payload []byte) ([]SketchRequest, error) {
+	return decodeBatchInto(dst, payload, DecodeRequestInto)
 }
 
 // DecodeBatchResponse decodes a batch-response payload.
 func DecodeBatchResponse(payload []byte) ([]SketchResponse, error) {
-	return decodeBatch(payload, DecodeResponseInto)
-}
-
-// decodeBatch decodes every item of a batch payload with decode.
-func decodeBatch[T any](payload []byte, decode func(*T, []byte) error) ([]T, error) {
-	items, err := SplitBatchPayload(payload)
+	rs, err := decodeBatchInto(nil, payload, DecodeResponseInto)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, len(items))
-	for i, item := range items {
-		if err := decode(&out[i], item); err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
-		}
-	}
-	return out, nil
+	return rs, nil
 }
 
-// SplitBatchPayload parses the count-prefixed item list of a batch payload
-// into per-item views (no copying; they alias payload) without decoding
-// the items, and enforces exact consumption.
-func SplitBatchPayload(payload []byte) ([][]byte, error) {
+// decodeBatchInto decodes every item of a batch payload with decode into
+// dst's items, growing dst to the item count. Items past dst's length but
+// within its capacity, and every item a regrown dst carries over, keep
+// their scratch for decode to reuse.
+func decodeBatchInto[T any](dst []T, payload []byte, decode func(*T, []byte) error) ([]T, error) {
+	items, err := SplitBatchPayload(payload)
+	if err != nil {
+		return dst[:0], err
+	}
+	if cap(dst) < items.Count {
+		dst = append(dst[:cap(dst)], make([]T, items.Count-cap(dst))...)
+	}
+	dst = dst[:items.Count]
+	for i := range dst {
+		if err := decode(&dst[i], items.Next()); err != nil {
+			return dst[:0], fmt.Errorf("batch item %d: %w", i, err)
+		}
+	}
+	return dst, nil
+}
+
+// BatchItems is the item list of a batch payload whose envelope
+// SplitBatchPayload has checked: Next returns the Count items in order,
+// as views that alias the payload.
+type BatchItems struct {
+	Count int
+	rest  []byte
+}
+
+// Next returns the next item; call it at most Count times.
+func (b *BatchItems) Next() []byte {
+	n := le.Uint32(b.rest)
+	item := b.rest[4 : 4+n]
+	b.rest = b.rest[4+n:]
+	return item
+}
+
+// SplitBatchPayload checks the count-prefixed envelope of a batch payload
+// without decoding the items or copying anything: every item's length
+// must lie within the payload, and nothing may follow the last item.
+func SplitBatchPayload(payload []byte) (BatchItems, error) {
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("%w: batch payload %d bytes, want >= 4", ErrMalformed, len(payload))
+		return BatchItems{}, fmt.Errorf("%w: batch payload %d bytes, want >= 4", ErrMalformed, len(payload))
 	}
 	count := uint64(le.Uint32(payload))
 	rest := payload[4:]
 	// Each item costs at least its own 4-byte length prefix.
 	if count > uint64(len(rest))/4 {
-		return nil, fmt.Errorf("%w: batch count %d inconsistent with %d payload bytes", ErrMalformed, count, len(rest))
+		return BatchItems{}, fmt.Errorf("%w: batch count %d inconsistent with %d payload bytes", ErrMalformed, count, len(rest))
 	}
-	items := make([][]byte, count)
-	for i := range items {
+	items := BatchItems{Count: int(count), rest: rest}
+	for i := 0; i < items.Count; i++ {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: truncated batch item %d", ErrMalformed, i)
+			return BatchItems{}, fmt.Errorf("%w: truncated batch item %d", ErrMalformed, i)
 		}
 		n := uint64(le.Uint32(rest))
 		rest = rest[4:]
 		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: batch item %d claims %d of %d bytes", ErrMalformed, i, n, len(rest))
+			return BatchItems{}, fmt.Errorf("%w: batch item %d claims %d of %d bytes", ErrMalformed, i, n, len(rest))
 		}
-		items[i] = rest[:n]
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrMalformed, len(rest))
+		return BatchItems{}, fmt.Errorf("%w: %d trailing bytes after batch", ErrMalformed, len(rest))
 	}
 	return items, nil
 }

@@ -192,21 +192,21 @@ func AppendBatchResponse(dst []byte, rs []SketchResponse) []byte {
 	return appendBatch(dst, len(rs), func(dst []byte, i int) []byte { return AppendResponse(dst, &rs[i]) })
 }
 
-// EncodeRequestFrame returns a complete single-request frame, ready for an
-// HTTP body, in one allocation of its exact size. A matrix too large for
-// the 32-bit frame length fails with ErrTooLarge.
-func EncodeRequestFrame(d int, opts core.Options, a *sparse.CSC) ([]byte, error) {
-	return AppendFrame(nil, MsgSketchRequest, RequestSize(a), func(dst []byte) []byte {
+// AppendRequestFrame appends a complete single-request frame, ready for an
+// HTTP body, to dst, growing it at most once, to its exact size. A matrix
+// too large for the 32-bit frame length fails with ErrTooLarge.
+func AppendRequestFrame(dst []byte, d int, opts core.Options, a *sparse.CSC) ([]byte, error) {
+	return AppendFrame(dst, MsgSketchRequest, RequestSize(a), func(dst []byte) []byte {
 		return AppendRequest(dst, d, opts, a)
 	})
 }
 
-// EncodeBatchRequestFrame returns a complete batch-request frame. A batch
-// whose total payload exceeds the 32-bit frame length fails with
+// AppendBatchRequestFrame appends a complete batch-request frame to dst. A
+// batch whose total payload exceeds the 32-bit frame length fails with
 // ErrTooLarge (per-item u32 lengths are covered by the same check: an
 // oversized item makes the whole payload oversized).
-func EncodeBatchRequestFrame(reqs []SketchRequest) ([]byte, error) {
-	return AppendFrame(nil, MsgBatchRequest, BatchRequestSize(reqs), func(dst []byte) []byte {
+func AppendBatchRequestFrame(dst []byte, reqs []SketchRequest) ([]byte, error) {
+	return AppendFrame(dst, MsgBatchRequest, BatchRequestSize(reqs), func(dst []byte) []byte {
 		return AppendBatchRequest(dst, reqs)
 	})
 }

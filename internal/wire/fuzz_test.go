@@ -9,7 +9,7 @@ import (
 	"sketchsp/internal/rng"
 )
 
-// FuzzWireRoundtrip drives every decoder with arbitrary bytes. The two
+// FuzzWireRoundtrip drives every decoder with arbitrary bytes. The three
 // properties under test:
 //
 //  1. Totality — no input panics; broken bytes come back as ErrMalformed /
@@ -17,6 +17,9 @@ import (
 //  2. Canonical roundtrip — any frame that *does* decode re-encodes to the
 //     exact same bytes, i.e. decode(encode(x)) == x bit-identically and
 //     the encoding has a single fixed point per value.
+//  3. Scratch reuse — a frame that decodes gives the same value through
+//     its type's *Into decoder into scratch that last held a larger frame
+//     (intoMismatch).
 //
 // The seed corpus covers every message type over the degenerate shapes the
 // PR 3 differential suite pinned: 0×n, m×0, 0×0, and empty-column matrices.
@@ -157,6 +160,9 @@ func FuzzWireRoundtrip(f *testing.F) {
 		typ, payload, _, err := SplitFrame(data, limit)
 		if err != nil {
 			return // rejection is the expected outcome for mutated bytes
+		}
+		if _, msg := intoMismatch(typ, payload); msg != "" {
+			t.Fatal(msg)
 		}
 		switch typ {
 		case MsgCSC:

@@ -223,9 +223,9 @@ func DecodeMatrixDelta(payload []byte) (*MatrixDelta, error) {
 	return &MatrixDelta{Fp: fp, Delta: delta}, nil
 }
 
-// EncodeMatrixPutFrame returns a complete matrix-put frame.
-func EncodeMatrixPutFrame(a *sparse.CSC) ([]byte, error) {
-	return AppendFrame(nil, MsgMatrixPut, CSCSize(a), func(dst []byte) []byte { return AppendMatrixPut(dst, a) })
+// AppendMatrixPutFrame appends a complete matrix-put frame to dst.
+func AppendMatrixPutFrame(dst []byte, a *sparse.CSC) ([]byte, error) {
+	return AppendFrame(dst, MsgMatrixPut, CSCSize(a), func(dst []byte) []byte { return AppendMatrixPut(dst, a) })
 }
 
 // SketchRefSize is the size of a sketch-by-reference payload: the fixed
@@ -237,16 +237,16 @@ const SketchRefSize = requestFixedSize + fingerprintWireSize
 // coordinator's traffic accounting and the bench replay both quote it.
 const SketchRefWireSize = HeaderSize + SketchRefSize
 
-// EncodeSketchRefFrame returns a complete sketch-by-reference frame — the
-// whole request is SketchRefWireSize bytes regardless of the matrix size,
-// which is the entire point of the by-reference protocol.
-func EncodeSketchRefFrame(r *SketchRefRequest) ([]byte, error) {
-	return AppendFrame(nil, MsgSketchRef, SketchRefSize, func(dst []byte) []byte { return AppendSketchRef(dst, r) })
+// AppendSketchRefFrame appends a complete sketch-by-reference frame to
+// dst — the whole request is SketchRefWireSize bytes regardless of the
+// matrix size, which is the entire point of the by-reference protocol.
+func AppendSketchRefFrame(dst []byte, r *SketchRefRequest) ([]byte, error) {
+	return AppendFrame(dst, MsgSketchRef, SketchRefSize, func(dst []byte) []byte { return AppendSketchRef(dst, r) })
 }
 
-// EncodeMatrixDeltaFrame returns a complete matrix-delta frame.
-func EncodeMatrixDeltaFrame(r *MatrixDelta) ([]byte, error) {
-	return AppendFrame(nil, MsgMatrixDelta, MatrixDeltaSize(r), func(dst []byte) []byte { return AppendMatrixDelta(dst, r) })
+// AppendMatrixDeltaFrame appends a complete matrix-delta frame to dst.
+func AppendMatrixDeltaFrame(dst []byte, r *MatrixDelta) ([]byte, error) {
+	return AppendFrame(dst, MsgMatrixDelta, MatrixDeltaSize(r), func(dst []byte) []byte { return AppendMatrixDelta(dst, r) })
 }
 
 // FormatFingerprint renders fp for a URL path segment:

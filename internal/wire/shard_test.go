@@ -141,7 +141,7 @@ func TestShardBatchRequestRoundtrip(t *testing.T) {
 		t.Fatal("re-encode differs")
 	}
 
-	frame, err := EncodeShardBatchRequestFrame(reqs)
+	frame, err := AppendShardBatchRequestFrame(nil, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +216,8 @@ func TestShardBatchResponseRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, item := range items {
-		st, err := PeekStatus(item)
+	for i := 0; i < items.Count; i++ {
+		st, err := PeekStatus(items.Next())
 		if err != nil || st != rs[i].Status {
 			t.Fatalf("item %d: peek = %v, %v", i, st, err)
 		}

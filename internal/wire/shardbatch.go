@@ -42,24 +42,36 @@ func AppendShardBatchRequest(dst []byte, reqs []ShardRequest) []byte {
 	return appendBatch(dst, len(reqs), func(dst []byte, i int) []byte { return AppendShardRequest(dst, &reqs[i]) })
 }
 
-// DecodeShardBatchRequest decodes a shard batch request payload, enforcing
-// the cross-item invariants: one shared nTotal, items sorted by j0 with
-// disjoint column ranges.
+// DecodeShardBatchRequest decodes a shard batch request payload into
+// fresh requests; see DecodeShardBatchRequestInto.
 func DecodeShardBatchRequest(payload []byte) ([]ShardRequest, error) {
-	reqs, err := decodeBatch(payload, DecodeShardRequestInto)
+	reqs, err := DecodeShardBatchRequestInto(nil, payload)
 	if err != nil {
 		return nil, err
 	}
+	return reqs, nil
+}
+
+// DecodeShardBatchRequestInto decodes a shard batch request payload into
+// dst's requests, reusing the capacity of their matrices (the worker's
+// pooled path), and enforces the cross-item invariants: one shared nTotal,
+// items sorted by j0 with disjoint column ranges. On an error the returned
+// slice is empty but keeps dst's scratch for the next decode.
+func DecodeShardBatchRequestInto(dst []ShardRequest, payload []byte) ([]ShardRequest, error) {
+	reqs, err := decodeBatchInto(dst, payload, DecodeShardRequestInto)
+	if err != nil {
+		return reqs, err
+	}
 	if len(reqs) == 0 {
-		return nil, fmt.Errorf("%w: empty shard batch", ErrMalformed)
+		return reqs, fmt.Errorf("%w: empty shard batch", ErrMalformed)
 	}
 	nextJ0 := 0
 	for i := range reqs {
 		if reqs[i].NTotal != reqs[0].NTotal {
-			return nil, fmt.Errorf("%w: shard batch item %d names nTotal %d, item 0 named %d", ErrMalformed, i, reqs[i].NTotal, reqs[0].NTotal)
+			return reqs[:0], fmt.Errorf("%w: shard batch item %d names nTotal %d, item 0 named %d", ErrMalformed, i, reqs[i].NTotal, reqs[0].NTotal)
 		}
 		if reqs[i].J0 < nextJ0 {
-			return nil, fmt.Errorf("%w: shard batch item %d range [%d:%d) overlaps or precedes prior end %d", ErrMalformed, i, reqs[i].J0, reqs[i].J0+reqs[i].A.N, nextJ0)
+			return reqs[:0], fmt.Errorf("%w: shard batch item %d range [%d:%d) overlaps or precedes prior end %d", ErrMalformed, i, reqs[i].J0, reqs[i].J0+reqs[i].A.N, nextJ0)
 		}
 		nextJ0 = reqs[i].J0 + reqs[i].A.N
 	}
@@ -72,13 +84,25 @@ func AppendShardBatchResponse(dst []byte, rs []ShardResponse) []byte {
 	return appendBatch(dst, len(rs), func(dst []byte, i int) []byte { return AppendShardResponse(dst, &rs[i]) })
 }
 
-// DecodeShardBatchResponse decodes a shard batch response payload. Items
-// answer the request's shards index-aligned; per-item errors surface as
-// non-OK statuses, and the coordinator cross-checks each OK item's J0 echo
-// against the shard it placed, so the decoder imposes no cross-item
-// constraints of its own.
+// DecodeShardBatchResponse decodes a shard batch response payload into
+// fresh responses; see DecodeShardBatchResponseInto.
 func DecodeShardBatchResponse(payload []byte) ([]ShardResponse, error) {
-	return decodeBatch(payload, DecodeShardResponseInto)
+	rs, err := DecodeShardBatchResponseInto(nil, payload)
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// DecodeShardBatchResponseInto decodes a shard batch response payload into
+// dst's responses, reusing the capacity of their partials (the
+// coordinator's pooled path). Items answer the request's shards
+// index-aligned; per-item errors surface as non-OK statuses, and the
+// coordinator cross-checks each OK item's J0 echo against the shard it
+// placed, so the decoder imposes no cross-item constraints of its own. On
+// an error the returned slice is empty but keeps dst's scratch.
+func DecodeShardBatchResponseInto(dst []ShardResponse, payload []byte) ([]ShardResponse, error) {
+	return decodeBatchInto(dst, payload, DecodeShardResponseInto)
 }
 
 // ShardBatchRequestSize returns the encoded size of a shard batch request
@@ -89,12 +113,12 @@ func ShardBatchRequestSize(reqs []ShardRequest) int { return batchSize(reqs, Sha
 // response payload.
 func ShardBatchResponseSize(rs []ShardResponse) int { return batchSize(rs, ShardResponseSize) }
 
-// EncodeShardBatchRequestFrame returns a complete shard batch request
-// frame, ready for an HTTP body, in one allocation of its exact size. A
-// batch whose total payload exceeds the 32-bit frame length fails with
-// ErrTooLarge.
-func EncodeShardBatchRequestFrame(reqs []ShardRequest) ([]byte, error) {
-	return AppendFrame(nil, MsgShardBatchRequest, ShardBatchRequestSize(reqs), func(dst []byte) []byte {
+// AppendShardBatchRequestFrame appends a complete shard batch request
+// frame, ready for an HTTP body, to dst, growing it at most once, to its
+// exact size. A batch whose total payload exceeds the 32-bit frame length
+// fails with ErrTooLarge.
+func AppendShardBatchRequestFrame(dst []byte, reqs []ShardRequest) ([]byte, error) {
+	return AppendFrame(dst, MsgShardBatchRequest, ShardBatchRequestSize(reqs), func(dst []byte) []byte {
 		return AppendShardBatchRequest(dst, reqs)
 	})
 }

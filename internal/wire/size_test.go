@@ -3,10 +3,6 @@ package wire
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"sketchsp/internal/core"
@@ -228,23 +224,9 @@ func TestExactFrameSizes(t *testing.T) {
 		}
 	}
 
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireRoundtrip")
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	decoded := 0
-	for _, fi := range files {
-		raw, err := os.ReadFile(filepath.Join(dir, fi.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
-		body, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: not a []byte corpus entry: %v", fi.Name(), err)
-		}
-		typ, payload, rest, err := SplitFrame([]byte(body), 1<<22)
+	for name, body := range committedCorpus(t) {
+		typ, payload, rest, err := SplitFrame(body, 1<<22)
 		if err != nil || len(rest) != 0 {
 			continue
 		}
@@ -253,8 +235,8 @@ func TestExactFrameSizes(t *testing.T) {
 			continue
 		}
 		decoded++
-		if frame := checkExactFrame(t, fi.Name(), m); !bytes.Equal(frame, []byte(body)) {
-			t.Fatalf("%s: re-framed seed differs from the committed bytes", fi.Name())
+		if frame := checkExactFrame(t, name, m); !bytes.Equal(frame, body) {
+			t.Fatalf("%s: re-framed seed differs from the committed bytes", name)
 		}
 	}
 	if decoded == 0 {
@@ -263,7 +245,9 @@ func TestExactFrameSizes(t *testing.T) {
 }
 
 // TestEncodeFrameAllocations pins the client's request frames to one
-// allocation each: the exact-size frame buffer, nothing else.
+// allocation each, the exact-size frame buffer, and to none at all when
+// the buffer appended to already has the room (the client's pooled
+// buffers).
 func TestEncodeFrameAllocations(t *testing.T) {
 	shapes := testCSCs()
 	a := shapes["uniform-200x40"]
@@ -272,16 +256,25 @@ func TestEncodeFrameAllocations(t *testing.T) {
 		{NTotal: 2 * a.N, SketchRequest: SketchRequest{D: 8, Opts: opts, A: a}},
 		{J0: a.N, NTotal: 2 * a.N, SketchRequest: SketchRequest{D: 8, Opts: opts, A: shapes["emptycols"]}},
 	}
-	for name, encode := range map[string]func() ([]byte, error){
-		"EncodeRequestFrame":           func() ([]byte, error) { return EncodeRequestFrame(8, opts, a) },
-		"EncodeShardBatchRequestFrame": func() ([]byte, error) { return EncodeShardBatchRequestFrame(shards) },
+	for name, encode := range map[string]func(dst []byte) ([]byte, error){
+		"AppendRequestFrame":           func(dst []byte) ([]byte, error) { return AppendRequestFrame(dst, 8, opts, a) },
+		"AppendShardBatchRequestFrame": func(dst []byte) ([]byte, error) { return AppendShardBatchRequestFrame(dst, shards) },
 	} {
-		if n := testing.AllocsPerRun(50, func() {
-			if _, err := encode(); err != nil {
-				t.Fatal(err)
+		warm, err := encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			dst  []byte
+			want float64
+		}{{nil, 1}, {warm[:0], 0}} {
+			if n := testing.AllocsPerRun(50, func() {
+				if _, err := encode(c.dst); err != nil {
+					t.Fatal(err)
+				}
+			}); n != c.want {
+				t.Errorf("%s into a %d-byte buffer: %v allocations per frame, want %v", name, cap(c.dst), n, c.want)
 			}
-		}); n != 1 {
-			t.Errorf("%s: %v allocations per frame, want 1", name, n)
 		}
 	}
 }

@@ -266,9 +266,9 @@ func DecodeSolveRequest(payload []byte) (*SolveRequest, error) {
 	return r, nil
 }
 
-// EncodeSolveRequestFrame returns a complete solve-request frame.
-func EncodeSolveRequestFrame(r *SolveRequest) ([]byte, error) {
-	return AppendFrame(nil, MsgSolveRequest, SolveRequestSize(r), func(dst []byte) []byte { return AppendSolveRequest(dst, r) })
+// AppendSolveRequestFrame appends a complete solve-request frame to dst.
+func AppendSolveRequestFrame(dst []byte, r *SolveRequest) ([]byte, error) {
+	return AppendFrame(dst, MsgSolveRequest, SolveRequestSize(r), func(dst []byte) []byte { return AppendSolveRequest(dst, r) })
 }
 
 // SolveInfo is the wire form of solver.Info plus serving-side annotations.
@@ -562,9 +562,9 @@ func DecodeJobStatus(payload []byte) (*JobStatus, error) {
 	}
 }
 
-// EncodeJobStatusFrame returns a complete job-status frame.
-func EncodeJobStatusFrame(j *JobStatus) ([]byte, error) {
-	return AppendFrame(nil, MsgJobStatus, JobStatusSize(j), func(dst []byte) []byte { return AppendJobStatus(dst, j) })
+// AppendJobStatusFrame appends a complete job-status frame to dst.
+func AppendJobStatusFrame(dst []byte, j *JobStatus) ([]byte, error) {
+	return AppendFrame(dst, MsgJobStatus, JobStatusSize(j), func(dst []byte) []byte { return AppendJobStatus(dst, j) })
 }
 
 // SolveInfoOf converts a solver.Info into its wire form, attaching the

@@ -64,7 +64,7 @@ func TestSolveRequestRoundtrip(t *testing.T) {
 		if want.ByRef && got.Fp != want.Fp {
 			t.Fatalf("%v: fingerprint drifted", want.Method)
 		}
-		frame, err := EncodeSolveRequestFrame(want)
+		frame, err := AppendSolveRequestFrame(nil, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestJobStatusRoundtrip(t *testing.T) {
 		if (got.Result == nil) != (want.Result == nil) {
 			t.Fatalf("case %d: result presence drifted", i)
 		}
-		frame, err := EncodeJobStatusFrame(want)
+		frame, err := AppendJobStatusFrame(nil, want)
 		if err != nil {
 			t.Fatal(err)
 		}

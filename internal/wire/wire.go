@@ -116,6 +116,14 @@ const HeaderSize = 12
 // that a corrupt length field cannot demand an absurd allocation.
 const DefaultMaxPayload = 1 << 30
 
+// MaxPooledBytes caps what the serving layers keep pooled between
+// requests: a frame, body, decoded matrix or output that has grown past it
+// is dropped when its request ends instead of going back to its pool, so
+// one huge request cannot keep its buffers resident. At 1 MiB (the
+// client's first read allocation for a body of declared length) every
+// frame of an ordinary shard fan-out stays pooled.
+const MaxPooledBytes = 1 << 20
+
 // MaxFramePayload is the hard encode-side payload ceiling: the header's
 // length field is 32 bits, so a larger payload cannot be framed at all.
 // Encoders reject it with ErrTooLarge instead of silently wrapping the

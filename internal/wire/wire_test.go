@@ -314,11 +314,11 @@ func TestPeekStatusAndSplitBatchPayload(t *testing.T) {
 		{Status: StatusOK, Ahat: dense.NewMatrix(1, 1)},
 	})
 	items, err := SplitBatchPayload(bp)
-	if err != nil || len(items) != 2 {
-		t.Fatalf("SplitBatchPayload: %d items, err = %v", len(items), err)
+	if err != nil || items.Count != 2 {
+		t.Fatalf("SplitBatchPayload: %d items, err = %v", items.Count, err)
 	}
 	for i, want := range []Status{StatusOverloaded, StatusOK} {
-		if st, err := PeekStatus(items[i]); err != nil || st != want {
+		if st, err := PeekStatus(items.Next()); err != nil || st != want {
 			t.Errorf("item %d status = %v, %v; want %v", i, st, err, want)
 		}
 	}
