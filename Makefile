@@ -36,8 +36,10 @@ vet:
 # twice so a lucky interleaving on the first pass doesn't mask a race. The
 # obs registry's scrape-while-incrementing suite and the server's /metrics
 # e2e reconcile ride the same gate: metric counters sit on every hot path.
+# The sparse suite runs too: Algorithm 4's slab conversion fans slabs out
+# to workers that write the slab array concurrently.
 race:
-	$(GO) test -race ./internal/core/... ./internal/solver/...
+	$(GO) test -race ./internal/core/... ./internal/solver/... ./internal/sparse/...
 	$(GO) test -race -count=2 ./internal/service/...
 	$(GO) test -race ./internal/obs/... ./internal/server/...
 	$(GO) test -race ./internal/shard/...

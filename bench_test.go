@@ -138,7 +138,7 @@ func BenchmarkTable4Alg4(b *testing.B) {
 	}
 	b.Run("Conversion", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sparse.NewBlockedCSR(a, 300)
+			sparse.NewBlockedCSRPartition(a, sparse.UniformColSplit(a.N, 300), 1)
 		}
 	})
 }
@@ -338,7 +338,7 @@ func BenchmarkAblationPregen(b *testing.B) {
 	})
 	b.Run("Pregen", func(b *testing.B) {
 		g := kernels.NewPregenGen(sk.MaterializeS(a.M))
-		blocked := sparse.NewBlockedCSR(a, 300)
+		blocked := sparse.NewBlockedCSRPartition(a, sparse.UniformColSplit(a.N, 300), 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out.Zero()

@@ -160,18 +160,14 @@ func TraceAlg3(a *sparse.CSC, d, bd, bn int, cache *Cache) Traffic {
 // generation of d1 samples reused across the row's nonzeros.
 func TraceAlg4(a *sparse.CSC, d, bd, bn int, cache *Cache) Traffic {
 	var tr Traffic
-	blocked := sparse.NewBlockedCSR(a, bn)
+	blocked := sparse.NewBlockedCSRPartition(a, sparse.UniformColSplit(a.N, bn), 1)
 	for bk, slab := range blocked.Blocks {
 		j0 := blocked.ColStart[bk]
 		for i0 := 0; i0 < d; i0 += bd {
 			d1 := min(d, i0+bd) - i0
-			for j := 0; j < slab.M; j++ {
-				lo, hi := slab.RowPtr[j], slab.RowPtr[j+1]
-				if lo == hi {
-					continue
-				}
+			for r := range slab.Rows {
 				tr.Samples += int64(d1)
-				for p := lo; p < hi; p++ {
+				for p := slab.Off[r]; p < slab.Off[r+1]; p++ {
 					cache.Access(baseAVal + uint64(p)*8)
 					cache.Access(baseAIdx + uint64(p)*8)
 					k := j0 + slab.ColIdx[p]

@@ -11,30 +11,14 @@ import (
 // would generate for matrix a with sketch size d and slab width bn: for
 // every vertical slab, d samples per row that has at least one nonzero in
 // that slab (§III-B — the quantity the paper says one could tune b_n to
-// minimise). The count is exact and costs O(nnz + m·⌈n/bn⌉) without
-// building the blocked structure.
+// minimise). It groups each slab's rows the way the blocked conversion
+// does (sparse.SlabRows) without building the slabs: O(nnz) memory and
+// no term in m.
 func PredictAlg4Samples(a *sparse.CSC, d, bn int) int64 {
 	if bn <= 0 {
 		panic(fmt.Sprintf("analysis: PredictAlg4Samples bn=%d", bn))
 	}
-	lastSeen := make([]int, a.M) // slab index+1 of the last slab touching row i
-	var nonempty int64
-	nb := (a.N + bn - 1) / bn
-	for blk := 0; blk < nb; blk++ {
-		j0 := blk * bn
-		j1 := j0 + bn
-		if j1 > a.N {
-			j1 = a.N
-		}
-		for p := a.ColPtr[j0]; p < a.ColPtr[j1]; p++ {
-			r := a.RowIdx[p]
-			if lastSeen[r] != blk+1 {
-				lastSeen[r] = blk + 1
-				nonempty++
-			}
-		}
-	}
-	return nonempty * int64(d)
+	return int64(d) * int64(sparse.SlabRows(a, sparse.UniformColSplit(a.N, bn)))
 }
 
 // PredictAlg3Samples is the (blocking-independent) sample count of

@@ -14,10 +14,10 @@ func TestPredictAlg4SamplesExact(t *testing.T) {
 		bn := 1 + int(bnRaw)%40
 		d := 24
 		want := int64(0)
-		blocked := sparse.NewBlockedCSR(a, bn)
+		blocked := sparse.NewBlockedCSRPartition(a, sparse.UniformColSplit(a.N, bn), 1)
 		for _, blk := range blocked.Blocks {
-			for i := 0; i < blk.M; i++ {
-				if blk.RowPtr[i+1] > blk.RowPtr[i] {
+			for r := range blk.Rows {
+				if blk.Off[r+1] > blk.Off[r] {
 					want += int64(d)
 				}
 			}

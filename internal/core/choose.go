@@ -17,11 +17,16 @@ const AlgAuto Algorithm = -1
 //
 //   - Algorithm 3 generates d·nnz samples at relative cost h each.
 //   - Algorithm 4 generates d·(nonempty rows per slab) samples (counted
-//     exactly), pays the blocked-CSR conversion O(m·⌈n/bn⌉ + nnz), and — on
+//     exactly), pays a conversion charge of m·⌈n/bn⌉ + nnz, and — on
 //     random-access-sensitive hosts — a scatter penalty when the Â block
 //     (d1×bn doubles) exceeds the cache: every nonzero then touches a cold
 //     d1-entry column (d1/8 lines), which Algorithm 3's column-ordered walk
 //     avoids.
+//
+// The m·⌈n/bn⌉ term overstates the conversion, which builds compact slabs
+// in O(nnz·⌈log₂m/8⌉) with nothing per row; it is kept so AlgAuto picks
+// the same kernel on every input until the model is refitted (ROADMAP.md
+// item 3, the chooser that follows the RNG-speed dichotomy).
 //
 // h is the relative cost of one random sample versus one memory access for
 // the baseline uniform distribution; it is scaled by the configured

@@ -230,17 +230,16 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 // nonempty sparse row and reused across the row (a rank-1 update), so a
 // dense S costs at most d·m·⌈n/b_n⌉ samples (§III-B), at the price of
 // sparsity-dependent access to the columns of Âsub. The loops walk the
-// slab's recorded non-empty rows and their entry offsets, never its
-// full-length RowPtr, loading their columns of S in groups of up to
-// rng.MaxColumns rows.
-func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
+// slab's non-empty rows and their entry offsets, loading their columns of
+// S in groups of up to rng.MaxColumns rows.
+func Kernel4(ahat *dense.Matrix, slab *sparse.Slab, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if slab.N != n1 || !g.bind(blockRow, d1, slab.M) {
 		panic(fmt.Sprintf("kernels: Kernel4 Âsub %dx%d at row %d does not fit slab %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, slab.M, slab.N, g.d, g.bd))
 	}
 	r, i0, sp := g.r, g.i0, g.sp
-	rows, off := slab.NonEmptyRows()
+	rows, off := slab.Rows, slab.Off
 	acols, avals := slab.ColIdx, slab.Val
 	switch g.kind {
 	case genDense:

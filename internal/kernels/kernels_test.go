@@ -19,6 +19,11 @@ func randCSC(r *rand.Rand, m, n, nnz int) *sparse.CSC {
 	return coo.ToCSC()
 }
 
+// oneSlab is a as the single slab of Algorithm 4's blocked structure.
+func oneSlab(a *sparse.CSC) *sparse.Slab {
+	return sparse.NewBlockedCSRPartition(a, []int{0, a.N}, 1).Blocks[0]
+}
+
 func randDense(r *rand.Rand, rows, cols int) *dense.Matrix {
 	m := dense.NewMatrix(rows, cols)
 	for k := range m.Data {
@@ -171,15 +176,15 @@ func TestKernel4MatchesExplicitProduct(t *testing.T) {
 			d1, m, n1 := 1+r.Intn(20), 1+r.Intn(30), 1+r.Intn(10)
 			i0, d := 64, 70+d1
 			a := randCSC(r, m, n1, r.Intn(60))
-			slab := a.ToCSR()
 			sm := materialize(rng.NewBatchXoshiro(8), dist, d, i0, d1, m)
 
 			ahat := dense.NewMatrix(d1, n1)
-			gen := Kernel4(ahat, slab, newGen(rng.NewBatchXoshiro(8), dist, d, d1), uint64(i0), nil)
+			gen := Kernel4(ahat, oneSlab(a), newGen(rng.NewBatchXoshiro(8), dist, d, d1), uint64(i0), nil)
 			// One load per nonempty row.
 			nonempty := 0
-			for i := 0; i < slab.M; i++ {
-				if slab.RowPtr[i+1] > slab.RowPtr[i] {
+			rowPtr := a.ToCSR().RowPtr
+			for i := 0; i < m; i++ {
+				if rowPtr[i+1] > rowPtr[i] {
 					nonempty++
 				}
 			}
@@ -212,7 +217,7 @@ func TestKernel3Kernel4BitwiseIdentical(t *testing.T) {
 			ah3 := dense.NewMatrix(d1, n1)
 			Kernel3(ah3, a, newGen(rng.NewBatchXoshiro(seed), dist, d, d1), 5, nil)
 			ah4 := dense.NewMatrix(d1, n1)
-			Kernel4(ah4, a.ToCSR(), newGen(rng.NewBatchXoshiro(seed), dist, d, d1), 5, nil)
+			Kernel4(ah4, oneSlab(a), newGen(rng.NewBatchXoshiro(seed), dist, d, d1), 5, nil)
 			return sameBits(ah3, ah4)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -229,7 +234,7 @@ func TestKernelsSkipEmptyRowsAndColumns(t *testing.T) {
 	coo.Append(2, 3, 2)
 	coo.Append(7, 1, 3)
 	a := coo.ToCSC()
-	slab := a.ToCSR()
+	slab := oneSlab(a)
 	d1 := 8
 	for _, dist := range genDists {
 		per := perLoad(dist, d1, d1)
@@ -252,7 +257,7 @@ func TestTimedKernelsMatchUntimed(t *testing.T) {
 	d1, m, n1, i0 := 67, 25, 6, 9
 	d := i0 + d1 + 11
 	a := randCSC(r, m, n1, 50)
-	slab := a.ToCSR()
+	slab := oneSlab(a)
 	pre := materialize(rng.NewBatchXoshiro(11), rng.Uniform11, d, 0, d, m)
 
 	kinds := map[string]func() *Gen{
@@ -306,7 +311,7 @@ func TestKernelPregenVariantsMatchRNGKernels(t *testing.T) {
 	d1, m, n1, i0 := 10, 30, 8, 3
 	d := i0 + d1 + 4
 	a := randCSC(r, m, n1, 70)
-	slab := a.ToCSR()
+	slab := oneSlab(a)
 	for _, dist := range []rng.Distribution{rng.Uniform11, rng.SJLT} {
 		sm := randDense(r, d, m+2)
 		sm.View(i0, 0, d1, m).CopyFrom(materialize(rng.NewBatchXoshiro(13), dist, d, i0, d1, m))
@@ -337,18 +342,18 @@ func TestKernelDimensionPanics(t *testing.T) {
 	cases := []func(){
 		// Âsub/slab column mismatch.
 		func() { Kernel3(dense.NewMatrix(3, 9), a, g, 0, nil) },
-		func() { Kernel4(dense.NewMatrix(3, 9), a.ToCSR(), g, 0, nil) },
+		func() { Kernel4(dense.NewMatrix(3, 9), oneSlab(a), g, 0, nil) },
 		// Block row taller than the generator's scratch.
 		func() { Kernel3(dense.NewMatrix(4, 4), a, g, 0, nil) },
-		func() { Kernel4(dense.NewMatrix(4, 4), a.ToCSR(), g, 0, nil) },
+		func() { Kernel4(dense.NewMatrix(4, 4), oneSlab(a), g, 0, nil) },
 		// Block row past the last row of S.
 		func() { Kernel3(dense.NewMatrix(3, 4), a, g, 8, nil) },
 		// Pre-generated S with too few rows for [i0, i0+d1).
 		func() { Kernel3(dense.NewMatrix(3, 4), a, NewPregenGen(dense.NewMatrix(4, 5)), 2, nil) },
-		func() { Kernel4(dense.NewMatrix(3, 4), a.ToCSR(), NewPregenGen(dense.NewMatrix(4, 5)), 2, nil) },
+		func() { Kernel4(dense.NewMatrix(3, 4), oneSlab(a), NewPregenGen(dense.NewMatrix(4, 5)), 2, nil) },
 		// Pre-generated S with fewer columns than the slab has rows.
 		func() { Kernel3(dense.NewMatrix(3, 4), a, NewPregenGen(dense.NewMatrix(10, 4)), 0, nil) },
-		func() { Kernel4(dense.NewMatrix(3, 4), a.ToCSR(), NewPregenGen(dense.NewMatrix(10, 4)), 0, nil) },
+		func() { Kernel4(dense.NewMatrix(3, 4), oneSlab(a), NewPregenGen(dense.NewMatrix(10, 4)), 0, nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -362,7 +367,7 @@ func TestKernelDimensionPanics(t *testing.T) {
 	}
 	// The boundary cases fit.
 	Kernel3(dense.NewMatrix(3, 4), a, g, 7, nil)
-	Kernel4(dense.NewMatrix(3, 4), a.ToCSR(), NewPregenGen(dense.NewMatrix(5, 5)), 2, nil)
+	Kernel4(dense.NewMatrix(3, 4), oneSlab(a), NewPregenGen(dense.NewMatrix(5, 5)), 2, nil)
 }
 
 func TestAxpyTailLengths(t *testing.T) {
@@ -399,7 +404,7 @@ func TestFusedRademacherPaths(t *testing.T) {
 		}
 
 		ah4 := dense.NewMatrix(d1, 8)
-		Kernel4(ah4, a.ToCSR(), newGen(rng.NewBatchXoshiro(21), rng.Rademacher, d, d1), 7, nil)
+		Kernel4(ah4, oneSlab(a), newGen(rng.NewBatchXoshiro(21), rng.Rademacher, d, d1), 7, nil)
 		if !sameBits(ah4, ah3) {
 			t.Fatalf("d1=%d: fused Kernel4 ±1 differs from Kernel3", d1)
 		}

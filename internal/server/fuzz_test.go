@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sketchsp/internal/core"
-	"sketchsp/internal/dense"
 	"sketchsp/internal/service"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/wire"
@@ -17,41 +16,6 @@ import (
 
 // fuzzMaxBody bounds the fuzzed request bodies; the seeds fit under it.
 const fuzzMaxBody = 1 << 13
-
-// fuzzMaxRows caps the rows of the matrices the fuzzed service sketches.
-// No server limit bounds m: Algorithm 4's blocked-CSR conversion allocates
-// row pointers per column slab, O(m·slabs) memory for a request of a few
-// hundred bytes, so a fuzzed m near wire.MaxDim would exhaust the host's
-// memory instead of exercising the handler.
-const fuzzMaxRows = 1 << 10
-
-// rowCapBackend is the local service with taller matrices refused.
-type rowCapBackend struct{ *service.Service }
-
-var errTooTall = fmt.Errorf("%w: the fuzz backend sketches at most %d rows", core.ErrBadOptions, fuzzMaxRows)
-
-func (b rowCapBackend) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
-	if a.M > fuzzMaxRows {
-		return nil, core.Stats{}, errTooTall
-	}
-	return b.Service.Sketch(ctx, a, d, opts)
-}
-
-func (b rowCapBackend) SketchBatch(ctx context.Context, reqs []service.Request) []service.Response {
-	short := make([]service.Request, len(reqs))
-	for i, r := range reqs {
-		if r.A == nil || r.A.M <= fuzzMaxRows {
-			short[i] = r
-		}
-	}
-	out := b.Service.SketchBatch(ctx, short)
-	for i, r := range reqs {
-		if r.A != nil && r.A.M > fuzzMaxRows {
-			out[i] = service.Response{Err: errTooTall}
-		}
-	}
-	return out
-}
 
 // sketchResponseOf maps each /v1/sketch request type onto the response
 // type that must answer it.
@@ -68,10 +32,12 @@ var sketchResponseOf = map[wire.MsgType]wire.MsgType{
 // with exactly one frame that decodes, of the response type the request's
 // frame type maps to — the single-response form when the body is no
 // /v1/sketch request frame at all. A body with bytes after its frame is
-// malformed: every item of the answer is StatusMalformed.
+// malformed: every item of the answer is StatusMalformed. The service
+// sketches whatever the frame names, m up to wire.MaxDim included: no
+// algorithm allocates or loops over m.
 func FuzzSketchHandler(f *testing.F) {
 	svc := service.New(service.Config{Capacity: 4})
-	srv := NewBackend(rowCapBackend{svc}, Config{MaxBodyBytes: fuzzMaxBody, MaxSketchBytes: contractMaxSketch})
+	srv := New(svc, Config{MaxBodyBytes: fuzzMaxBody, MaxSketchBytes: contractMaxSketch})
 	f.Cleanup(func() {
 		srv.Shutdown(context.Background())
 		svc.Close()
@@ -89,6 +55,15 @@ func FuzzSketchHandler(f *testing.F) {
 		seeds = append(seeds, fr.frame(f, typ, false, false), fr.frame(f, typ, true, false))
 	}
 	seeds = append(seeds, append(fr.frame(f, wire.MsgBatchRequest, false, false), 0))
+	tall := sparse.NewCOO(wire.MaxDim-1, 2, 3)
+	tall.Append(0, 0, 1)
+	tall.Append(wire.MaxDim-2, 0, -2)
+	tall.Append(1<<33+7, 1, 3)
+	for _, alg := range []core.Algorithm{core.Alg4, core.AlgAuto} {
+		opts := fr.opts
+		opts.Algorithm = alg
+		seeds = append(seeds, mustFrame(f, wire.MsgSketchRequest, wire.AppendRequest(nil, 4, opts, tall.ToCSC())))
+	}
 	for _, s := range seeds {
 		f.Add(s)
 		for _, n := range []int{len(s) - 1, len(s) / 2, wire.HeaderSize, 3} {

@@ -1,7 +1,7 @@
 // Package sparse implements the sparse-matrix substrate the paper's kernels
 // run on: COO for construction, CSC (the paper's default input format for
-// Algorithm 3), CSR (the "MKL-style" baseline format), and the vertically
-// blocked CSR structure required by Algorithm 4, along with conversions,
+// Algorithm 3), CSR (the "MKL-style" baseline format), and Algorithm 4's
+// doubly compressed column slabs, along with conversions,
 // MatrixMarket I/O, and the synthetic matrix generators used to stand in for
 // the SuiteSparse collection matrices of Tables I and VIII.
 package sparse

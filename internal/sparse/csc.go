@@ -122,8 +122,8 @@ func (a *CSC) At(i, j int) float64 {
 // SlabNNZ returns nnz(A[:, j0:j1]), the number of stored entries in the
 // vertical column slab [j0, j1). ColPtr is exactly the prefix sum of the
 // per-column nonzero counts, so the answer is a two-load O(1) lookup — cheap
-// enough that the nnz-aware task partitioner and the BlockedCSR conversion
-// both call it per candidate slab during planning.
+// enough that the nnz-aware task partitioner calls it per candidate slab
+// during planning.
 func (a *CSC) SlabNNZ(j0, j1 int) int {
 	if j0 < 0 || j1 < j0 || j1 > a.N {
 		panic(fmt.Sprintf("sparse: SlabNNZ [%d:%d] of %d cols", j0, j1, a.N))
@@ -182,7 +182,7 @@ func (a *CSC) ToDense() *dense.Matrix {
 // ToCSR converts to compressed sparse row.
 func (a *CSC) ToCSR() *CSR {
 	rowPtr, colIdx, val := a.rowArrays()
-	return (&CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}).recordRows()
+	return &CSR{M: a.M, N: a.N, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
 // rowArrays returns the CSR arrays of a, which are also the CSC arrays of

@@ -3,29 +3,19 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"sketchsp/internal/dense"
 )
 
 // CSR is a compressed-sparse-row matrix. It backs the "MKL-style" baseline
 // (MKL only supports sparse-times-dense, so the paper stores A in CSR and S
-// row-major and computes the transposed product) and the per-block storage
-// of the BlockedCSR structure used by Algorithm 4.
+// row-major and computes the transposed product).
 type CSR struct {
 	M, N   int
 	RowPtr []int // length M+1
 	ColIdx []int // length nnz
 	Val    []float64
-
-	rows atomic.Pointer[rowIndex] // the non-empty rows; see NonEmptyRows
 }
-
-// rowIndex lists the rows of a CSR that hold an entry, ascending, with
-// their entry offsets: row rows[i]'s entries are ColIdx[off[i]:off[i+1]].
-// The entries of consecutive non-empty rows are contiguous, so off has
-// one element more than rows and off[i+1] is also where rows[i+1] starts.
-type rowIndex struct{ rows, off []int }
 
 // NewCSR builds a CSR matrix from raw arrays after validating invariants.
 func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
@@ -33,53 +23,7 @@ func NewCSR(m, n int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return a.recordRows(), nil
-}
-
-// recordRows records a's non-empty rows and returns a. Every constructor
-// calls it once the arrays are final.
-func (a *CSR) recordRows() *CSR {
-	a.rows.Store(newRowIndex(a.RowPtr))
-	return a
-}
-
-// newRowIndex scans rowPtr for the rows that hold an entry.
-func newRowIndex(rowPtr []int) *rowIndex {
-	n := 0
-	for i := 1; i < len(rowPtr); i++ {
-		if rowPtr[i] > rowPtr[i-1] {
-			n++
-		}
-	}
-	x := &rowIndex{rows: make([]int, 0, n), off: make([]int, 0, n+1)}
-	for i := 1; i < len(rowPtr); i++ {
-		if rowPtr[i] > rowPtr[i-1] {
-			x.rows = append(x.rows, i-1)
-			x.off = append(x.off, rowPtr[i-1])
-		}
-	}
-	nnz := 0
-	if len(rowPtr) > 0 {
-		nnz = rowPtr[len(rowPtr)-1]
-	}
-	x.off = append(x.off, nnz)
-	return x
-}
-
-// NonEmptyRows returns the rows holding at least one entry, ascending, and
-// their entry offsets: row rows[i]'s column indices and values are
-// ColIdx[off[i]:off[i+1]] and Val[off[i]:off[i+1]], and len(off) =
-// len(rows)+1. Both alias storage. Algorithm 4 walks these lists rather
-// than all M rows of a slab and the full-length RowPtr: a thin slab of a
-// tall matrix touches few of its rows. The constructors record them; a
-// CSR assembled by hand gets them on its first call, once.
-func (a *CSR) NonEmptyRows() (rows, off []int) {
-	x := a.rows.Load()
-	if x == nil {
-		x = newRowIndex(a.RowPtr)
-		a.rows.CompareAndSwap(nil, x)
-	}
-	return x.rows, x.off
+	return a, nil
 }
 
 // Validate checks the CSR structural invariants.
@@ -114,31 +58,6 @@ func (a *CSR) Validate() error {
 			}
 			prev = c
 		}
-	}
-	if x := a.rows.Load(); x != nil {
-		return x.check(a.RowPtr)
-	}
-	return nil
-}
-
-// check reports whether x is the non-empty-row index of rowPtr.
-func (x *rowIndex) check(rowPtr []int) error {
-	if len(x.off) != len(x.rows)+1 {
-		return fmt.Errorf("sparse: CSR %d non-empty rows with %d offsets", len(x.rows), len(x.off))
-	}
-	k := 0
-	for i := 0; i+1 < len(rowPtr); i++ {
-		if rowPtr[i+1] == rowPtr[i] {
-			continue
-		}
-		if k == len(x.rows) || x.rows[k] != i || x.off[k] != rowPtr[i] {
-			return fmt.Errorf("sparse: CSR non-empty row %d not recorded at its offset %d", i, rowPtr[i])
-		}
-		k++
-	}
-	if k != len(x.rows) || x.off[k] != rowPtr[len(rowPtr)-1] {
-		return fmt.Errorf("sparse: CSR records %d non-empty rows ending at %d, RowPtr has %d ending at %d",
-			len(x.rows), x.off[len(x.off)-1], k, rowPtr[len(rowPtr)-1])
 	}
 	return nil
 }
@@ -216,14 +135,9 @@ func (a *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// MemoryBytes reports the CSR storage footprint in bytes, the recorded
-// non-empty rows and their offsets included.
+// MemoryBytes reports the CSR storage footprint in bytes.
 func (a *CSR) MemoryBytes() int64 {
-	t := int64(len(a.Val))*8 + int64(len(a.ColIdx))*8 + int64(len(a.RowPtr))*8
-	if x := a.rows.Load(); x != nil {
-		t += int64(len(x.rows)+len(x.off)) * 8
-	}
-	return t
+	return int64(len(a.Val))*8 + int64(len(a.ColIdx))*8 + int64(len(a.RowPtr))*8
 }
 
 // MulVecT computes y = Aᵀ*x.

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -221,30 +222,50 @@ func TestBlockedCSRMatchesCSC(t *testing.T) {
 		m, n := 1+r.Intn(30), 1+r.Intn(20)
 		bn := 1 + r.Intn(n)
 		a := randomCOO(r, m, n, r.Intn(80)).ToCSC()
-		b := NewBlockedCSR(a, bn)
-		if b.NNZ() != a.NNZ() {
-			return false
-		}
-		back := b.ToCSC()
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				if a.At(i, j) != back.At(i, j) {
-					return false
-				}
-			}
-		}
-		return true
+		b := NewBlockedCSRPartition(a, UniformColSplit(n, bn), 1)
+		return b.NNZ() == a.NNZ() && sameCSC(b.ToCSC(), a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+	for name, a := range tallTestMatrices() {
+		for _, bn := range []int{1, 2, a.N} {
+			if b := NewBlockedCSRPartition(a, UniformColSplit(a.N, bn), 1); !sameCSC(b.ToCSC(), a) {
+				t.Fatalf("%s b_n=%d: ToCSC round trip differs", name, bn)
+			}
+		}
+	}
 }
 
-// TestBlockedCSRNonEmptyRows checks each slab's recorded non-empty rows
-// and entry offsets, which Algorithm 4 walks instead of all m rows, against
-// a scan of RowPtr: for empty slabs, full slabs, single-row slabs and a
-// random mix, each time with MemoryBytes counting the index and the ToCSC
-// round trip still exact.
+// sameCSC reports whether two canonical CSC matrices (rows sorted within
+// each column, no duplicates) are equal.
+func sameCSC(a, b *CSC) bool {
+	return a.M == b.M && a.N == b.N && slices.Equal(a.ColPtr, b.ColPtr) &&
+		slices.Equal(a.RowIdx, b.RowIdx) && slices.Equal(a.Val, b.Val)
+}
+
+// tallTestMatrices are tall shapes, m ≫ nnz: a few entries over 2^40 rows
+// whose row indices differ in every byte the conversion sorts on, with
+// empty columns, and a single non-empty row of a 2^24-row matrix.
+func tallTestMatrices() map[string]*CSC {
+	scattered := NewCOO(1<<40, 9, 8)
+	for k, e := range [][2]int{{0, 0}, {1<<32 + 5, 0}, {1 << 39, 0}, {1<<40 - 1, 2}, {5, 7}, {255, 8}, {256, 8}, {5, 8}} {
+		scattered.Append(e[0], e[1], float64(k+1))
+	}
+	row := NewCOO(1<<24, 5, 3)
+	for j := 0; j < 5; j += 2 {
+		row.Append(1<<24-2, j, float64(j)-1.5)
+	}
+	return map[string]*CSC{"scattered": scattered.ToCSC(), "single row": row.ToCSC()}
+}
+
+// TestBlockedCSRNonEmptyRows checks the slab invariants Algorithm 4 relies
+// on: each slab lists exactly the rows of its column range that hold an
+// entry, ascending, with offsets that start at 0, rise with every row and
+// end at the slab's nnz, and columns ascending within each row. It covers
+// empty slabs, full slabs, single-row slabs, tall slabs and a random mix,
+// each time with MemoryBytes counting exactly the four arrays and the
+// ToCSC round trip exact.
 func TestBlockedCSRNonEmptyRows(t *testing.T) {
 	full := NewCOO(6, 4, 24)
 	for i := 0; i < 6; i++ {
@@ -252,160 +273,88 @@ func TestBlockedCSRNonEmptyRows(t *testing.T) {
 			full.Append(i, j, float64(1+i*4+j))
 		}
 	}
-	for name, a := range indexTestMatrices(full) {
-		for _, bn := range []int{1, 2, a.N} {
-			b := NewBlockedCSR(a, bn)
-			var indexBytes int64
-			for k, blk := range b.Blocks {
-				checkRowIndex(t, fmt.Sprintf("%s b_n=%d slab %d", name, bn, k), blk)
-				rows, off := blk.NonEmptyRows()
-				indexBytes += int64(len(rows)+len(off)) * 8
-			}
-			var arrays int64
-			for _, blk := range b.Blocks {
-				arrays += int64(len(blk.Val)+len(blk.ColIdx)+len(blk.RowPtr)) * 8
-			}
-			if got, want := b.MemoryBytes(), arrays+indexBytes+int64(len(b.ColStart))*8; got != want {
-				t.Fatalf("%s b_n=%d: MemoryBytes %d, want %d with the non-empty-row indexes", name, bn, got, want)
-			}
-			back := b.ToCSC()
-			for j := 0; j < a.N; j++ {
-				for i := 0; i < a.M; i++ {
-					if a.At(i, j) != back.At(i, j) {
-						t.Fatalf("%s b_n=%d: ToCSC round trip differs at (%d, %d)", name, bn, i, j)
-					}
-				}
-			}
-		}
-	}
-	if got, _ := full.ToCSR().NonEmptyRows(); len(got) != 6 {
-		t.Fatalf("ToCSR records %d non-empty rows of 6", len(got))
-	}
-}
-
-// indexTestMatrices are the shapes the non-empty-row tests cover: no
-// entry, every entry, one non-empty row, and a random mix.
-func indexTestMatrices(full *COO) map[string]*CSC {
 	single := NewCOO(9, 5, 3)
 	single.Append(4, 0, 1)
 	single.Append(4, 2, -2)
 	single.Append(4, 4, 3)
-	return map[string]*CSC{
+	mats := map[string]*CSC{
 		"empty":  NewCOO(7, 5, 0).ToCSC(),
 		"full":   full.ToCSC(),
 		"single": single.ToCSC(),
 		"random": RandomUniform(60, 23, 0.04, 29),
 	}
+	for name, a := range tallTestMatrices() {
+		mats[name] = a
+	}
+	for name, a := range mats {
+		for _, bn := range []int{1, 2, a.N} {
+			b := NewBlockedCSRPartition(a, UniformColSplit(a.N, bn), 1)
+			var arrays int64
+			for k, blk := range b.Blocks {
+				checkSlab(t, fmt.Sprintf("%s b_n=%d slab %d", name, bn, k), a, b.ColStart[k], b.ColStart[k+1], blk)
+				arrays += int64(len(blk.Rows)+len(blk.Off)+len(blk.ColIdx)+len(blk.Val)) * 8
+			}
+			if got, want := b.MemoryBytes(), arrays+int64(len(b.ColStart))*8; got != want {
+				t.Fatalf("%s b_n=%d: MemoryBytes %d, want %d", name, bn, got, want)
+			}
+			if !sameCSC(b.ToCSC(), a) {
+				t.Fatalf("%s b_n=%d: ToCSC round trip differs", name, bn)
+			}
+		}
+	}
 }
 
-// checkRowIndex checks a's NonEmptyRows against a scan of RowPtr: the
-// rows that hold an entry, ascending, each with its RowPtr offset, and one
-// final offset at nnz.
-func checkRowIndex(t *testing.T, name string, a *CSR) {
+// checkSlab checks s, the slab of a's columns [j0, j1), against a scan of
+// those columns.
+func checkSlab(t *testing.T, name string, a *CSC, j0, j1 int, s *Slab) {
 	t.Helper()
-	rows, off := a.NonEmptyRows()
-	if len(off) != len(rows)+1 || off[len(rows)] != a.NNZ() {
-		t.Fatalf("%s: %d rows with offsets %v, want %d offsets ending at nnz %d", name, len(rows), off, len(rows)+1, a.NNZ())
+	want := map[int]bool{}
+	for p := a.ColPtr[j0]; p < a.ColPtr[j1]; p++ {
+		want[a.RowIdx[p]] = true
 	}
-	k := 0
-	for i := 0; i < a.M; i++ {
-		if a.RowPtr[i+1] == a.RowPtr[i] {
-			continue
-		}
-		if k == len(rows) || rows[k] != i || off[k] != a.RowPtr[i] {
-			t.Fatalf("%s: non-empty row %d (entries from %d) missing from rows %v offsets %v", name, i, a.RowPtr[i], rows, off)
-		}
-		k++
+	nnz := a.SlabNNZ(j0, j1)
+	if s.M != a.M || s.N != j1-j0 || len(s.Rows) != len(want) || len(s.Off) != len(s.Rows)+1 ||
+		s.Off[0] != 0 || s.Off[len(s.Rows)] != nnz || len(s.ColIdx) != nnz || len(s.Val) != nnz {
+		t.Fatalf("%s: %dx%d slab with %d rows, %d offsets %v and %d/%d entries; want %dx%d with %d rows and %d entries",
+			name, s.M, s.N, len(s.Rows), len(s.Off), s.Off, len(s.ColIdx), len(s.Val), a.M, j1-j0, len(want), nnz)
 	}
-	if k != len(rows) {
-		t.Fatalf("%s: %d non-empty rows recorded, %d in RowPtr", name, len(rows), k)
-	}
-}
-
-// TestCSRNonEmptyRows checks the index every CSR constructor records —
-// NewCSR, CSC.ToCSR and the blocked slabs — on random, empty and
-// single-row matrices, that Validate rejects an index that disagrees with
-// RowPtr, and that a CSR assembled by hand computes its index once: later
-// calls, as every Kernel4 call makes, allocate nothing.
-func TestCSRNonEmptyRows(t *testing.T) {
-	full := NewCOO(3, 3, 9)
-	for i := 0; i < 9; i++ {
-		full.Append(i/3, i%3, float64(i+1))
-	}
-	for name, a := range indexTestMatrices(full) {
-		c := a.ToCSR()
-		checkRowIndex(t, name+" ToCSR", c)
-		n, err := NewCSR(c.M, c.N, c.RowPtr, c.ColIdx, c.Val)
-		if err != nil {
-			t.Fatal(err)
+	for r, i := range s.Rows {
+		if !want[i] || (r > 0 && i <= s.Rows[r-1]) || s.Off[r+1] <= s.Off[r] {
+			t.Fatalf("%s: row %d (the %dth, entries [%d, %d)) is not a new non-empty row in ascending order", name, i, r, s.Off[r], s.Off[r+1])
 		}
-		checkRowIndex(t, name+" NewCSR", n)
-		if err := n.Validate(); err != nil {
-			t.Fatalf("%s: Validate rejects the recorded index: %v", name, err)
-		}
-		if rows, _ := n.NonEmptyRows(); len(rows) > 0 {
-			bad := &rowIndex{rows: rows[1:], off: n.rows.Load().off[1:]}
-			n.rows.Store(bad)
-			if n.Validate() == nil {
-				t.Fatalf("%s: Validate accepts an index missing row %d", name, rows[0])
+		for e := s.Off[r]; e < s.Off[r+1]; e++ {
+			if c := s.ColIdx[e]; c < 0 || c >= s.N || (e > s.Off[r] && c <= s.ColIdx[e-1]) {
+				t.Fatalf("%s: row %d column %d out of range or order", name, i, c)
 			}
 		}
-	}
-	// Workers may reach a hand-assembled CSR at once: the first calls race
-	// to record the index, and every one must see a complete index.
-	concurrent := &CSR{M: 3, N: 2, RowPtr: []int{0, 1, 1, 2}, ColIdx: []int{0, 1}, Val: []float64{1, 2}}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if rows, off := concurrent.NonEmptyRows(); len(rows) != 2 || len(off) != 3 || off[2] != 2 {
-				t.Errorf("concurrent first calls: rows %v offsets %v, want [0 2] [0 1 2]", rows, off)
-			}
-		}()
-	}
-	wg.Wait()
-	byHand := &CSR{M: 3, N: 2, RowPtr: []int{0, 0, 1, 1}, ColIdx: []int{1}, Val: []float64{2}}
-	checkRowIndex(t, "hand-assembled", byHand)
-	if rows, off := byHand.NonEmptyRows(); len(rows) != 1 || rows[0] != 1 || off[0] != 0 || off[1] != 1 {
-		t.Fatalf("hand-assembled CSR: rows %v offsets %v, want [1] [0 1]", rows, off)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { byHand.NonEmptyRows() }); allocs != 0 {
-		t.Fatalf("hand-assembled CSR: NonEmptyRows allocates %.0f objects per call after the first", allocs)
 	}
 }
 
 func TestBlockedCSRParallelMatchesSequential(t *testing.T) {
 	a := RandomUniform(200, 90, 0.05, 11)
-	seq := NewBlockedCSR(a, 17)
-	par := NewBlockedCSRParallel(a, 17, 4)
+	seq := NewBlockedCSRPartition(a, UniformColSplit(a.N, 17), 1)
+	par := NewBlockedCSRPartition(a, UniformColSplit(a.N, 17), 4)
 	if len(seq.Blocks) != len(par.Blocks) {
 		t.Fatalf("block count %d != %d", len(seq.Blocks), len(par.Blocks))
 	}
 	for k := range seq.Blocks {
 		s, p := seq.Blocks[k], par.Blocks[k]
-		if s.NNZ() != p.NNZ() {
-			t.Fatalf("block %d nnz %d != %d", k, s.NNZ(), p.NNZ())
-		}
-		for i := range s.Val {
-			if s.Val[i] != p.Val[i] || s.ColIdx[i] != p.ColIdx[i] {
-				t.Fatalf("block %d entry %d differs", k, i)
-			}
+		if !slices.Equal(s.Rows, p.Rows) || !slices.Equal(s.Off, p.Off) ||
+			!slices.Equal(s.ColIdx, p.ColIdx) || !slices.Equal(s.Val, p.Val) {
+			t.Fatalf("block %d differs", k)
 		}
 	}
 }
 
 func TestBlockedCSRBlockInvariants(t *testing.T) {
 	a := RandomUniform(50, 33, 0.1, 13)
-	b := NewBlockedCSR(a, 10)
+	b := NewBlockedCSRPartition(a, UniformColSplit(a.N, 10), 1)
 	if b.NumBlocks() != 4 {
 		t.Fatalf("NumBlocks = %d, want 4", b.NumBlocks())
 	}
 	widthSum := 0
 	for k, blk := range b.Blocks {
-		if err := blk.Validate(); err != nil {
-			t.Fatalf("block %d invalid: %v", k, err)
-		}
+		checkSlab(t, fmt.Sprintf("block %d", k), a, b.ColStart[k], b.ColStart[k+1], blk)
 		if blk.M != 50 {
 			t.Fatalf("block %d has %d rows", k, blk.M)
 		}
@@ -418,7 +367,7 @@ func TestBlockedCSRBlockInvariants(t *testing.T) {
 
 func TestBlockedCSRAt(t *testing.T) {
 	a := RandomUniform(40, 25, 0.15, 17)
-	b := NewBlockedCSR(a, 7)
+	b := NewBlockedCSRPartition(a, UniformColSplit(a.N, 7), 1)
 	for j := 0; j < 25; j++ {
 		for i := 0; i < 40; i++ {
 			if a.At(i, j) != b.At(i, j) {
@@ -480,7 +429,8 @@ func TestUniformColSplit(t *testing.T) {
 }
 
 // A variable-width partition must reassemble to the same matrix and keep At
-// correct across the uneven slab boundaries.
+// correct across the uneven slab boundaries, also on tall matrices whose
+// partitions leave slabs empty.
 func TestBlockedCSRPartitionVariableWidths(t *testing.T) {
 	a := RandomUniform(60, 40, 0.12, 23)
 	colStart := []int{0, 1, 4, 5, 17, 30, 40} // deliberately ragged
@@ -492,13 +442,29 @@ func TestBlockedCSRPartitionVariableWidths(t *testing.T) {
 		if b.NNZ() != a.NNZ() {
 			t.Fatalf("workers=%d: nnz %d != %d", workers, b.NNZ(), a.NNZ())
 		}
-		if b.BlockCols != 13 {
-			t.Fatalf("workers=%d: nominal width %d, want 13 (widest slab)", workers, b.BlockCols)
-		}
 		for j := 0; j < a.N; j++ {
 			for i := 0; i < a.M; i++ {
 				if a.At(i, j) != b.At(i, j) {
 					t.Fatalf("workers=%d: At(%d,%d) mismatch", workers, i, j)
+				}
+			}
+		}
+	}
+	tall := tallTestMatrices()
+	for name, colStart := range map[string][]int{"scattered": {0, 1, 4, 5, 9}, "single row": {0, 2, 3, 5}} {
+		a := tall[name]
+		for _, workers := range []int{1, 4} {
+			b := NewBlockedCSRPartition(a, colStart, workers)
+			for k, blk := range b.Blocks {
+				checkSlab(t, fmt.Sprintf("%s workers=%d slab %d", name, workers, k), a, colStart[k], colStart[k+1], blk)
+			}
+			if !sameCSC(b.ToCSC(), a) {
+				t.Fatalf("%s workers=%d: ToCSC round trip differs", name, workers)
+			}
+			for p, i := range a.RowIdx {
+				j := sort.SearchInts(a.ColPtr, p+1) - 1
+				if got := b.At(i, j); got != a.Val[p] {
+					t.Fatalf("%s workers=%d: At(%d,%d) = %v, want %v", name, workers, i, j, got, a.Val[p])
 				}
 			}
 		}

@@ -89,7 +89,9 @@ type (
 	CSC = sparse.CSC
 	// CSR is a compressed-sparse-row matrix.
 	CSR = sparse.CSR
-	// BlockedCSR is Algorithm 4's vertically blocked CSR structure.
+	// BlockedCSR is Algorithm 4's structure: vertical column slabs, each
+	// storing only its non-empty rows (doubly compressed sparse row), so
+	// its memory is O(nnz) with no term in the row count m.
 	BlockedCSR = sparse.BlockedCSR
 )
 
