@@ -15,36 +15,47 @@ import (
 type genKind uint8
 
 const (
-	genDense   genKind = iota // Sampler.Fill into a d1-length scratch column, applied by axpy
-	genSign                   // raw ±1 sign words, applied by axpySign
+	genDense   genKind = iota // Sampler.FillColumns into a d1-length scratch column, applied by axpyCols
+	genSign                   // raw ±1 sign words, applied by axpySignCols
 	genScatter                // s-sparse SJLT/CountSketch column, scattered adds
 	genPregen                 // column read from a materialised S
 )
+
+// chunkWords bounds the raw-word scratch of one slab-wide draw, so that
+// it stays in L1 beside the columns of Â it is applied to.
+const chunkWords = 2048
 
 // Gen is the column generator the two kernels consume: for a block row
 // [i0, i0+d1) of Â it produces columns of S restricted to those rows,
 // either regenerated from the RNG checkpoints (blockRow, j) or read from a
 // materialised S. Each kernel switches on the kind once per call and runs
-// one loop per kind, which calls the generation and the update directly.
-// Regenerated columns come in groups of up to rng.MaxColumns from one
-// batched draw and are applied as drawn, every Â entry receiving the
-// group's adds in the order of its columns, so the bits are those of one
-// draw and one update per column.
+// one loop per kind. Regenerated columns are applied as drawn, every Â
+// entry receiving its adds in the order of its columns of S, so the bits
+// are those of one draw and one update per column.
 //
 // The kind follows from the inputs, never from an option:
-//   - dense: Sampler.FillColumns into owned scratch, applied by axpyCols;
-//   - ±1 (rng.Rademacher): raw sign words (Sampler.RawWordsColumns),
-//     applied by axpySignCols with no multiply (the paper's low-width ±1
-//     specialisation);
+//   - dense: Sampler.FillColumns, in groups of up to rng.MaxColumns
+//     columns, into owned scratch, applied by axpyCols (Algorithm 3, one
+//     call per group) or axpyRows (Algorithm 4, one call per group of
+//     rows and all their entries);
+//   - ±1 (rng.Rademacher): raw sign words (Sampler.RawColumns), applied
+//     with no multiply (the paper's low-width ±1 specialisation) by
+//     axpySignCols (one call per A column) or axpySignRows (one call per
+//     chunk of slab rows);
 //   - scatter (rng.SJLT/CountSketch): the s raw words of each column,
 //     drawn from the reserved per-column checkpoints by
-//     Sampler.SJLTWordsColumns and decoded into rows and signs
-//     (rng.SJLTLayout) as they are scattered. The draw is
-//     blocking-independent; blockRow only selects which rows land in this
-//     block. Contributions to one Â[p, k] accumulate in ascending
+//     Sampler.SJLTColumns and decoded into rows and signs
+//     (rng.SJLTLayout) as they are scattered, by scatterCols (one call per
+//     A column) or scatterRows (one call per chunk of slab rows). The draw
+//     is blocking-independent; blockRow only selects which rows land in
+//     this block. Contributions to one Â[p, k] accumulate in ascending
 //     sparse-row order in both kernels, so they stay bit-identical;
 //   - pre-generated (NewPregenGen): columns read from S in memory, the
 //     ablation baseline (DESIGN §4) that regeneration is measured against.
+//
+// The ±1 and sparse kinds draw the columns of a whole chunk of a task's
+// sparse rows at once, up to chunk columns: chunkWords of scratch, sized
+// at plan time, whatever the slab's nonzeros.
 //
 // A Gen owns mutable scratch: one per worker, built at plan time, never
 // shared between goroutines. The struct and its scratch sit on cache
@@ -61,12 +72,15 @@ type Gen struct {
 	r      uint64
 	i0, d1 int
 
-	v []float64 // dense scratch: rng.MaxColumns columns of up to bd rows
+	v     []float64 // dense scratch: rng.MaxColumns columns of up to bd rows
+	words []uint64  // ±1 and scatter scratch: chunk columns of raw words
+	chunk int       // columns per raw draw
 
 	sp    int // scatter: nonzeros per column
 	scale float64
 	lay   rng.SJLTLayout // scatter: where each raw word puts its nonzero
-	_     [48]byte       // pads the struct to 192 bytes, 3 cache lines
+	dec   sjltDecode     // scatter: the layout as the vector decode reads it
+	_     [56]byte       // pads the struct to 320 bytes, 5 cache lines
 }
 
 // NewGen returns a generator of the d-row sketching matrix S drawn by s,
@@ -80,13 +94,23 @@ func NewGen(s *rng.Sampler, d, bd, sparsity int) *Gen {
 		g.sp = rng.SJLTSparsity(dist, sparsity, d)
 		g.scale = rng.SJLTScale(g.sp)
 		g.lay = rng.NewSJLTLayout(d, g.sp)
+		g.dec = newSJLTDecode(g.lay, g.sp, g.scale)
+		g.words = g.chunkScratch(g.sp)
 	case dist == rng.Rademacher:
 		g.kind = genSign
+		g.words = g.chunkScratch((bd + 63) / 64)
 	default:
 		g.kind = genDense
 		g.v = cacheline.Make[float64](rng.MaxColumns * bd)
 	}
 	return g
+}
+
+// chunkScratch sets g.chunk for columns of w raw words, as many as fit in
+// chunkWords, at least 8 and at most 256, and returns their scratch.
+func (g *Gen) chunkScratch(w int) []uint64 {
+	g.chunk = min(max(chunkWords/max(w, 1), 8), 256)
+	return cacheline.Make[uint64](g.chunk * w)
 }
 
 // NewPregenGen returns a generator that reads columns of the materialised
@@ -104,6 +128,7 @@ func (g *Gen) bind(blockRow uint64, d1, m int) bool {
 		return false
 	}
 	g.r, g.i0, g.d1 = blockRow, i0, d1
+	g.dec.i0, g.dec.d1 = i0, d1
 	return true
 }
 
@@ -118,6 +143,28 @@ func (g *Gen) samples(loads int) int64 {
 	default:
 		return int64(loads) * int64(g.d1)
 	}
+}
+
+// rawWords is the number of raw words a ±1 or scatter column of the bound
+// block row takes.
+func (g *Gen) rawWords() int {
+	if g.kind == genScatter {
+		return g.sp
+	}
+	return (g.d1 + 63) / 64
+}
+
+// draw returns the raw words of columns js of the bound block row, at most
+// g.chunk of them, rawWords per column, from one slab-wide draw.
+func (g *Gen) draw(js []int) []uint64 {
+	w := g.rawWords()
+	words := g.words[:len(js)*w]
+	if g.kind == genScatter {
+		g.s.SJLTColumns(js, g.sp, words)
+	} else {
+		g.s.RawColumns(g.r, js, g.d1, words)
+	}
+	return words
 }
 
 // group returns the next batch of at most rng.MaxColumns indices of js
@@ -139,31 +186,19 @@ func lap(timer *time.Duration, t0 time.Time) {
 	}
 }
 
-// scatterWords computes y += a·(column of S) for the s-sparse column whose
-// raw words are words: it decodes each word's row and sign in place and
-// adds the nonzeros ±scale that fall in the bound block row. As in
-// axpyGo, the conversion keeps the product and the add from fusing.
-func (g *Gen) scatterWords(a float64, words []uint64, y []float64) {
-	sbits := math.Float64bits(g.scale)
-	for b, u := range words {
-		p, sign := g.lay.Place(b, u)
-		if i := p - g.i0; uint(i) < uint(len(y)) {
-			y[i] += float64(math.Float64frombits(sbits^sign) * a)
-		}
-	}
-}
-
 // Kernel3 is Algorithm 3: compute-kernel variant kji over a CSC column
 // slab. It updates Âsub += S[i0:i0+d1, :]·Asub in place, where Âsub is the
 // dense d1×n1 view ahat, Asub is the m×n1 CSC slab asub and blockRow is
 // the row offset i0 of Âsub within Â (the r of the pseudocode's
 // g.set_state(r, j)). For every stored A[j,k] it loads column j of S from
 // g afresh — strided access to all three operands and no reuse of random
-// numbers, so a dense S costs d·nnz(A) samples (§III-B). The loads come in
-// groups of up to rng.MaxColumns nonzeros of one A column, and a group's
-// columns update Âsub's column in one pass (axpyCols). sampleTime,
-// when non-nil, accumulates the time spent generating (Table III/V), one
-// clock pair per group.
+// numbers, so a dense S costs d·nnz(A) samples (§III-B). Dense columns
+// come in groups of up to rng.MaxColumns nonzeros of one A column, and a
+// group's columns update Âsub's column in one pass (axpyCols). The ±1
+// and sparse kinds draw the columns of up to g.chunk nonzeros of the slab
+// at once, and apply those of one A column in one call. sampleTime, when
+// non-nil, accumulates the time spent generating (Table III/V), one clock
+// pair per draw.
 //
 // Returns the number of random samples generated.
 func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
@@ -172,7 +207,7 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 		panic(fmt.Sprintf("kernels: Kernel3 Âsub %dx%d at row %d does not fit Asub %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, asub.M, asub.N, g.d, g.bd))
 	}
-	r, i0, sp := g.r, g.i0, g.sp
+	r, i0 := g.r, g.i0
 	switch g.kind {
 	case genDense:
 		for k := 0; k < n1; k++ {
@@ -187,29 +222,30 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 				axpyCols(vals[t:t+len(js)], cols, y)
 			}
 		}
-	case genSign:
-		for k := 0; k < n1; k++ {
-			rows, vals := asub.ColView(k)
-			y := ahat.Col(k)
-			for t := 0; t < len(rows); t += rng.MaxColumns {
-				js := group(rows, t)
-				t0 := clock(sampleTime)
-				words := g.s.RawWordsColumns(r, js, d1)
-				lap(sampleTime, t0)
-				axpySignCols(vals[t:t+len(js)], words, y)
-			}
-		}
-	case genScatter:
-		for k := 0; k < n1; k++ {
-			rows, vals := asub.ColView(k)
-			y := ahat.Col(k)
-			for t := 0; t < len(rows); t += rng.MaxColumns {
-				js := group(rows, t)
-				t0 := clock(sampleTime)
-				words := g.s.SJLTWordsColumns(js, sp)
-				lap(sampleTime, t0)
-				for c, a := range vals[t : t+len(js)] {
-					g.scatterWords(a, words[c*sp:(c+1)*sp], y)
+	case genSign, genScatter:
+		ptr, base := asub.ColPtr, asub.ColPtr[0]
+		js, vals := asub.RowIdx[base:ptr[n1]], asub.Val[base:ptr[n1]]
+		w := g.rawWords()
+		k := 0
+		for e0 := 0; e0 < len(js); e0 += g.chunk {
+			e1 := min(e0+g.chunk, len(js))
+			t0 := clock(sampleTime)
+			words := g.draw(js[e0:e1])
+			lap(sampleTime, t0)
+			// Apply the part of each A column that lies in [e0, e1); a
+			// column that runs on past e1 continues in the next chunk.
+			for ; k < n1; k++ {
+				lo, hi := max(ptr[k]-base, e0), min(ptr[k+1]-base, e1)
+				if lo < hi {
+					cw := words[(lo-e0)*w : (hi-e0)*w]
+					if g.kind == genSign {
+						axpySignCols(vals[lo:hi], cw, ahat.Col(k))
+					} else {
+						g.scatterCols(vals[lo:hi], cw, ahat.Col(k))
+					}
+				}
+				if ptr[k+1]-base > e1 {
+					break
 				}
 			}
 		}
@@ -231,14 +267,15 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, g *Gen, blockRow uint64, samp
 // dense S costs at most d·m·⌈n/b_n⌉ samples (§III-B), at the price of
 // sparsity-dependent access to the columns of Âsub. The loops walk the
 // slab's non-empty rows and their entry offsets, loading their columns of
-// S in groups of up to rng.MaxColumns rows.
+// S in groups of up to rng.MaxColumns rows (dense) or g.chunk rows (±1
+// and sparse), and apply each group to all its entries in one call.
 func Kernel4(ahat *dense.Matrix, slab *sparse.Slab, g *Gen, blockRow uint64, sampleTime *time.Duration) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if slab.N != n1 || !g.bind(blockRow, d1, slab.M) {
 		panic(fmt.Sprintf("kernels: Kernel4 Âsub %dx%d at row %d does not fit slab %dx%d or S (%d rows, blocks ≤ %d)",
 			d1, n1, blockRow, slab.M, slab.N, g.d, g.bd))
 	}
-	r, i0, sp := g.r, g.i0, g.sp
+	r, i0 := g.r, g.i0
 	rows, off := slab.Rows, slab.Off
 	acols, avals := slab.ColIdx, slab.Val
 	switch g.kind {
@@ -249,38 +286,18 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.Slab, g *Gen, blockRow uint64, sam
 			t0 := clock(sampleTime)
 			g.s.FillColumns(r, js, cols)
 			lap(sampleTime, t0)
-			for c := range js {
-				col := cols[c*d1 : (c+1)*d1]
-				for e := off[b+c]; e < off[b+c+1]; e++ {
-					axpyCols(avals[e:e+1], col, ahat.Col(acols[e]))
-				}
-			}
+			axpyRows(cols, off[b:b+len(js)+1], acols, avals, ahat)
 		}
-	case genSign:
-		w := (d1 + 63) / 64
-		for b := 0; b < len(rows); b += rng.MaxColumns {
-			js := group(rows, b)
+	case genSign, genScatter:
+		for b0 := 0; b0 < len(rows); b0 += g.chunk {
+			b1 := min(b0+g.chunk, len(rows))
 			t0 := clock(sampleTime)
-			words := g.s.RawWordsColumns(r, js, d1)
+			words := g.draw(rows[b0:b1])
 			lap(sampleTime, t0)
-			for c := range js {
-				col := words[c*w : (c+1)*w]
-				for e := off[b+c]; e < off[b+c+1]; e++ {
-					axpySignCols(avals[e:e+1], col, ahat.Col(acols[e]))
-				}
-			}
-		}
-	case genScatter:
-		for b := 0; b < len(rows); b += rng.MaxColumns {
-			js := group(rows, b)
-			t0 := clock(sampleTime)
-			words := g.s.SJLTWordsColumns(js, sp)
-			lap(sampleTime, t0)
-			for c := range js {
-				col := words[c*sp : (c+1)*sp]
-				for e := off[b+c]; e < off[b+c+1]; e++ {
-					g.scatterWords(avals[e], col, ahat.Col(acols[e]))
-				}
+			if g.kind == genSign {
+				axpySignRows(words, off[b0:b1+1], acols, avals, ahat)
+			} else {
+				g.scatterRows(words, off[b0:b1+1], acols, avals, ahat)
 			}
 		}
 	default:

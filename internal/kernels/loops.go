@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"sketchsp/internal/cacheline"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
 	"sketchsp/internal/sparse"
@@ -202,21 +203,25 @@ func axpyGo(a float64, x, y []float64) {
 	}
 }
 
-// axpySignCols is axpyCols for ±1 columns: y[i] += ±a[c] with the sign
-// taken from bit i of column c's words, words[c*w:(c+1)*w] for
+// axpySignCols applies len(a) ±1 columns of S to y: y[i] += ±a[c] with
+// the sign taken from bit i of column c's words, words[c*w:(c+1)*w] for
 // w = ⌈len(y)/64⌉ (bit 0 → +a, matching the Rademacher convention
 // 1−2·bit), so element i becomes y[i] = ((y[i] + ±a[0]) + ±a[1]) + ….
 // No multiply and no materialised ±1 vector: this is the fused fast path
-// of the paper's ±1 distribution. On the AVX-512 backend an opmask
-// picks −a[c] or a[c] eight elements at a time; axpySignGo, one column at
-// a time, is the reference.
+// of the paper's ±1 distribution. On the AVX-512 backend, one call walks
+// y in strips of 64 rows held in eight ZMM registers and applies every
+// column to a strip, an opmask picking −a[c] or a[c] eight elements at a
+// time; axpySignGo, one column at a time, is the reference.
 func axpySignCols(a []float64, words []uint64, y []float64) {
 	w := (len(y) + 63) / 64
-	if len(a) < 1 || len(a) > rng.MaxColumns || len(words) < len(a)*w {
+	if len(words) < len(a)*w {
 		panic(fmt.Sprintf("kernels: axpySignCols of %d columns over %d words into %d rows", len(a), len(words), len(y)))
 	}
+	if len(a) == 0 || len(y) == 0 {
+		return
+	}
 	if useAVX512 {
-		axpySignColsAVX(a, words, y)
+		signColsAVX(a, words, y)
 		return
 	}
 	for c, ac := range a {
@@ -241,5 +246,181 @@ func axpySignGo(a float64, words []uint64, y []float64) {
 	for ; i < n; i++ {
 		bit := (words[i>>6] >> uint(i&63)) & 1
 		y[i] += math.Float64frombits(abits ^ (bit << 63))
+	}
+}
+
+// checkRows panics unless off (len(off)-1 rows of a slab) and the
+// entries it points at fit cols, vals and ahat: the assembly trusts them.
+func checkRows(what string, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	if len(off) < 1 || off[0] < 0 || off[len(off)-1] > min(len(cols), len(vals)) || off[0] > off[len(off)-1] {
+		panic(fmt.Sprintf("kernels: %s over entries %v of %d", what, off, len(vals)))
+	}
+	if ahat.Rows > 0 && ahat.Cols > 0 && len(ahat.Data) < (ahat.Cols-1)*ahat.Stride+ahat.Rows {
+		panic(fmt.Sprintf("kernels: %s into a %dx%d view of %d values", what, ahat.Rows, ahat.Cols, len(ahat.Data)))
+	}
+}
+
+// axpyRows is Algorithm 4's dense update of a group of slab rows: row b's
+// column of S, x[b*d1:(b+1)*d1] with d1 = ahat.Rows, is added times
+// vals[e] to column cols[e] of ahat for each of its entries e in
+// [off[b], off[b+1]), rows and entries in order, each product rounded
+// before its add. The AVX-512 backend does the whole group in one call.
+func axpyRows(x []float64, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	d1 := ahat.Rows
+	checkRows("axpyRows", off, cols, vals, ahat)
+	if len(x) < (len(off)-1)*d1 {
+		panic(fmt.Sprintf("kernels: axpyRows of %d rows over %d values", len(off)-1, len(x)))
+	}
+	if d1 == 0 || off[0] == off[len(off)-1] {
+		return
+	}
+	if useAVX512 {
+		axpyRowsAVX(x, off, cols, vals, ahat.Data, ahat.Stride, d1)
+		return
+	}
+	axpyRowsGo(x, off, cols, vals, ahat)
+}
+
+// axpyRowsGo is axpyRows in Go: one axpyGo per entry.
+func axpyRowsGo(x []float64, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	d1 := ahat.Rows
+	for b := 0; b+1 < len(off); b++ {
+		col := x[b*d1 : (b+1)*d1]
+		for e := off[b]; e < off[b+1]; e++ {
+			axpyGo(vals[e], col, ahat.Col(cols[e]))
+		}
+	}
+}
+
+// axpySignRows is axpyRows for ±1 columns: row b's sign words are
+// words[b*w:(b+1)*w], w = ⌈d1/64⌉, applied as axpySignGo applies them.
+func axpySignRows(words []uint64, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	d1 := ahat.Rows
+	w := (d1 + 63) / 64
+	checkRows("axpySignRows", off, cols, vals, ahat)
+	if len(words) < (len(off)-1)*w {
+		panic(fmt.Sprintf("kernels: axpySignRows of %d rows over %d words", len(off)-1, len(words)))
+	}
+	if d1 == 0 || off[0] == off[len(off)-1] {
+		return
+	}
+	if useAVX512 {
+		signRowsAVX(words, off, cols, vals, ahat.Data, ahat.Stride, d1)
+		return
+	}
+	axpySignRowsGo(words, off, cols, vals, ahat)
+}
+
+// axpySignRowsGo is axpySignRows in Go: one axpySignGo per entry.
+func axpySignRowsGo(words []uint64, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	w := (ahat.Rows + 63) / 64
+	for b := 0; b+1 < len(off); b++ {
+		col := words[b*w : (b+1)*w]
+		for e := off[b]; e < off[b+1]; e++ {
+			axpySignGo(vals[e], col, ahat.Col(cols[e]))
+		}
+	}
+}
+
+// sjltDecode is an SJLT layout in the form the vector decode of
+// scatterColsAVX and scatterRowsAVX reads (avx512_amd64.s, through the
+// field offsets in go_asm.h). Nonzeros are decoded eight at a time, one
+// group of eight lanes per ZMM register; group t's lane k is nonzero
+// 8t+k.
+type sjltDecode struct {
+	tab    *uint64 // per group: block starts, sizes, reciprocals and their high halves, 8 words each
+	groups int     // ⌈s/8⌉
+	stride int     // bytes of raw words per column, 8s
+	tail   uint64  // opmask of the last group's nonzeros
+	mask   uint64  // block size − 1, when pow2
+	pow2   uint64  // 1 when every block is the same power of two tall: u mod q is u & mask
+	scale  float64 // the nonzeros' magnitude 1/√s
+	i0, d1 int     // the bound block row
+}
+
+// newSJLTDecode tabulates layout l of s nonzeros for the vector decode.
+func newSJLTDecode(l rng.SJLTLayout, s int, scale float64) sjltDecode {
+	groups := (s + 7) / 8
+	tab := cacheline.Make[uint64](groups * 32)
+	for b := 0; b < groups*8; b++ {
+		start, size, recip := 0, 1, rng.Reciprocal(1)
+		if b < s {
+			start, size, recip = l.Block(b)
+		}
+		t, k := b/8, b%8
+		tab[t*32+k] = uint64(start)
+		tab[t*32+8+k] = uint64(size)
+		tab[t*32+16+k] = recip
+		tab[t*32+24+k] = recip >> 32
+	}
+	dec := sjltDecode{tab: &tab[0], groups: groups, stride: 8 * s, tail: 0xFF >> (groups*8 - s), scale: scale}
+	if mask, ok := l.Pow2(); ok {
+		dec.mask, dec.pow2 = mask, 1
+	}
+	return dec
+}
+
+// scatterCols is axpySignCols for s-sparse columns: y += a[c]·(column c
+// of S) for each c in order, column c's raw words at words[c*s:(c+1)*s].
+// Each word is decoded into its row and sign (rng.SJLTLayout.Place) and
+// its nonzero ±scale added, times a[c], to y's row when the row lies in
+// the bound block row. On the AVX-512 backend one call decodes eight
+// nonzeros per register and applies them with one gather and one scatter:
+// a column's nonzeros lie in distinct blocks, so no two lanes hit the
+// same row. scatterWords is the reference.
+func (g *Gen) scatterCols(a []float64, words []uint64, y []float64) {
+	if len(words) < len(a)*g.sp || len(y) != g.d1 {
+		panic(fmt.Sprintf("kernels: scatterCols of %d columns over %d words into %d rows", len(a), len(words), len(y)))
+	}
+	if len(a) == 0 || len(y) == 0 {
+		return
+	}
+	if useAVX512 {
+		scatterColsAVX(a, words, y, &g.dec)
+		return
+	}
+	for c, ac := range a {
+		g.scatterWords(ac, words[c*g.sp:(c+1)*g.sp], y)
+	}
+}
+
+// scatterRows is axpySignRows for s-sparse columns: row b's raw words are
+// words[b*s:(b+1)*s].
+func (g *Gen) scatterRows(words []uint64, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	checkRows("scatterRows", off, cols, vals, ahat)
+	if len(words) < (len(off)-1)*g.sp || ahat.Rows != g.d1 {
+		panic(fmt.Sprintf("kernels: scatterRows of %d rows over %d words", len(off)-1, len(words)))
+	}
+	if g.d1 == 0 || off[0] == off[len(off)-1] {
+		return
+	}
+	if useAVX512 {
+		scatterRowsAVX(words, off, cols, vals, ahat.Data, ahat.Stride, &g.dec)
+		return
+	}
+	g.scatterRowsGo(words, off, cols, vals, ahat)
+}
+
+// scatterRowsGo is scatterRows in Go: one scatterWords per entry.
+func (g *Gen) scatterRowsGo(words []uint64, off, cols []int, vals []float64, ahat *dense.Matrix) {
+	for b := 0; b+1 < len(off); b++ {
+		col := words[b*g.sp : (b+1)*g.sp]
+		for e := off[b]; e < off[b+1]; e++ {
+			g.scatterWords(vals[e], col, ahat.Col(cols[e]))
+		}
+	}
+}
+
+// scatterWords computes y += a·(column of S) for the s-sparse column whose
+// raw words are words: it decodes each word's row and sign in place and
+// adds the nonzeros ±scale that fall in the bound block row. As in
+// axpyGo, the conversion keeps the product and the add from fusing.
+func (g *Gen) scatterWords(a float64, words []uint64, y []float64) {
+	sbits := math.Float64bits(g.scale)
+	for b, u := range words {
+		p, sign := g.lay.Place(b, u)
+		if i := p - g.i0; uint(i) < uint(len(y)) {
+			y[i] += float64(math.Float64frombits(sbits^sign) * a)
+		}
 	}
 }

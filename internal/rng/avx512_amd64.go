@@ -2,6 +2,8 @@
 
 package rng
 
+import "fmt"
+
 // useAVX512 selects the assembly backend (avx512_amd64.s). It needs
 // AVX512F (VPROLQ, VPSRAQ on quadwords, opmasks), AVX512DQ (VCVTQQ2PD,
 // VPMULLQ, KMOVB), AVX512VL (their YMM forms) and AVX2 (the VEX integer
@@ -12,6 +14,28 @@ var useAVX512 = detectAVX512()
 // AVX512 reports whether this process runs the AVX-512 backend rather than
 // the Go reference code.
 func AVX512() bool { return useAVX512 }
+
+// Backend names the backend this process runs and the CPUID and XCR0 bits
+// it was picked from, for test and benchmark logs.
+func Backend() string {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
+	var ebx7 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	var xcr0 uint32
+	if ecx1&(1<<27) != 0 {
+		xcr0, _ = xgetbv()
+	}
+	bit := func(x uint32, n uint) int { return int(x >> n & 1) }
+	name := "Go loops"
+	if useAVX512 {
+		name = "AVX-512 assembly"
+	}
+	return fmt.Sprintf("%s (cpuid max leaf %d, osxsave %d, leaf 7 ebx: avx2 %d avx512f %d avx512dq %d avx512vl %d, xcr0 %#x)",
+		name, maxLeaf, bit(ecx1, 27), bit(ebx7, 5), bit(ebx7, 16), bit(ebx7, 17), bit(ebx7, 31), xcr0)
+}
 
 func detectAVX512() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -61,7 +85,9 @@ func fillUniform11AVX(s *[4][4]uint64, dst []float64)
 //go:noescape
 func fillUniform4AVX(v *[MaxColumns]uint64, n, rows int, dst []float64)
 
-// uint64s4AVX is fillUniform4AVX for raw words: seedLane, then drawRaw.
+// rawColumnsAVX writes w raw words of each column js[c] to
+// dst[c*w:(c+1)*w], drawn at checkpoint value rmix ^ colMix(js[c]):
+// seedLane, then drawRaw, in one pass over all the columns.
 //
 //go:noescape
-func uint64s4AVX(v *[MaxColumns]uint64, n, rows int, dst []uint64)
+func rawColumnsAVX(rmix uint64, js []int, w int, dst []uint64)

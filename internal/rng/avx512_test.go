@@ -82,10 +82,11 @@ func requireSameBits(t *testing.T, what string, n int, got, want []float64) {
 	}
 }
 
-// TestAVX512Columns4MatchGo compares the batched seed-and-draw passes
-// with seedLane followed by the Go uniform and raw fills, column by
-// column, for every batch size and every column length up to 70, from
-// random checkpoint values. Words past the batch must stay untouched.
+// TestAVX512Columns4MatchGo compares the batched seed-and-draw pass of
+// the uniform columns with seedLane followed by the Go uniform fill,
+// column by column, for every batch size and every column length up to
+// 70, from random checkpoint values. Words past the batch must stay
+// untouched.
 func TestAVX512Columns4MatchGo(t *testing.T) {
 	requireAVX512(t)
 	r := rand.New(rand.NewSource(3))
@@ -102,10 +103,7 @@ func TestAVX512Columns4MatchGo(t *testing.T) {
 			gotU := make([]float64, n*rows+1)
 			gotU[n*rows] = math.Float64frombits(guard)
 			fillUniform4AVX(&v, n, rows, gotU[:n*rows])
-			gotR := make([]uint64, n*rows+1)
-			gotR[n*rows] = guard
-			uint64s4AVX(&v, n, rows, gotR[:n*rows])
-			if math.Float64bits(gotU[n*rows]) != guard || gotR[n*rows] != guard {
+			if math.Float64bits(gotU[n*rows]) != guard {
 				t.Fatalf("rows=%d n=%d: wrote past the batch", rows, n)
 			}
 			for c := 0; c < n; c++ {
@@ -113,14 +111,46 @@ func TestAVX512Columns4MatchGo(t *testing.T) {
 				wantU := make([]float64, rows)
 				drawUniform11(&s, wantU, false)
 				requireSameBits(t, "uniform columns", rows, gotU[c*rows:(c+1)*rows], wantU)
-				s = seedColumn(v[c])
-				wantR := make([]uint64, rows)
-				drawRaw(&s, wantR, false)
-				for i, w := range wantR {
-					if g := gotR[c*rows+i]; g != w {
-						t.Fatalf("raw columns rows=%d n=%d: column %d [%d] = %#x on AVX-512, %#x in Go", rows, n, c, i, g, w)
-					}
+			}
+		}
+	}
+}
+
+// rawColumnsGo is the reference of rawColumnsAVX: seedColumn, then the Go
+// raw draw, column by column.
+func rawColumnsGo(rmix uint64, js []int, w int, dst []uint64) {
+	for c, j := range js {
+		s := seedColumn(rmix ^ colMix(uint64(j)))
+		drawRaw(&s, dst[c*w:(c+1)*w], false)
+	}
+}
+
+// TestAVX512RawColumnsMatchGo compares the slab-wide raw draw with
+// seedLane followed by the Go raw draw, column by column: every word
+// count a ±1 block row of up to 520 rows or an SJLT column of up to 40
+// nonzeros needs, batches of 1 to 40 columns (every tail of the 8, 4 and
+// 2 columns per register), and column indices at the ends of their
+// range. Words past the batch must stay untouched.
+func TestAVX512RawColumnsMatchGo(t *testing.T) {
+	requireAVX512(t)
+	r := rand.New(rand.NewSource(4))
+	const guard = 0x5A5A5A5A5A5A5A5A
+	for w := 1; w <= 40; w++ {
+		for n := 1; n <= 40; n++ {
+			js := batchJS(r, n)
+			rmix := r.Uint64()
+			got := make([]uint64, n*w+1)
+			got[n*w] = guard
+			rawColumnsAVX(rmix, js, w, got[:n*w])
+			want := make([]uint64, n*w)
+			rawColumnsGo(rmix, js, w, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("w=%d n=%d js=%v: column %d word %d = %#x on AVX-512, %#x in Go", w, n, js, i/w, i%w, got[i], want[i])
 				}
+			}
+			if got[n*w] != guard {
+				t.Fatalf("w=%d n=%d: wrote past the batch", w, n)
 			}
 		}
 	}

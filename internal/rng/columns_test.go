@@ -29,6 +29,10 @@ func batchJS(r *rand.Rand, n int) []int {
 	return js
 }
 
+// rawBatches are the batch sizes of the raw draws checked: every size of
+// a dense group, and slab-wide batches with tails of every width.
+var rawBatches = []int{1, 2, 3, 4, 5, 8, 9, 17, 31}
+
 // TestColumnsMatchSingleDraws is the batched draws' differential test: for
 // every source and distribution, batch size and block-row height, a
 // batched draw equals SetState followed by the single-column draw, once
@@ -45,7 +49,7 @@ func TestColumnsMatchSingleDraws(t *testing.T) {
 				batch := NewSampler(NewSource(kind, 42), dist)
 				single := NewSampler(NewSource(kind, 42), dist)
 				for _, d1 := range batchRows {
-					for n := 1; n <= MaxColumns; n++ {
+					for _, n := range rawBatches {
 						for rep := 0; rep < 3; rep++ {
 							row, js := uint64(r.Intn(8)*d1), batchJS(r, n)
 							where := fmt.Sprintf("d1=%d r=%d js=%v", d1, row, js)
@@ -53,8 +57,10 @@ func TestColumnsMatchSingleDraws(t *testing.T) {
 								checkSJLTColumns(t, where, batch, single, dist, d1, js)
 								continue
 							}
-							checkFillColumns(t, where, batch, single, row, js, d1)
-							checkRawWordsColumns(t, where, batch, single, row, js, d1)
+							if n <= MaxColumns {
+								checkFillColumns(t, where, batch, single, row, js, d1)
+							}
+							checkRawColumns(t, where, batch, single, row, js, d1)
 						}
 					}
 				}
@@ -79,18 +85,20 @@ func checkFillColumns(t *testing.T, where string, batch, single *Sampler, r uint
 	}
 }
 
-func checkRawWordsColumns(t *testing.T, where string, batch, single *Sampler, r uint64, js []int, d1 int) {
+func checkRawColumns(t *testing.T, where string, batch, single *Sampler, r uint64, js []int, d1 int) {
 	t.Helper()
-	got := append([]uint64(nil), batch.RawWordsColumns(r, js, d1)...)
 	w := (d1 + 63) / 64
-	if len(got) != len(js)*w {
-		t.Fatalf("RawWordsColumns %s: %d words, want %d", where, len(got), len(js)*w)
+	got := make([]uint64, len(js)*w+1)
+	got[len(js)*w] = 0x5A5A
+	batch.RawColumns(r, js, d1, got)
+	if got[len(js)*w] != 0x5A5A {
+		t.Fatalf("RawColumns %s: wrote past %d words", where, len(js)*w)
 	}
 	for c, j := range js {
 		single.SetState(r, uint64(j))
 		for i, u := range single.RawWords(d1) {
 			if got[c*w+i] != u {
-				t.Fatalf("RawWordsColumns %s: column %d word %d = %#x, single draw %#x", where, c, i, got[c*w+i], u)
+				t.Fatalf("RawColumns %s: column %d word %d = %#x, single draw %#x", where, c, i, got[c*w+i], u)
 			}
 		}
 	}
@@ -102,10 +110,8 @@ func checkSJLTColumns(t *testing.T, where string, batch, single *Sampler, dist D
 		sp := SJLTSparsity(dist, req, d)
 		scale := SJLTScale(sp)
 		l := NewSJLTLayout(d, sp)
-		words := append([]uint64(nil), batch.SJLTWordsColumns(js, sp)...)
-		if len(words) != len(js)*sp {
-			t.Fatalf("SJLTWordsColumns %s s=%d: %d words, want %d", where, sp, len(words), len(js)*sp)
-		}
+		words := make([]uint64, len(js)*sp)
+		batch.SJLTColumns(js, sp, words)
 		wantPos, wantVal := make([]int, sp), make([]float64, sp)
 		for c, j := range js {
 			single.FillSJLTColumn(uint64(j), d, sp, scale, wantPos, wantVal)
@@ -113,7 +119,7 @@ func checkSJLTColumns(t *testing.T, where string, batch, single *Sampler, dist D
 				gp, sign := l.Place(b, words[c*sp+b])
 				gv := math.Float64frombits(math.Float64bits(scale) ^ sign)
 				if gp != wantPos[b] || math.Float64bits(gv) != math.Float64bits(wantVal[b]) {
-					t.Fatalf("SJLTWordsColumns %s s=%d: column %d nonzero %d decodes to (%d, %g), single draw (%d, %g)",
+					t.Fatalf("SJLTColumns %s s=%d: column %d nonzero %d decodes to (%d, %g), single draw (%d, %g)",
 						where, sp, c, b, gp, gv, wantPos[b], wantVal[b])
 				}
 			}

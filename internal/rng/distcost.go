@@ -22,9 +22,9 @@ var (
 // kernels draw s words per column, so the model charges s·DistCost(SJLT)
 // per column against d·DistCost(dense) for a dense one. Costs are measured
 // once per process on BatchXoshiro through the batched draws the kernels
-// use, in groups of MaxColumns columns — Rademacher through
-// RawWordsColumns (1 bit/sample), the sparse family through
-// SJLTWordsColumns, the rest through FillColumns — and clamped to
+// use — Rademacher through RawColumns (1 bit/sample), the sparse family
+// through slab-wide SJLTColumns draws, the rest through FillColumns in
+// groups of MaxColumns columns — and clamped to
 // [1/64, 64] so a noisy measurement can never flip the model by orders of
 // magnitude. Unknown distributions cost 1.
 //
@@ -65,6 +65,7 @@ func measureDistCostTable() [CountSketch + 1]float64 {
 	const reps = distCostReps
 	const seed = 0x9e3779b97f4a7c15
 	dst := make([]float64, n)
+	words := make([]uint64, n)
 	cols := make([]int, n)
 	for j := range cols {
 		cols[j] = j
@@ -90,26 +91,22 @@ func measureDistCostTable() [CountSketch + 1]float64 {
 		return best(func(r uint64) { s.FillColumns(r, cols[:MaxColumns], dst) })
 	}
 	// Rademacher's kernel path never materialises ±1 values: it consumes
-	// sign bits straight from RawWordsColumns, so measure that.
+	// sign bits straight from RawColumns, so measure that.
 	timeRademacher := func() float64 {
 		s := NewSampler(NewBatchXoshiro(seed), Rademacher)
-		return best(func(r uint64) { s.RawWordsColumns(r, cols[:MaxColumns], n/MaxColumns) })
+		return best(func(r uint64) { s.RawColumns(r, cols[:MaxColumns], n/MaxColumns, words) })
 	}
-	// The sparse family's kernel path draws groups of MaxColumns s-word
-	// columns through SJLTWordsColumns and decodes each word as it
-	// scatters, so the decode is compute, not generation. Time n nonzeros'
-	// worth of whole groups so the per-nonzero unit includes the
-	// per-column seeding the kernels pay.
+	// The sparse family's kernel path draws the s-word columns of a slab
+	// through SJLTColumns and decodes each word as it scatters, so the
+	// decode is compute, not generation. Time n nonzeros' worth of whole
+	// columns so the per-nonzero unit includes the per-column seeding the
+	// kernels pay.
 	timeSJLT := func(sp int) float64 {
 		s := NewSampler(NewBatchXoshiro(seed), SJLT)
-		groups := n / (MaxColumns * sp)
-		t := best(func(uint64) {
-			for g := 0; g < groups; g++ {
-				s.SJLTWordsColumns(cols[g*MaxColumns:(g+1)*MaxColumns], sp)
-			}
-		})
+		ncols := n / sp
+		t := best(func(uint64) { s.SJLTColumns(cols[:ncols], sp, words) })
 		// Normalise to the same n-sample window as the dense passes.
-		return t * float64(n) / float64(groups*MaxColumns*sp)
+		return t * float64(n) / float64(ncols*sp)
 	}
 
 	base := timeFill(Uniform11)

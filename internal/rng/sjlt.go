@@ -1,6 +1,9 @@
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // sjltBase is the reserved stream checkpoint row used to draw an SJLT
 // column's positions and signs: FillSJLTColumn repositions the source at
@@ -52,11 +55,14 @@ func SJLTScale(s int) float64 { return 1 / math.Sqrt(float64(s)) }
 // with d rows: [0, d) is split into s contiguous blocks — the first d%s of
 // size ⌊d/s⌋+1, the rest ⌊d/s⌋ — and nonzero b of the column lies in
 // block b. It is the one home of the placement rule: FillSJLTColumn and
-// the kernels, which decode the raw words as they scatter, both use Place.
+// the Go kernels decode through Place, and the kernels' vector decode
+// takes its block starts, sizes and reciprocals from Block.
 type SJLTLayout struct {
 	q, rem int    // block size ⌊d/s⌋; the first rem blocks are one taller
 	mask   uint64 // q-1 when every block is a power of two tall
 	pow2   bool
+	recip  uint64 // ⌊(2⁶⁴−1)/q⌋
+	recip1 uint64 // ⌊(2⁶⁴−1)/(q+1)⌋, for the first rem blocks
 }
 
 // NewSJLTLayout returns the block layout of s nonzeros over d rows, for
@@ -64,7 +70,38 @@ type SJLTLayout struct {
 func NewSJLTLayout(d, s int) SJLTLayout {
 	q, rem := d/s, d%s
 	pow2 := rem == 0 && q&(q-1) == 0
-	return SJLTLayout{q: q, rem: rem, mask: uint64(q - 1), pow2: pow2}
+	return SJLTLayout{q: q, rem: rem, mask: uint64(q - 1), pow2: pow2,
+		recip: Reciprocal(uint64(q)), recip1: Reciprocal(uint64(q + 1))}
+}
+
+// Reciprocal returns ⌊(2⁶⁴−1)/q⌋ for q ≥ 1, the multiplier Remainder
+// takes.
+func Reciprocal(q uint64) uint64 { return math.MaxUint64 / q }
+
+// Remainder returns u mod q for q ≥ 1 without a divide, given recip =
+// Reciprocal(q). The high word of u·recip is ⌊u/q⌋ or one less: recip·q
+// lies in (2⁶⁴−1−q, 2⁶⁴−1], so u·recip/2⁶⁴ lies in (u/q − 1, u/q]. One
+// conditional subtraction corrects the remainder.
+func Remainder(u, q, recip uint64) uint64 {
+	hi, _ := bits.Mul64(u, recip)
+	r := u - hi*q
+	if r >= q {
+		r -= q
+	}
+	return r
+}
+
+// Pow2 reports whether every block is the same power of two tall, and if
+// so the mask that takes a word modulo the block size.
+func (l SJLTLayout) Pow2() (mask uint64, ok bool) { return l.mask, l.pow2 }
+
+// Block returns where block b starts, how tall it is and its size's
+// Reciprocal: nonzero b's row is start + Remainder(u, size, recip).
+func (l SJLTLayout) Block(b int) (start, size int, recip uint64) {
+	if b < l.rem {
+		return b * (l.q + 1), l.q + 1, l.recip1
+	}
+	return b*l.q + l.rem, l.q, l.recip
 }
 
 // Place decodes the raw word u drawn for nonzero b of a column: its row,
@@ -73,22 +110,14 @@ func NewSJLTLayout(d, s int) SJLTLayout {
 // independent of the position bits for any block size far below 2⁶³, and
 // flipping a float's sign bit negates it exactly, so ±x is x's bits XOR
 // sign. Equal power-of-two blocks (d = 64, s = 8, say) take u mod q as
-// u & (q-1).
+// u & (q-1); other sizes take it as a multiply-high Remainder.
 func (l SJLTLayout) Place(b int, u uint64) (pos int, sign uint64) {
 	const top = 1 << 63
 	if l.pow2 {
 		return b*l.q + int(u&l.mask), u & top
 	}
-	return l.place(b, u), u & top
-}
-
-// place is Place's row for blocks of uneven or odd size.
-func (l SJLTLayout) place(b int, u uint64) int {
-	start, size := b*l.q+min(b, l.rem), l.q
-	if b < l.rem {
-		size++
-	}
-	return start + int(u%uint64(size))
+	start, size, recip := l.Block(b)
+	return start + int(Remainder(u, uint64(size), recip)), u & top
 }
 
 // FillSJLTColumn regenerates column j of the sparse sketching matrix S:

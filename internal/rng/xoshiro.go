@@ -145,10 +145,7 @@ func colMix(j uint64) uint64       { return mix64(j*0xBF58476D1CE4E5B9 + 2) }
 // yields the same stream regardless of what was generated before, which is
 // what makes the sketch reproducible and thread-schedule independent.
 func (b *BatchXoshiro) SetState(r, j uint64) {
-	if r != b.r {
-		b.r, b.rmix = r, rowMix(b.seed, r)
-	}
-	b.v = b.rmix ^ colMix(j)
+	b.v = b.rowHalf(r) ^ colMix(j)
 	b.seeded = false
 }
 

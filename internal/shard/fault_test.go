@@ -429,31 +429,29 @@ func TestBatchRejectedFrameFailsFast(t *testing.T) {
 	}
 }
 
-// TestHedgeBufferLifetimes delays some calls on every worker well past the
-// hedge delay and fails some on one worker fast enough to fail over,
-// while four callers sketch three same-shaped matrices. Every answer must
-// be bit-identical to its direct plan: a pooled request frame, response
-// body or partial recycled while a losing or failed attempt still reads or
+// TestHedgeBufferLifetimes delays some calls on two workers well past the
+// hedge delay and has the third fail one shard every time, while four
+// callers sketch three same-shaped matrices. Every answer must be
+// bit-identical to its direct plan: a pooled request frame, response body
+// or partial recycled while a losing or failed attempt still reads or
 // writes it would hand one request another's bits — or, under -race, trip
 // the detector.
+//
+// Both kinds of fault are certain, whatever the timing. The failing shard
+// is routed to the failing worker, its primary, on the first request for
+// its matrix, before any failure can put that worker in cooldown; that
+// worker delays nothing, and while the backups' latency windows are cold
+// the hedge waits HedgeMaxDelay, so the failure arrives first and the
+// shard fails over. A straggler waits three times HedgeMaxDelay, so its
+// shard is always hedged.
 func TestHedgeBufferLifetimes(t *testing.T) {
-	script := func(i int) faultScript {
-		return func(call int64, _ *sparse.CSC, _ int) Fault {
-			switch {
-			case i == 0 && call%4 == 1:
-				return Fault{Err: errors.New("scripted worker failure")} // fails the shard over
-			case call%4 == 2:
-				return Fault{Delay: 30 * time.Millisecond} // a straggler, hedged
-			}
-			return Fault{}
-		}
-	}
-	_, urls := startFlakyWorkers(t, 3, script)
+	ws, urls := startFlakyWorkers(t, 3, nil)
+	const shards, hedgeMax = 4, 100 * time.Millisecond
 	c, err := New(Config{
 		Peers:         urls,
-		Shards:        4,
+		Shards:        shards,
 		HedgeQuantile: 0.9,
-		HedgeMaxDelay: 10 * time.Millisecond,
+		HedgeMaxDelay: hedgeMax,
 		PeerCooldown:  time.Millisecond,
 	})
 	if err != nil {
@@ -468,6 +466,25 @@ func TestHedgeBufferLifetimes(t *testing.T) {
 	for k := range mats {
 		mats[k] = sparse.RandomUniform(300, 60, 0.05, int64(40+k))
 		want[k] = directSketch(t, mats[k], d, opts)
+	}
+	failing := Split(mats[0], shards)[0].A.Fingerprint().Hash
+	primary := workerByURL(t, ws, urls, c.mem.Load().candidates(failing, 0)[0].name)
+	for _, w := range ws {
+		if w == primary {
+			w.flaky.SetScript(func(_ int64, a *sparse.CSC, _ int) Fault {
+				if a.Fingerprint().Hash == failing {
+					return Fault{Err: errors.New("scripted worker failure")} // fails the shard over
+				}
+				return Fault{}
+			})
+			continue
+		}
+		w.flaky.SetScript(func(call int64, _ *sparse.CSC, _ int) Fault {
+			if call%8 == 2 {
+				return Fault{Delay: 3 * hedgeMax} // a straggler, hedged
+			}
+			return Fault{}
+		})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
