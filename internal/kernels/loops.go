@@ -4,11 +4,12 @@
 // Algorithm 4 (variant jki over blocked CSR) — over a column generator (Gen)
 // that regenerates columns of S on the fly or, for the pre-generated
 // baseline, reads them from a materialised S. Each kernel has one loop per
-// generator kind, which regenerates the columns of S in groups of up to
-// four with one batched draw (rng.MaxColumns) and applies them in order,
-// so the bits are those of one draw per column. The multi-column updates
-// axpyCols and axpySignCols run in AVX-512 assembly where rng does
-// (avx512_amd64.s), with the Go loops as the reference.
+// generator kind: dense columns are drawn in groups of up to four
+// (rng.MaxColumns), ±1 and sparse columns a chunk of a slab at a time, and
+// every update routine applies many columns or entries per call, so the
+// bits are those of one draw and one update per column. The updates run
+// in AVX-512 assembly where rng does (avx512_amd64.s), with the Go loops
+// as the reference.
 package kernels
 
 import (

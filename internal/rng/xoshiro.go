@@ -6,9 +6,9 @@
 // RNG (Random123 style) for blocking-independent reproducibility; and the
 // output distributions the paper compares in Figure 4: uniform (-1,1),
 // Rademacher ±1, Gaussian, and the integer "scaling trick". The kernels
-// read S through batched draws (columns.go) that seed up to four
-// checkpoints of one block row in one pass and then draw each column,
-// bit for bit what four single-column draws would give.
+// read S through batched draws (columns.go) that seed the checkpoints of
+// many columns of one block row in one pass and then draw each column,
+// bit for bit what single-column draws would give.
 package rng
 
 import "math/bits"
@@ -110,8 +110,8 @@ func (x *Xoshiro256) Jump() {
 // Checkpoints are cheap: SetState caches the seed-and-row half of the
 // checkpoint value across calls with the same r, and the lanes are seeded
 // on the first draw after it. The kernels do not come through here: they
-// use the batched draws of columns.go, which seed the checkpoints of up to
-// four columns of one block row in one pass.
+// use the batched draws of columns.go, which seed the checkpoints of many
+// columns of one block row in one pass.
 //
 // One generator belongs to one worker, which writes it on every column,
 // so the struct is padded to whole cache lines (DESIGN.md §5): no other
