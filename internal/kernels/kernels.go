@@ -21,10 +21,6 @@ const (
 	genPregen                 // column read from a materialised S
 )
 
-// chunkWords bounds the raw-word scratch of one slab-wide draw, so that
-// it stays in L1 beside the columns of Â it is applied to.
-const chunkWords = 2048
-
 // Gen is the column generator the two kernels consume: for a block row
 // [i0, i0+d1) of Â it produces columns of S restricted to those rows,
 // either regenerated from the RNG checkpoints (blockRow, j) or read from a
@@ -54,7 +50,7 @@ const chunkWords = 2048
 //     ablation baseline (DESIGN §4) that regeneration is measured against.
 //
 // The ±1 and sparse kinds draw the columns of a whole chunk of a task's
-// sparse rows at once, up to chunk columns: chunkWords of scratch, sized
+// sparse rows at once, up to chunk columns: rng.ChunkWords of scratch, sized
 // at plan time, whatever the slab's nonzeros.
 //
 // A Gen owns mutable scratch: one per worker, built at plan time, never
@@ -106,10 +102,10 @@ func NewGen(s *rng.Sampler, d, bd, sparsity int) *Gen {
 	return g
 }
 
-// chunkScratch sets g.chunk for columns of w raw words, as many as fit in
-// chunkWords, at least 8 and at most 256, and returns their scratch.
+// chunkScratch sets g.chunk for columns of w raw words (rng.ChunkColumns)
+// and returns their scratch.
 func (g *Gen) chunkScratch(w int) []uint64 {
-	g.chunk = min(max(chunkWords/max(w, 1), 8), 256)
+	g.chunk = rng.ChunkColumns(w)
 	return cacheline.Make[uint64](g.chunk * w)
 }
 

@@ -15,6 +15,17 @@ import (
 // any number of columns.
 const MaxColumns = 4
 
+// ChunkWords bounds the raw-word scratch of one slab-wide draw, so that
+// it stays in L1 beside the columns of Â it is applied to.
+const ChunkWords = 2048
+
+// ChunkColumns is how many columns of w raw words the kernels take in one
+// slab-wide RawColumns or SJLTColumns draw: as many as fit in ChunkWords,
+// at least 8 and at most 256.
+func ChunkColumns(w int) int {
+	return min(max(ChunkWords/max(w, 1), 8), 256)
+}
+
 // The batched draws below are the only way the kernels read S. Each one
 // is, bit for bit, SetState(r, js[c]) followed by the single-column draw,
 // once for each c in order; afterwards the generator's position is

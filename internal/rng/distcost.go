@@ -23,7 +23,7 @@ var (
 // per column against d·DistCost(dense) for a dense one. Costs are measured
 // once per process on BatchXoshiro through the batched draws the kernels
 // use — Rademacher through RawColumns (1 bit/sample), the sparse family
-// through slab-wide SJLTColumns draws, the rest through FillColumns in
+// through SJLTColumns in the kernels' chunks, the rest through FillColumns in
 // groups of MaxColumns columns — and clamped to
 // [1/64, 64] so a noisy measurement can never flip the model by orders of
 // magnitude. Unknown distributions cost 1.
@@ -97,14 +97,19 @@ func measureDistCostTable() [CountSketch + 1]float64 {
 		return best(func(r uint64) { s.RawColumns(r, cols[:MaxColumns], n/MaxColumns, words) })
 	}
 	// The sparse family's kernel path draws the s-word columns of a slab
-	// through SJLTColumns and decodes each word as it scatters, so the
-	// decode is compute, not generation. Time n nonzeros' worth of whole
-	// columns so the per-nonzero unit includes the per-column seeding the
-	// kernels pay.
+	// through SJLTColumns, ChunkColumns(s) at a time into the same
+	// scratch, and decodes each word as it scatters, so the decode is
+	// compute, not generation. Time n nonzeros' worth of whole columns in
+	// those chunks so the per-nonzero unit includes the per-column seeding
+	// and the per-call cost the kernels pay.
 	timeSJLT := func(sp int) float64 {
 		s := NewSampler(NewBatchXoshiro(seed), SJLT)
-		ncols := n / sp
-		t := best(func(uint64) { s.SJLTColumns(cols[:ncols], sp, words) })
+		ncols, chunk := n/sp, ChunkColumns(sp)
+		t := best(func(uint64) {
+			for c0 := 0; c0 < ncols; c0 += chunk {
+				s.SJLTColumns(cols[c0:min(c0+chunk, ncols)], sp, words)
+			}
+		})
 		// Normalise to the same n-sample window as the dense passes.
 		return t * float64(n) / float64(ncols*sp)
 	}
