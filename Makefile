@@ -37,13 +37,16 @@ vet:
 # obs registry's scrape-while-incrementing suite and the server's /metrics
 # e2e reconcile ride the same gate: metric counters sit on every hot path.
 # The sparse suite runs too: Algorithm 4's slab conversion fans slabs out
-# to workers that write the slab array concurrently.
+# to workers that write the slab array concurrently. The shared LRU under
+# the plan cache, the matrix store and the byte caches runs its property
+# and concurrency suites twice beside the store's.
 race:
 	$(GO) test -race ./internal/core/... ./internal/solver/... ./internal/sparse/...
 	$(GO) test -race -count=2 ./internal/service/...
 	$(GO) test -race ./internal/obs/... ./internal/server/...
 	$(GO) test -race ./internal/shard/...
 	$(GO) test -race -count=2 ./internal/store/...
+	$(GO) test -race -count=2 ./internal/cache/...
 	$(GO) test -race -count=2 ./internal/jobs/...
 
 # The coordinator fault suite: hedging (fires/wins/loser-cancelled/

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 
+	"sketchsp/internal/cache"
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/obs"
@@ -35,14 +36,14 @@ const DefaultSketchCacheBytes = 64 << 20
 // newSketchCache returns the Â cache: maxBytes of sketches (0 = default,
 // negative = unbounded). Entries are immutable: PatchMatrix derives a new
 // entry from a clone rather than editing in place.
-func newSketchCache(maxBytes int64, r *obs.Registry) *byteLRU[planKey, *dense.Matrix] {
-	return newByteLRU[planKey](cmp.Or(maxBytes, DefaultSketchCacheBytes), (*dense.Matrix).MemoryBytes, r, lruMetricNames{
-		evictions:     "sketchsp_ref_sketch_cache_evictions_total",
-		evictionsHelp: "Cached sketches reclaimed by the Â-cache byte budget.",
-		bytes:         "sketchsp_ref_sketch_cache_bytes",
-		bytesHelp:     "Summed bytes of cached sketches Â.",
-		entries:       "sketchsp_ref_sketch_cache_entries",
-		entriesHelp:   "Cached sketches currently resident.",
+func newSketchCache(maxBytes int64, r *obs.Registry) *cache.LRU[planKey, *dense.Matrix] {
+	return cache.New[planKey](cmp.Or(maxBytes, DefaultSketchCacheBytes), (*dense.Matrix).MemoryBytes, r, cache.Names{
+		Evictions:     "sketchsp_ref_sketch_cache_evictions_total",
+		EvictionsHelp: "Cached sketches reclaimed by the Â-cache byte budget.",
+		Bytes:         "sketchsp_ref_sketch_cache_bytes",
+		BytesHelp:     "Summed bytes of cached sketches Â.",
+		Entries:       "sketchsp_ref_sketch_cache_entries",
+		EntriesHelp:   "Cached sketches currently resident.",
 	})
 }
 
@@ -114,7 +115,7 @@ func (s *Service) SketchRefInto(ctx context.Context, ahat *dense.Matrix, fp spar
 	defer s.exit()
 
 	k := planKey{fp: fp, d: d, opts: opts}
-	if cached, ok := s.sketches.get(k); ok {
+	if cached, ok := s.sketches.Get(k); ok {
 		ahat.CopyFrom(cached)
 		s.refMet.sketchHits.Inc()
 		return core.Stats{}, nil
@@ -134,14 +135,14 @@ func (s *Service) SketchRefInto(ctx context.Context, ahat *dense.Matrix, fp spar
 		return core.Stats{}, err
 	}
 	e.record(st)
-	s.sketches.put(k, ahat.Clone())
+	s.sketches.Put(k, ahat.Clone())
 	return st, nil
 }
 
 // SketchRef is SketchRefInto into a fresh d×n matrix; it resolves n from
 // the fingerprint (no store round-trip needed — shape is part of identity).
 func (s *Service) SketchRef(ctx context.Context, fp sparse.Fingerprint, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
-	ahat := dense.NewMatrix(maxInt(d, 0), fp.N)
+	ahat := dense.NewMatrix(max(d, 0), fp.N)
 	st, err := s.SketchRefInto(ctx, ahat, fp, d, opts)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -204,17 +205,23 @@ func (s *Service) PatchMatrix(ctx context.Context, fp sparse.Fingerprint, delta 
 	// the *same options* as its cache key: BlockD resolution depends only on
 	// (opts, d) and ΔA shares A's shape, so the sampler partition — and
 	// hence every generated S entry — matches the one the cached Â saw.
-	for _, se := range s.sketches.matching(func(k planKey) bool { return k.fp == fp }) {
+	olds := map[planKey]*dense.Matrix{}
+	s.sketches.Each(func(k planKey, v *dense.Matrix) {
+		if k.fp == fp {
+			olds[k] = v
+		}
+	})
+	for k, old := range olds {
 		if err := ctx.Err(); err != nil {
 			return info, err
 		}
-		next, uerr := advanceSketch(se.val, delta, se.key.d, se.key.opts)
+		next, uerr := advanceSketch(old, delta, k.d, k.opts)
 		if uerr != nil {
 			// The merged matrix is stored and correct; a failed advance only
 			// costs the next request a full (cache-miss) resketch.
 			continue
 		}
-		s.sketches.put(planKey{fp: info.Fp, d: se.key.d, opts: se.key.opts}, next)
+		s.sketches.Put(planKey{fp: info.Fp, d: k.d, opts: k.opts}, next)
 		s.refMet.deltaUpdates.Inc()
 	}
 	return info, nil

@@ -1,12 +1,13 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"sync"
 	"time"
 
+	"sketchsp/internal/cache"
 	"sketchsp/internal/core"
+	"sketchsp/internal/obs"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/store"
 )
@@ -44,7 +45,6 @@ type entry struct {
 	plan   *core.Plan
 	handle *store.Handle // pin on the stored matrix a by-ref plan aliases
 	err    error
-	elem   *list.Element
 
 	mu       sync.Mutex // guards the aggregates below
 	executes int64
@@ -92,36 +92,47 @@ func (e *entry) close() {
 // single-flight on a miss. The caller must Release the returned plan. The
 // returned entry is valid for stats recording as long as the plan is held.
 //
+// The hit path takes only the cache's lock. A miss inserts under s.mu, so
+// that no insert can slip past Close's drain, and closes the plans it
+// evicted on tracked goroutines that Close waits for.
+//
 // The retry loop covers one rare race: between observing a ready entry and
 // Retain-ing its plan, an eviction plus the last concurrent Release may
 // have shut the plan down. Retain then reports false and the request
-// rebuilds — correctness never depends on eviction timing.
+// retries; the dead entry is no longer resident (only eviction and Close
+// drop the cache's reference), so the retry rebuilds — correctness never
+// depends on eviction timing.
 func (s *Service) plan(ctx context.Context, k planKey, src planSrc) (*core.Plan, *entry, error) {
 	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, nil, ErrClosed
-		}
-		e, ok := s.entries[k]
-		var evicted []*entry
-		if ok {
-			s.lru.MoveToFront(e.elem)
-			s.met.hits.Inc()
-			s.mu.Unlock()
-		} else {
-			s.met.misses.Inc()
-			e = &entry{key: k, ready: make(chan struct{})}
-			e.elem = s.lru.PushFront(e)
-			s.entries[k] = e
-			evicted = s.evictLocked()
+		e, ok := s.plans.Get(k)
+		if !ok {
+			var added bool
+			var evicted []*entry
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				return nil, nil, ErrClosed
+			}
+			e, added, evicted = s.plans.Add(k, &entry{key: k, ready: make(chan struct{})})
+			s.closers.Add(len(evicted))
 			s.mu.Unlock()
 			for _, old := range evicted {
-				// Closing may wait on a foreign in-progress build; do it
-				// off the request path.
-				go old.close()
+				// Closing may wait on a foreign in-progress build and on
+				// in-flight executes; do it off the request path.
+				go func() {
+					defer s.closers.Done()
+					old.close()
+				}()
 			}
-			s.build(e, src)
+			if added {
+				s.met.misses.Inc()
+				s.build(e, src)
+			} else {
+				ok = true // a racing request inserted it first
+			}
+		}
+		if ok {
+			s.met.hits.Inc()
 		}
 
 		select {
@@ -136,14 +147,6 @@ func (s *Service) plan(ctx context.Context, k planKey, src planSrc) (*core.Plan,
 		if e.plan.Retain() {
 			return e.plan, e, nil
 		}
-		// Plan fully released under us: drop the dead entry if it is still
-		// mapped, then retry (rebuilding if necessary).
-		s.mu.Lock()
-		if cur, ok := s.entries[k]; ok && cur == e {
-			delete(s.entries, k)
-			s.lru.Remove(e.elem)
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -205,29 +208,15 @@ func (s *Service) build(e *entry, src planSrc) {
 // the key retry instead of caching the error forever.
 func (s *Service) dropFailedBuild(e *entry) {
 	s.met.buildErrors.Inc()
-	s.mu.Lock()
-	if cur, ok := s.entries[e.key]; ok && cur == e {
-		delete(s.entries, e.key)
-		s.lru.Remove(e.elem)
-	}
-	s.mu.Unlock()
+	s.plans.Remove(e.key, e)
 }
 
-// evictLocked trims the LRU tail down to capacity and returns the evicted
-// entries for the caller to close outside the lock (entry.close can block
-// on a build and on the plan's execute gate). Called with s.mu held.
-func (s *Service) evictLocked() []*entry {
-	var out []*entry
-	for s.lru.Len() > s.cfg.Capacity {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.entries, e.key)
-		s.met.evictions.Inc()
-		out = append(out, e)
-	}
-	return out
+// newPlanCache returns the plan cache: capacity plans, each sized 1.
+func newPlanCache(capacity int, r *obs.Registry) *cache.LRU[planKey, *entry] {
+	return cache.New[planKey](int64(capacity), func(*entry) int64 { return 1 }, r, cache.Names{
+		Evictions:     "sketchsp_service_cache_evictions_total",
+		EvictionsHelp: "Plans evicted from the LRU cache.",
+		Entries:       "sketchsp_service_cached_plans",
+		EntriesHelp:   "Plans currently resident in the LRU cache.",
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/sparse"
+	"sketchsp/internal/store"
 )
 
 // These tests are the -race suite: N goroutines hammering the service with
@@ -252,6 +255,72 @@ func TestCloseWithInFlight(t *testing.T) {
 	if _, _, err := svc.Sketch(ctx, a, d, opts); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close request: err = %v, want ErrClosed", err)
 	}
+}
+
+// TestCloseWaitsForEvictedPlans evicts 4-worker plans while executes are
+// in flight through a 2-plan cache, lets every request return, and then
+// calls Close: once Close returns, no goroutine of a plan (a pool worker,
+// or the closer of an evicted entry) may still run. The last eviction
+// comes from a by-reference miss, whose build fails at once with
+// ErrNotFound, so the request returns while the closer of the plan it
+// evicted may still be starting. Each round uses a fresh service.
+func TestCloseWaitsForEvictedPlans(t *testing.T) {
+	const rounds, goroutines, iters, nMatrices, d = 10, 6, 10, 6, 96
+	opts := core.Options{Seed: 3, Workers: 4, BlockD: 32, BlockN: 16}
+	mats := make([]*sparse.CSC, nMatrices)
+	for i := range mats {
+		mats[i] = sparse.RandomUniform(400, 64, 0.05, int64(i+1))
+	}
+	unknown := sparse.Fingerprint{M: 400, N: 64, NNZ: 1, Hash: 1}
+	before := planGoroutines(nil)
+	for round := 0; round < rounds; round++ {
+		svc := New(Config{Capacity: 2, MaxInFlight: goroutines})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				out := dense.NewMatrix(d, 64)
+				for it := 0; it < iters; it++ {
+					if _, err := svc.SketchInto(context.Background(), out, mats[(g+it)%nMatrices], d, opts); err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		evicted := svc.Stats().Evictions
+		if _, _, err := svc.SketchRef(context.Background(), unknown, d, opts); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("by-ref miss: err = %v, want store.ErrNotFound", err)
+		}
+		if evicted == 0 || svc.Stats().Evictions == evicted {
+			t.Fatalf("round %d: plans were not evicted both under load and by the by-ref miss", round)
+		}
+		svc.Close()
+		for _, g := range planGoroutines(before) {
+			t.Fatalf("round %d: a plan goroutine outlives Close:\n%s", round, g)
+		}
+	}
+}
+
+// planGoroutines returns the stacks of the running goroutines inside a
+// plan (a core worker, or the closer of an evicted entry), keyed by their
+// "goroutine N" header line and leaving out those already in skip.
+func planGoroutines(skip map[string]string) map[string]string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(g, " [")
+		if _, old := skip[id]; old {
+			continue
+		}
+		if strings.Contains(g, "sketchsp/internal/core.") || strings.Contains(g, "sketchsp/internal/service.(*entry).close") {
+			out[id] = g
+		}
+	}
+	return out
 }
 
 // waitFor polls cond with a hard deadline — the anti-deadlock guard for the

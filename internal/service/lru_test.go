@@ -11,7 +11,7 @@ import (
 	"sketchsp/internal/sparse"
 )
 
-// lruUse adapts one of the service's byteLRU instances to int keys and
+// lruUse adapts one of the service's byte-sized caches to int keys and
 // int-tagged values of one fixed size, so a single table drives both.
 type lruUse struct {
 	put func(key, tag int)
@@ -21,8 +21,9 @@ type lruUse struct {
 
 // TestByteLRU drives the Â cache and the preconditioner cache through the
 // same script: budget trim from the LRU tail, recency on get, replace
-// (last write wins, no eviction), the eviction counter and the resident
-// gauges under their metric names, and the unbounded and default budgets.
+// (last write wins, no eviction), an oversize value that outlives its own
+// insert, the eviction counter and the resident gauges under their metric
+// names, and the unbounded and default budgets.
 func TestByteLRU(t *testing.T) {
 	const cols = 4 // values are a 2×cols Â and a cols-long Σ
 	sketchUse := func(maxBytes int64, r *obs.Registry) lruUse {
@@ -32,16 +33,16 @@ func TestByteLRU(t *testing.T) {
 			put: func(i, tag int) {
 				m := dense.NewMatrix(2, cols)
 				m.Data[0] = float64(tag)
-				c.put(key(i), m)
+				c.Put(key(i), m)
 			},
 			get: func(i int) (int, bool) {
-				m, ok := c.get(key(i))
+				m, ok := c.Get(key(i))
 				if !ok {
 					return 0, false
 				}
 				return int(m.Data[0]), true
 			},
-			max: c.max,
+			max: c.Max(),
 		}
 	}
 	precondUse := func(maxBytes int64, r *obs.Registry) lruUse {
@@ -53,16 +54,16 @@ func TestByteLRU(t *testing.T) {
 			put: func(i, tag int) {
 				sigma := make([]float64, cols)
 				sigma[0] = float64(tag)
-				c.put(key(i), &solver.Precond{Sigma: sigma})
+				c.Put(key(i), &solver.Precond{Sigma: sigma})
 			},
 			get: func(i int) (int, bool) {
-				p, ok := c.get(key(i))
+				p, ok := c.Get(key(i))
 				if !ok {
 					return 0, false
 				}
 				return int(p.Sigma[0]), true
 			},
-			max: c.max,
+			max: c.Max(),
 		}
 	}
 	uses := []struct {
@@ -141,6 +142,19 @@ func TestByteLRU(t *testing.T) {
 			expect(r, 2, 3)
 			present(c, 3, 99)
 			present(c, 4, 14)
+
+			// A value larger than the whole budget: an insert never evicts
+			// itself, so it stays resident and the next get serves it; the
+			// next insert trims it.
+			r = obs.NewRegistry()
+			c = u.make(u.size/2, r)
+			c.put(0, 7)
+			expect(r, 0, 1)
+			present(c, 0, 7)
+			c.put(1, 8)
+			expect(r, 1, 1)
+			absent(c, 0)
+			present(c, 1, 8)
 
 			// Negative budget: never evicts.
 			r = obs.NewRegistry()

@@ -15,7 +15,6 @@ type svcMetrics struct {
 	misses      *obs.Counter
 	builds      *obs.Counter
 	buildErrors *obs.Counter
-	evictions   *obs.Counter
 	rejections  *obs.Counter
 	cancels     *obs.Counter
 	inFlight    *obs.Gauge
@@ -38,8 +37,6 @@ func newSvcMetrics(r *obs.Registry) *svcMetrics {
 			"Successful plan constructions (single-flight keeps builds <= misses)."),
 		buildErrors: r.Counter("sketchsp_service_plan_build_errors_total",
 			"Failed plan constructions."),
-		evictions: r.Counter("sketchsp_service_cache_evictions_total",
-			"Plans evicted from the LRU cache."),
 		rejections: r.Counter("sketchsp_service_shed_total",
 			"Requests shed at the full admission queue (ErrOverloaded)."),
 		cancels: r.Counter("sketchsp_service_canceled_total",

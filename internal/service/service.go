@@ -30,13 +30,13 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"runtime"
 	"sync"
 	"time"
 
+	"sketchsp/internal/cache"
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/obs"
@@ -109,18 +109,19 @@ type Service struct {
 	// of computed sketches that makes repeat by-ref requests and PATCH
 	// deltas O(1) in nnz(A).
 	store    *store.Store
-	sketches *byteLRU[planKey, *dense.Matrix]
+	sketches *cache.LRU[planKey, *dense.Matrix]
 	refMet   *refMetrics
 
 	// Solve surface (solve.go): preconditioner factor cache and the
 	// sketchsp_solve_* metric family.
-	preconds *byteLRU[precondKey, *solver.Precond]
+	preconds *cache.LRU[precondKey, *solver.Precond]
 	solveMet *solveMetrics
 
-	mu      sync.Mutex
-	entries map[planKey]*entry
-	lru     *list.List // of *entry; front = most recently used
-	closed  bool
+	plans   *cache.LRU[planKey, *entry]
+	closers sync.WaitGroup // goroutines closing evicted plans
+
+	mu     sync.Mutex // orders plan-cache inserts against Close
+	closed bool
 }
 
 // New returns a ready Service.
@@ -134,7 +135,7 @@ func New(cfg Config) *Service {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	s := &Service{
+	return &Service{
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		reg:      cfg.Metrics,
@@ -144,18 +145,8 @@ func New(cfg Config) *Service {
 		sketches: newSketchCache(cfg.SketchCacheBytes, cfg.Metrics),
 		preconds: newPrecondCache(cfg.PrecondCacheBytes, cfg.Metrics),
 		solveMet: newSolveMetrics(cfg.Metrics),
-		entries:  make(map[planKey]*entry),
-		lru:      list.New(),
+		plans:    newPlanCache(cfg.Capacity, cfg.Metrics),
 	}
-	// Scrape-time gauge: the plan count already lives behind s.mu, so a
-	// GaugeFunc beats a manually mirrored counter that could drift.
-	s.reg.GaugeFunc("sketchsp_service_cached_plans",
-		"Plans currently resident in the LRU cache.", func() int64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return int64(s.lru.Len())
-		})
-	return s
 }
 
 // Registry returns the obs registry holding the service's metrics — the
@@ -169,7 +160,7 @@ func (s *Service) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Op
 	if a == nil {
 		return nil, core.Stats{}, core.ErrNilMatrix
 	}
-	ahat := dense.NewMatrix(maxInt(d, 0), a.N)
+	ahat := dense.NewMatrix(max(d, 0), a.N)
 	st, err := s.SketchInto(ctx, ahat, a, d, opts)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -273,7 +264,9 @@ func (s *Service) exit() {
 // Close shuts the service down: subsequent requests fail with ErrClosed and
 // every cached plan's reference is released. Requests already executing
 // finish normally — their Retain-ed references keep the plans alive until
-// the last one returns.
+// the last one returns. Close also waits for the plans evicted earlier to
+// finish closing, so no plan's worker pool or store pin outlives it once
+// every request has returned.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -281,21 +274,9 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	es := make([]*entry, 0, s.lru.Len())
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		es = append(es, el.Value.(*entry))
-	}
-	s.entries = make(map[planKey]*entry)
-	s.lru.Init()
 	s.mu.Unlock()
-	for _, e := range es {
+	for _, e := range s.plans.Clear() {
 		e.close()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	s.closers.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"sketchsp/internal/cache"
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
 	"sketchsp/internal/obs"
@@ -174,7 +175,7 @@ func (s *Service) precondFor(ctx context.Context, a *sparse.CSC, fp sparse.Finge
 		d = solver.SAPSketchDim(a.N, req.Opts)
 	}
 	k := precondKey{fp: fp, method: req.Method, d: d, opts: req.Opts.Sketch}
-	if p, ok := s.preconds.get(k); ok {
+	if p, ok := s.preconds.Get(k); ok {
 		s.solveMet.precondHits.Inc()
 		return p, true, nil
 	}
@@ -187,7 +188,7 @@ func (s *Service) precondFor(ctx context.Context, a *sparse.CSC, fp sparse.Finge
 	if err != nil {
 		return nil, false, err
 	}
-	s.preconds.put(k, p)
+	s.preconds.Put(k, p)
 	return p, false, nil
 }
 
@@ -202,7 +203,7 @@ func (s *Service) planSketch(fp sparse.Fingerprint, byRef bool) solver.SketchFun
 		t0 := time.Now()
 		k := planKey{fp: fp, d: d, opts: o}
 		if byRef {
-			if cached, ok := s.sketches.get(k); ok {
+			if cached, ok := s.sketches.Get(k); ok {
 				return cached, time.Since(t0), nil
 			}
 		}
@@ -222,7 +223,7 @@ func (s *Service) planSketch(fp sparse.Fingerprint, byRef bool) solver.SketchFun
 		}
 		e.record(st)
 		if byRef {
-			s.sketches.put(k, ahat.Clone())
+			s.sketches.Put(k, ahat.Clone())
 		}
 		return ahat, time.Since(t0), nil
 	}
@@ -254,14 +255,14 @@ type precondKey struct {
 // newPrecondCache returns the factor cache: maxBytes of preconditioner
 // factors as FactorBytes counts them, not the transient sketch (0 =
 // default, negative = unbounded).
-func newPrecondCache(maxBytes int64, r *obs.Registry) *byteLRU[precondKey, *solver.Precond] {
-	return newByteLRU[precondKey](cmp.Or(maxBytes, DefaultPrecondCacheBytes), (*solver.Precond).FactorBytes, r, lruMetricNames{
-		evictions:     "sketchsp_solve_precond_evictions_total",
-		evictionsHelp: "Preconditioners reclaimed by the factor-cache byte budget.",
-		bytes:         "sketchsp_solve_precond_cache_bytes",
-		bytesHelp:     "Summed bytes of cached preconditioner factors.",
-		entries:       "sketchsp_solve_precond_cache_entries",
-		entriesHelp:   "Preconditioners currently resident.",
+func newPrecondCache(maxBytes int64, r *obs.Registry) *cache.LRU[precondKey, *solver.Precond] {
+	return cache.New[precondKey](cmp.Or(maxBytes, DefaultPrecondCacheBytes), (*solver.Precond).FactorBytes, r, cache.Names{
+		Evictions:     "sketchsp_solve_precond_evictions_total",
+		EvictionsHelp: "Preconditioners reclaimed by the factor-cache byte budget.",
+		Bytes:         "sketchsp_solve_precond_cache_bytes",
+		BytesHelp:     "Summed bytes of cached preconditioner factors.",
+		Entries:       "sketchsp_solve_precond_cache_entries",
+		EntriesHelp:   "Preconditioners currently resident.",
 	})
 }
 

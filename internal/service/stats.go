@@ -115,7 +115,7 @@ func (s *Service) Stats() Stats {
 		Misses:      m.misses.Value(),
 		Builds:      m.builds.Value(),
 		BuildErrors: m.buildErrors.Value(),
-		Evictions:   m.evictions.Value(),
+		Evictions:   s.plans.Evictions(),
 		Rejections:  m.rejections.Value(),
 		Cancels:     m.cancels.Value(),
 		InFlight:    m.inFlight.Value(),
@@ -131,18 +131,16 @@ func (s *Service) Stats() Stats {
 	if st.Requests > 0 {
 		st.LatencyMean = time.Duration(m.latency.SumNS() / st.Requests)
 	}
-	s.mu.Lock()
-	st.CachedPlans = s.lru.Len()
-	st.Entries = make([]EntryStats, 0, s.lru.Len())
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	st.CachedPlans = s.plans.Len()
+	st.Entries = make([]EntryStats, 0, st.CachedPlans)
+	s.plans.Each(func(_ planKey, e *entry) {
 		select {
 		case <-e.ready:
 		default:
-			continue // still building; no plan stats yet
+			return // still building; no plan stats yet
 		}
 		if e.plan == nil {
-			continue
+			return
 		}
 		es := EntryStats{
 			M: e.key.fp.M, N: e.key.fp.N, NNZ: e.key.fp.NNZ,
@@ -159,7 +157,6 @@ func (s *Service) Stats() Stats {
 		}
 		e.mu.Unlock()
 		st.Entries = append(st.Entries, es)
-	}
-	s.mu.Unlock()
+	})
 	return st
 }

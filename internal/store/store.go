@@ -4,7 +4,8 @@
 // fingerprint instead of the O(nnz) payload — the network-side analogue of
 // the paper's "never materialise S" argument, applied to A itself.
 //
-// The store is a refcounted, memory-bounded LRU:
+// The store is a refcounted, memory-bounded LRU (an internal/cache.LRU
+// sized by MemoryBytes):
 //
 //   - Put validates and deep-copies the matrix in, so no caller retains a
 //     path to mutate a stored matrix; entries are immutable for their whole
@@ -16,17 +17,17 @@
 //     cached plan or an in-flight execute is never reclaimed under it. The
 //     byte budget may therefore overshoot while everything resident is
 //     pinned; it is re-trimmed as handles are released.
-//   - Accounting is exact: an entry's bytes are added once on insert and
-//     subtracted exactly once when it leaves the map, so the gauge can
-//     never go negative (the race suite hammers this).
+//   - A Put never evicts the matrix it inserts, even when everything else
+//     resident is pinned: the client's 404-then-upload fallback would
+//     otherwise loop.
 package store
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
+	"sketchsp/internal/cache"
 	"sketchsp/internal/obs"
 	"sketchsp/internal/sparse"
 )
@@ -48,7 +49,8 @@ type Config struct {
 	// evicts unpinned entries beyond it. 0 selects DefaultMaxBytes;
 	// negative means unbounded.
 	MaxBytes int64
-	// Metrics, when non-nil, registers the sketchsp_store_* families.
+	// Metrics is the registry of the sketchsp_store_* families. nil
+	// registers them on a private registry.
 	Metrics *obs.Registry
 }
 
@@ -61,32 +63,14 @@ type Info struct {
 	Created bool
 }
 
-type entry struct {
-	fp    sparse.Fingerprint
-	a     *sparse.CSC // immutable once inserted
-	bytes int64
-	refs  int // live Handles; >0 pins the entry against eviction
-	elem  *list.Element
-}
-
 // Store is the content-addressed matrix store. Safe for concurrent use.
 type Store struct {
-	cfg Config
+	mats *cache.LRU[sparse.Fingerprint, *sparse.CSC] // immutable once inserted
 
-	mu      sync.Mutex
-	entries map[sparse.Fingerprint]*entry
-	lru     *list.List // of *entry; front = most recently used
-	bytes   int64
-
-	met *metrics
-}
-
-type metrics struct {
-	puts      *obs.Counter
-	dupPuts   *obs.Counter
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
+	puts    *obs.Counter
+	dupPuts *obs.Counter
+	hits    *obs.Counter
+	misses  *obs.Counter
 }
 
 // New returns a ready Store.
@@ -94,38 +78,28 @@ func New(cfg Config) *Store {
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	s := &Store{
-		cfg:     cfg,
-		entries: make(map[sparse.Fingerprint]*entry),
-		lru:     list.New(),
+	r := cfg.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
 	}
-	if r := cfg.Metrics; r != nil {
-		s.met = &metrics{
-			puts: r.Counter("sketchsp_store_puts_total",
-				"Matrices inserted into the content-addressed store."),
-			dupPuts: r.Counter("sketchsp_store_duplicate_puts_total",
-				"Puts that found their fingerprint already resident."),
-			hits: r.Counter("sketchsp_store_hits_total",
-				"Fingerprint lookups that found a resident matrix."),
-			misses: r.Counter("sketchsp_store_misses_total",
-				"Fingerprint lookups that found nothing (never uploaded or evicted)."),
-			evictions: r.Counter("sketchsp_store_evictions_total",
-				"Matrices reclaimed by the LRU byte budget."),
-		}
-		r.GaugeFunc("sketchsp_store_bytes",
-			"Summed MemoryBytes of resident matrices.", func() int64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return s.bytes
-			})
-		r.GaugeFunc("sketchsp_store_matrices",
-			"Matrices currently resident.", func() int64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return int64(s.lru.Len())
-			})
+	return &Store{
+		mats: cache.New[sparse.Fingerprint](cfg.MaxBytes, (*sparse.CSC).MemoryBytes, r, cache.Names{
+			Evictions:     "sketchsp_store_evictions_total",
+			EvictionsHelp: "Matrices reclaimed by the LRU byte budget.",
+			Bytes:         "sketchsp_store_bytes",
+			BytesHelp:     "Summed MemoryBytes of resident matrices.",
+			Entries:       "sketchsp_store_matrices",
+			EntriesHelp:   "Matrices currently resident.",
+		}),
+		puts: r.Counter("sketchsp_store_puts_total",
+			"Matrices inserted into the content-addressed store."),
+		dupPuts: r.Counter("sketchsp_store_duplicate_puts_total",
+			"Puts that found their fingerprint already resident."),
+		hits: r.Counter("sketchsp_store_hits_total",
+			"Fingerprint lookups that found a resident matrix."),
+		misses: r.Counter("sketchsp_store_misses_total",
+			"Fingerprint lookups that found nothing (never uploaded or evicted)."),
 	}
-	return s
 }
 
 // Put validates a, deep-copies it into the store and returns its Info. A
@@ -154,82 +128,38 @@ func (s *Store) PutOwned(a *sparse.CSC) (Info, error) {
 
 func (s *Store) insert(a *sparse.CSC, clone bool) (Info, error) {
 	fp := a.Fingerprint()
-	s.mu.Lock()
-	if e, ok := s.entries[fp]; ok {
-		s.lru.MoveToFront(e.elem)
-		info := Info{Fp: fp, Bytes: e.bytes}
-		s.mu.Unlock()
-		if s.met != nil {
-			s.met.dupPuts.Inc()
+	cur, ok := s.mats.Get(fp)
+	if !ok {
+		if clone {
+			// Copy outside the cache's lock, then insert unless a racing
+			// identical Put won meanwhile (same bytes by fingerprint).
+			a = a.Clone()
 		}
-		return info, nil
-	}
-	if clone {
-		// Copy while holding the map reservation would serialise uploads;
-		// but inserting first would expose a half-copied matrix. Copy
-		// outside the lock and re-check: a racing identical Put wins
-		// harmlessly (same bytes by fingerprint).
-		s.mu.Unlock()
-		a = a.Clone()
-		s.mu.Lock()
-		if e, ok := s.entries[fp]; ok {
-			s.lru.MoveToFront(e.elem)
-			info := Info{Fp: fp, Bytes: e.bytes}
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.dupPuts.Inc()
-			}
-			return info, nil
+		var added bool
+		if cur, added, _ = s.mats.Add(fp, a); added {
+			s.puts.Inc()
+			return Info{Fp: fp, Bytes: cur.MemoryBytes(), Created: true}, nil
 		}
 	}
-	e := &entry{fp: fp, a: a, bytes: a.MemoryBytes()}
-	e.elem = s.lru.PushFront(e)
-	s.entries[fp] = e
-	s.bytes += e.bytes
-	// Pin the new entry through its own insertion trim: when everything
-	// else resident is pinned, the budget walk would otherwise reclaim the
-	// matrix being uploaded, turning Put into a silent no-op and the
-	// client's 404-then-upload fallback into a loop.
-	e.refs++
-	s.evictLocked()
-	e.refs--
-	info := Info{Fp: fp, Bytes: e.bytes, Created: true}
-	s.mu.Unlock()
-	if s.met != nil {
-		s.met.puts.Inc()
-	}
-	return info, nil
+	s.dupPuts.Inc()
+	return Info{Fp: fp, Bytes: cur.MemoryBytes()}, nil
 }
 
 // Get resolves fp to a pinned Handle, or (nil, ErrNotFound). The caller
 // must Release the handle; until then the matrix cannot be evicted.
 func (s *Store) Get(fp sparse.Fingerprint) (*Handle, error) {
-	s.mu.Lock()
-	e, ok := s.entries[fp]
+	a, pin, ok := s.mats.Pin(fp)
 	if !ok {
-		s.mu.Unlock()
-		if s.met != nil {
-			s.met.misses.Inc()
-		}
+		s.misses.Inc()
 		return nil, ErrNotFound
 	}
-	e.refs++
-	s.lru.MoveToFront(e.elem)
-	s.mu.Unlock()
-	if s.met != nil {
-		s.met.hits.Inc()
-	}
-	return &Handle{s: s, e: e}, nil
+	s.hits.Inc()
+	return &Handle{fp: fp, a: a, pin: pin}, nil
 }
 
 // Contains reports whether fp is resident without touching LRU order or
 // refcounts (stats endpoints, tests).
-func (s *Store) Contains(fp sparse.Fingerprint) bool {
-	s.mu.Lock()
-	_, ok := s.entries[fp]
-	s.mu.Unlock()
-	return ok
-}
+func (s *Store) Contains(fp sparse.Fingerprint) bool { return s.mats.Contains(fp) }
 
 // Stats is a point-in-time snapshot of the store occupancy.
 type Stats struct {
@@ -240,72 +170,34 @@ type Stats struct {
 
 // Stats snapshots the current occupancy.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{Matrices: s.lru.Len(), Bytes: s.bytes, MaxBytes: s.cfg.MaxBytes}
-}
-
-// evictLocked trims unpinned LRU-tail entries until the byte budget holds.
-// Pinned entries are skipped, not deferred: if everything resident is
-// pinned the store overshoots its budget rather than reclaiming a matrix in
-// use — Release re-trims once pins drop. Called with s.mu held.
-func (s *Store) evictLocked() {
-	if s.cfg.MaxBytes < 0 {
-		return
-	}
-	for el := s.lru.Back(); el != nil && s.bytes > s.cfg.MaxBytes; {
-		e := el.Value.(*entry)
-		prev := el.Prev()
-		if e.refs == 0 {
-			s.lru.Remove(el)
-			delete(s.entries, e.fp)
-			s.bytes -= e.bytes
-			if s.met != nil {
-				s.met.evictions.Inc()
-			}
-		}
-		el = prev
-	}
+	return Stats{Matrices: s.mats.Len(), Bytes: s.mats.Bytes(), MaxBytes: s.mats.Max()}
 }
 
 // Handle pins one stored matrix. The matrix it exposes is immutable and
 // shared — callers must treat it as read-only (plans do: kernels never
 // write to A).
 type Handle struct {
-	s *Store
-	e *entry
-
-	mu       sync.Mutex
-	released bool
+	fp       sparse.Fingerprint
+	a        *sparse.CSC
+	pin      cache.Pin[sparse.Fingerprint, *sparse.CSC]
+	released atomic.Bool
 }
 
 // Matrix returns the pinned matrix. The returned CSC (and its arrays) stays
 // valid even after Release — Go's GC keeps it alive for as long as anything
 // references it — but only while the handle is unreleased is it guaranteed
 // still resident in the store.
-func (h *Handle) Matrix() *sparse.CSC { return h.e.a }
+func (h *Handle) Matrix() *sparse.CSC { return h.a }
 
 // Fingerprint returns the pinned matrix's identity.
-func (h *Handle) Fingerprint() sparse.Fingerprint { return h.e.fp }
+func (h *Handle) Fingerprint() sparse.Fingerprint { return h.fp }
 
 // Release unpins the matrix. Idempotent: double releases are absorbed, so a
 // refcount can never be driven negative by a confused caller. Dropping the
 // last pin re-runs the byte-budget trim, since this entry may be the one
 // holding the store over budget.
 func (h *Handle) Release() {
-	h.mu.Lock()
-	if h.released {
-		h.mu.Unlock()
-		return
+	if h.released.CompareAndSwap(false, true) {
+		h.pin.Unpin()
 	}
-	h.released = true
-	h.mu.Unlock()
-
-	s := h.s
-	s.mu.Lock()
-	h.e.refs--
-	if h.e.refs == 0 && s.bytes > s.cfg.MaxBytes {
-		s.evictLocked()
-	}
-	s.mu.Unlock()
 }
