@@ -304,19 +304,25 @@ func TestCloseWaitsForEvictedPlans(t *testing.T) {
 	}
 }
 
-// planGoroutines returns the stacks of the running goroutines inside a
-// plan (a core worker, or the closer of an evicted entry), keyed by their
-// "goroutine N" header line and leaving out those already in skip.
+// planGoroutines returns the stacks of the goroutines still inside a plan,
+// keyed by their "goroutine N" header line and leaving out those already in
+// skip: the closer of an evicted entry, in any state, and a core worker
+// that is blocked. A worker that is runnable has left its loop and is
+// exiting: the pool's Wait has returned, it holds nothing.
 func planGoroutines(skip map[string]string) map[string]string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	out := map[string]string{}
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		id, _, _ := strings.Cut(g, " [")
+		header, frames, _ := strings.Cut(g, "\n")
+		id, state, _ := strings.Cut(header, " [")
+		frames, _, _ = strings.Cut(frames, "\ncreated by ")
 		if _, old := skip[id]; old {
 			continue
 		}
-		if strings.Contains(g, "sketchsp/internal/core.") || strings.Contains(g, "sketchsp/internal/service.(*entry).close") {
+		running := strings.HasPrefix(state, "runnable") || strings.HasPrefix(state, "running")
+		if strings.Contains(frames, "sketchsp/internal/service.(*entry).close") ||
+			(strings.Contains(frames, "sketchsp/internal/core.") && !running) {
 			out[id] = g
 		}
 	}
